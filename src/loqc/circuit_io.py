@@ -10,13 +10,16 @@ A circuit is a JSON object:
         {"a": "s", "b": "a", "eta": 0.25, "grey": "s"}
       ],
       "ancilla_prep": {"a": 1, "v": 0},
-      "detection": {"exact": {"a": 1, "v": 0}, "groups": [[["s"], 1]]}
+      "detection": {"exact": {"a": 1, "v": 0}, "groups": [[["s"], 1]]},
+      "cuts": {"mid": 1}
     }
 
 Modes may be referenced by label or by integer index. Reflectivities are
 numbers or one of the symbolic tokens below, which resolve to the
 closed-form operating points so that files never carry rounded decimals.
-``ancilla_prep`` and ``detection`` are optional.
+Photon counts and cut positions are non-negative integers (not booleans);
+a cut names the state after that many elements. ``ancilla_prep``,
+``detection`` and ``cuts`` are optional.
 """
 
 from __future__ import annotations
@@ -54,6 +57,16 @@ def resolve_reflectivity(value) -> float:
     raise CircuitFileError(f"reflectivity must be a number or token, got {value!r}")
 
 
+def _count(value, where: str) -> int:
+    """A non-negative integer from the file; booleans and floats are
+    rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise CircuitFileError(
+            f"{where}: must be a non-negative integer, got {value!r}"
+        )
+    return value
+
+
 def _mode_ref(value, labels: tuple[str, ...], where: str) -> int:
     if isinstance(value, str):
         if value not in labels:
@@ -75,7 +88,7 @@ def circuit_from_dict(doc: dict) -> Circuit:
         if key not in doc:
             raise CircuitFileError(f"missing required field {key!r}")
     n_modes = doc["n_modes"]
-    if not isinstance(n_modes, int) or n_modes < 1:
+    if isinstance(n_modes, bool) or not isinstance(n_modes, int) or n_modes < 1:
         raise CircuitFileError(f"n_modes must be a positive integer, got {n_modes!r}")
     labels = tuple(doc["labels"])
     if len(labels) != n_modes or not all(isinstance(s, str) for s in labels):
@@ -100,18 +113,16 @@ def circuit_from_dict(doc: dict) -> Circuit:
     prep = {}
     for ref, count in dict(doc.get("ancilla_prep", {})).items():
         mode = _mode_ref(ref, labels, "ancilla_prep")
-        if not isinstance(count, int) or count < 0:
-            raise CircuitFileError(
-                f"ancilla_prep[{ref!r}]: count must be a non-negative integer"
-            )
-        prep[mode] = count
+        prep[mode] = _count(count, f"ancilla_prep[{ref!r}]")
     detection = None
     if "detection" in doc and doc["detection"] is not None:
         det = doc["detection"]
         if not isinstance(det, dict):
             raise CircuitFileError("detection must be an object")
         exact = {
-            _mode_ref(ref, labels, "detection.exact"): count
+            _mode_ref(ref, labels, "detection.exact"): _count(
+                count, f"detection.exact[{ref!r}]"
+            )
             for ref, count in dict(det.get("exact", {})).items()
         }
         groups = []
@@ -122,18 +133,25 @@ def circuit_from_dict(doc: dict) -> Circuit:
             except (TypeError, ValueError):
                 raise CircuitFileError(f"{where}: must be [modes, total]") from None
             groups.append(
-                (tuple(_mode_ref(m, labels, where) for m in modes), total)
+                (
+                    tuple(_mode_ref(m, labels, where) for m in modes),
+                    _count(total, f"{where} total"),
+                )
             )
         try:
             detection = DetectionPattern(exact=exact, groups=tuple(groups))
         except ValueError as exc:
             raise CircuitFileError(f"detection: {exc}") from None
+    cuts = doc.get("cuts", {})
+    if not isinstance(cuts, dict):
+        raise CircuitFileError("cuts must be an object")
     circuit = Circuit(
         n_modes=n_modes,
         labels=labels,
         elements=tuple(elements),
         ancilla_prep=prep,
         detection=detection,
+        cuts={name: _count(k, f"cuts[{name!r}]") for name, k in cuts.items()},
     )
     report = validate_circuit(circuit)
     if not report.valid:
@@ -175,6 +193,7 @@ def circuit_to_dict(circuit: Circuit) -> dict:
         "ancilla_prep": {
             circuit.labels[m]: k for m, k in circuit.ancilla_prep.items()
         },
+        "cuts": dict(circuit.cuts),
     }
     if circuit.detection is not None:
         doc["detection"] = {

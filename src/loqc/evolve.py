@@ -5,6 +5,13 @@ The two computations share no code beyond the transfer matrix itself:
 ``evolve`` pushes the sparse state through the circuit element by
 element, while ``oracle_amplitude`` evaluates a single matrix permanent.
 Agreement between them is part of the test suite's safety net.
+
+``evolve`` is the path of truth tables, moments, Bell states and interior
+cuts. The sensitivity sweep in ``loqc.verify`` uses its own batched
+permanent engine for every perturbation and calls ``evolve`` only to
+check the perturbations at its worst error. ``permanent`` and
+``oracle_amplitude`` are on neither path: they are the reference that
+``verify.heisenberg_consistency`` and the tests compare both against.
 """
 
 from __future__ import annotations

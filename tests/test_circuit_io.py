@@ -12,11 +12,14 @@ from loqc.circuit_io import (
     load_circuit,
     resolve_reflectivity,
 )
+from loqc.cli import main
 from loqc.evolve import evolve
 from loqc.fock import basis_state
 from loqc.gates import (
     ETA2_NS,
+    build_cnot_circuit,
     build_ns_circuit,
+    build_simplified_cnot,
     conditional_map_by_evolution,
 )
 
@@ -122,3 +125,54 @@ def test_load_circuit_rejects_unparseable_json(tmp_path):
         load_circuit(path)
     with pytest.raises(CircuitFileError):
         load_circuit(tmp_path / "missing.json")
+
+
+def test_round_trip_keeps_the_cnot_circuits_and_their_cuts():
+    for circuit in (build_cnot_circuit(), build_simplified_cnot()):
+        again = circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit))))
+        assert again == circuit
+        assert again.cuts == circuit.cuts != {}
+
+
+def _with(path: str, value, doc=GOOD) -> dict:
+    """A copy of ``doc`` with the field at dotted ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path.split(".")
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _with("detection.exact.a", 1.7),
+        _with("detection.exact.a", True),
+        _with("detection.groups", [[["s"], 0.5]]),
+        _with("detection.groups", [[["s"], True]]),
+        _with("ancilla_prep.a", True),
+        _with("cuts", {"mid": 1.5}),
+        _with("cuts", {"mid": 4}),
+        _with("cuts", [1]),
+        {"n_modes": True, "labels": ["s"], "elements": []},
+    ],
+    ids=[
+        "exact-float",
+        "exact-bool",
+        "group-float",
+        "group-bool",
+        "prep-bool",
+        "cut-float",
+        "cut-out-of-range",
+        "cuts-not-object",
+        "n_modes-bool",
+    ],
+)
+def test_counts_must_be_integers_not_coerced(doc, tmp_path):
+    with pytest.raises(CircuitFileError):
+        circuit_from_dict(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run-circuit", str(path), "--input", "1"]) == 2

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, report documents, determinism."""
 
+import csv
 import json
 import subprocess
 import sys
 
 import pytest
 
+from loqc import verify
 from loqc.cli import build_parser, main
 
 NS_FILE = {
@@ -256,3 +258,35 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("mode", ["corners", "random"])
+@pytest.mark.parametrize("magnitude", ["nan", "inf"])
+def test_sweep_non_finite_magnitude_is_a_usage_error(mode, magnitude, capsys):
+    assert run(["sweep", "--magnitude", magnitude, "--mode", mode, "--samples", "2"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_sweep_without_samples_is_a_usage_error(capsys):
+    assert run(["sweep", "--mode", "random", "--samples", "0"]) == 2
+    assert "evaluated no perturbations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "gate, mode", [("cnot", "random"), ("cnot-simplified", "corners")]
+)
+def test_sweep_csv_cells_are_plain_floats(tmp_path, gate, mode):
+    csv_path = tmp_path / "s.csv"
+    flags = ["--model", "absolute", "--magnitude", "0.03", "--mode", mode,
+             "--samples", "7", "--rng-seed", "4"]
+    assert run(["sweep", gate, *flags, "--csv", str(csv_path)]) in (0, 1)
+    with open(csv_path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    records = verify.sensitivity_sweep(
+        gate, model="absolute", magnitude=0.03, mode=mode, samples=7, seed=4
+    ).records
+    assert len(rows) == len(records)
+    n_etas = header.index("error_HH")
+    for row, record in zip(rows, records):
+        values = [float(cell) for cell in row]
+        assert values[:n_etas] == record["etas"]

@@ -1,6 +1,9 @@
 """Gate verification: truth tables, moments, Bell outputs, interior
 states, dual-path consistency, and the sensitivity sweep."""
 
+import dataclasses
+import math
+
 import pytest
 
 from conftest import (
@@ -8,12 +11,15 @@ from conftest import (
     WORST_ERROR_ABS_CORNERS_002,
     WORST_ERROR_REL_CORNERS_002,
 )
+from loqc import verify
 from loqc.gates import (
     BASIS_INPUTS,
     CNOT_IMAGE,
     ETA2_BIASED,
     build_cnot_circuit,
     build_simplified_cnot,
+    decode_logical,
+    gate_by_name,
     logical_pair,
 )
 from loqc.verify import (
@@ -193,3 +199,77 @@ def test_sweep_rejects_bad_arguments():
         sensitivity_sweep("cnot", model="sideways", magnitude=0.1, mode="corners")
     with pytest.raises(ValueError):
         sensitivity_sweep("cnot", model="absolute", magnitude=0.1, mode="grid")
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cnot-simplified"])
+@pytest.mark.parametrize("model, magnitude", [("relative", 0.02), ("absolute", 0.9)])
+def test_sweep_records_match_sparse_evolution(gate, model, magnitude):
+    # every record of the batched sweep, re-derived input by input through
+    # the sparse evolution; at 0.9 the clamped reflectivities (0 or 1)
+    # leave some inputs with no heralded output at all, reported as error 1
+    base = gate_by_name(gate)
+    res = sensitivity_sweep(gate, model=model, magnitude=magnitude, mode="random", samples=24, seed=1)
+    zero_probability = 0
+    for record in res.records:
+        circuit = dataclasses.replace(
+            base,
+            elements=tuple(
+                dataclasses.replace(el, reflectivity=eta)
+                for el, eta in zip(base.elements, record["etas"], strict=True)
+            ),
+        )
+        probabilities = []
+        for label in BASIS_INPUTS:
+            probability, state4 = conditioned_logical_output(circuit, logical_pair(label))
+            if state4 is None:
+                error = 1.0
+                zero_probability += 1
+            else:
+                amps, _ = decode_logical(state4)
+                error = 1.0 - abs(amps[BASIS_INPUTS.index(CNOT_IMAGE[label])]) ** 2
+            assert record["errors"][label] == pytest.approx(error, abs=1e-12)
+            probabilities.append(probability)
+        assert record["probability_min"] == pytest.approx(min(probabilities), abs=1e-12)
+        assert record["probability_max"] == pytest.approx(max(probabilities), abs=1e-12)
+        assert record["worst_error"] == max(record["errors"].values())
+    if magnitude == 0.9:
+        assert zero_probability > 0
+        assert any(eta in (0.0, 1.0) for r in res.records for eta in r["etas"])
+        assert res.worst_error == 1.0
+
+
+def test_sweep_absolute_corner_ties_resolve_to_first_in_sweep_order():
+    # four corners tie bit for bit at the worst error; the first in sweep
+    # order (B4 slowest, B1 fastest, - before +) is reported
+    base = build_cnot_circuit()
+    res = sensitivity_sweep("cnot", model="absolute", magnitude=0.02, mode="corners")
+    ties = [i for i, r in enumerate(res.records) if r["worst_error"] == res.worst_error]
+    assert ties == [86, 424, 599, 937]
+    assert res.worst_input == "VH"
+    signs = "".join(
+        "+" if res.worst_assignment[el.label] > el.reflectivity else "-"
+        for el in base.elements
+    )
+    assert signs == "---+-+-++-"
+    assert res.records[86]["etas"] == list(res.worst_assignment.values())
+
+
+def test_sweep_raises_when_batched_and_sparse_paths_disagree(monkeypatch):
+    batched = verify._batched_logical_errors
+
+    def skewed(base, etas):
+        errors, probabilities = batched(base, etas)
+        return errors + 1e-9, probabilities
+
+    monkeypatch.setattr(verify, "_batched_logical_errors", skewed)
+    with pytest.raises(RuntimeError, match="differ by"):
+        sensitivity_sweep("cnot-simplified", model="absolute", magnitude=0.02, mode="corners")
+
+
+def test_sweep_rejects_non_finite_magnitude_and_empty_sweeps():
+    for magnitude in (math.nan, math.inf):
+        for mode in ("corners", "random"):
+            with pytest.raises(ValueError, match="finite"):
+                sensitivity_sweep("cnot", magnitude=magnitude, mode=mode)
+    with pytest.raises(ValueError, match="evaluated no perturbations"):
+        sensitivity_sweep("cnot", mode="random", samples=0)
