@@ -68,23 +68,19 @@ def _fmt_complex(z: complex) -> str:
 
 def _document(command: str, inputs: dict, results: dict, checks: list[dict]) -> dict:
     """Assemble a report document; ``pass`` is the conjunction of checks."""
-    doc_checks = [
-        {
-            "name": c["name"],
-            "value": c["value"],
-            "tolerance": c["tolerance"],
-            "pass": bool(c.get("pass", c.get("passed"))),
-        }
-        for c in checks
-    ]
     return {
         "schema_version": "1",
         "command": command,
         "inputs": inputs,
         "results": results,
-        "checks": doc_checks,
-        "pass": all(c["pass"] for c in doc_checks),
+        "checks": checks,
+        "pass": all(c["pass"] for c in checks),
     }
+
+
+def _results(result: dict) -> dict:
+    """A verification result without the checks and verdict it carries."""
+    return {k: v for k, v in result.items() if k not in ("checks", "passed")}
 
 
 def _finish(doc: dict, args) -> int:
@@ -128,25 +124,11 @@ def _cmd_ns_verify(args) -> int:
         param_doc = {"eta1": params.eta1, "eta2": params.eta2, "eta3": params.eta3}
     evolved = gates.conditional_map_by_evolution(circuit)
     deviation = max(abs(c - e) for c, e in zip(closed, evolved))
-    balanced = abs(closed[0] - closed[1]) < 1e-10 and abs(closed[0] + closed[2]) < 1e-10
+    balance = verify.check("balanced operation", gates.balance_residual(closed), 1e-10)
     success_uniform = sum(abs(l) ** 2 for l in closed) / 3.0
-    checks = [
-        {
-            "name": "closed form vs circuit evolution",
-            "value": deviation,
-            "tolerance": 1e-10,
-            "passed": deviation < 1e-10,
-        }
-    ]
+    checks = [verify.check("closed form vs circuit evolution", deviation, 1e-10)]
     if not overridden:
-        checks.append(
-            {
-                "name": "balanced operation",
-                "value": max(abs(closed[0] - closed[1]), abs(closed[0] + closed[2])),
-                "tolerance": 1e-10,
-                "passed": balanced,
-            }
-        )
+        checks.append(balance)
     inputs = {
         "biased": args.biased,
         "eta1": args.eta1,
@@ -159,7 +141,7 @@ def _cmd_ns_verify(args) -> int:
         "closed_form": list(closed),
         "circuit_evolution": list(evolved),
         "deviation": deviation,
-        "balanced": balanced,
+        "balanced": balance["pass"],
         "success_probability_uniform_input": success_uniform,
     }
     doc = _document("ns-verify", inputs, results, checks)
@@ -175,7 +157,7 @@ def _cmd_ns_verify(args) -> int:
     )
     print(f"  deviation {_fmt(deviation)}")
     print(f"  success probability (uniform input) {_fmt(success_uniform)}")
-    print(f"  balanced: {'yes' if balanced else 'no (flagged unbalanced)'}")
+    print(f"  balanced: {'yes' if balance['pass'] else 'no (flagged unbalanced)'}")
     return _finish(doc, args)
 
 
@@ -211,22 +193,8 @@ def _cmd_moments(args) -> int:
         image = gates.CNOT_IMAGE[label]
         signal_dev = abs(table[image] - expected_p)
         cross = max(v for k, v in table.items() if k != image)
-        checks.append(
-            {
-                "name": f"{label} signal moment",
-                "value": signal_dev,
-                "tolerance": max(tol, 1e-10),
-                "passed": signal_dev < max(tol, 1e-10),
-            }
-        )
-        checks.append(
-            {
-                "name": f"{label} cross moments",
-                "value": cross,
-                "tolerance": 1e-12,
-                "passed": cross < 1e-12,
-            }
-        )
+        checks.append(verify.check(f"{label} signal moment", signal_dev, tol))
+        checks.append(verify.check(f"{label} cross moments", cross, 1e-12))
     doc = _document(
         "moments",
         {"gate": args.gate, "input": args.input},
@@ -242,22 +210,9 @@ def _cmd_moments(args) -> int:
 
 def _cmd_bell_test(args) -> int:
     result = verify.bell_test(args.gate)
-    checks = [
-        {
-            "name": "fidelity to nearest maximally entangled state",
-            "value": 1.0 - result["worst_fidelity"],
-            "tolerance": 1e-10,
-            "pass": result["worst_fidelity"] > 1.0 - 1e-10,
-        },
-        {
-            "name": "reduced purity deviation from 1/2",
-            "value": result["worst_purity_deviation"],
-            "tolerance": 1e-10,
-            "pass": result["worst_purity_deviation"] < 1e-10,
-        },
-    ]
-    results = {k: v for k, v in result.items() if k != "passed"}
-    doc = _document("bell-test", {"gate": args.gate}, results, checks)
+    doc = _document(
+        "bell-test", {"gate": args.gate}, _results(result), result["checks"]
+    )
     print(f"Bell-state generation through {args.gate}")
     for entry in result["entries"]:
         print(
@@ -274,20 +229,11 @@ def _cmd_intermediate(args) -> int:
     except ValueError as exc:
         print(f"intermediate: {exc}", file=sys.stderr)
         return 2
-    checks = [
-        {
-            "name": "amplitude deviation from closed form",
-            "value": result["deviation"],
-            "tolerance": 1e-10,
-            "pass": result["passed"],
-        }
-    ]
-    results = {k: v for k, v in result.items() if k != "passed"}
     doc = _document(
         "intermediate",
         {"gate": args.gate, "input": args.input, "cut": args.cut},
-        results,
-        checks,
+        _results(result),
+        result["checks"],
     )
     print(
         f"{args.gate} input {args.input} at cut {args.cut}: deviation "
@@ -306,22 +252,12 @@ def _cmd_sweep(args) -> int:
         samples=args.samples,
         seed=args.rng_seed,
     )
-    checks = [
-        {
-            "name": "errors within [0, 1]",
-            "value": result.worst_error,
-            "tolerance": 1.0,
-            "passed": 0.0 <= result.mean_error <= result.worst_error <= 1.0,
-        }
-    ]
+    # an error of exactly 1.0 is in range, so this verdict is not value < tolerance
+    in_range = 0.0 <= result.mean_error <= result.worst_error <= 1.0
+    checks = [verify.check("errors within [0, 1]", result.worst_error, 1.0, in_range)]
     if args.magnitude <= 0.02 + 1e-15:
         checks.append(
-            {
-                "name": "worst logical error below 1e-2",
-                "value": result.worst_error,
-                "tolerance": 1e-2,
-                "passed": result.worst_error < 1e-2,
-            }
+            verify.check("worst logical error below 1e-2", result.worst_error, 1e-2)
         )
     inputs = {
         "gate": args.gate,
@@ -368,29 +304,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_solve_params(args) -> int:
     ns_params, amplitude = gates.solve_optimal_ns(verify=True)
     lams = gates.ns_conditional_map(ns_params)
-    ns_residual = max(abs(lams[0] - lams[1]), abs(lams[0] + lams[2]))
     biased = gates.solve_biased_ns(verify=True)
     blams = gates.biased_ns_amplitudes(biased)
-    biased_residual = max(abs(blams[0] - blams[1]), abs(blams[0] + blams[2]))
     checks = [
-        {
-            "name": "NS balance residual",
-            "value": ns_residual,
-            "tolerance": 1e-12,
-            "passed": ns_residual < 1e-12,
-        },
-        {
-            "name": "NS success amplitude is 1/2",
-            "value": abs(amplitude - 0.5),
-            "tolerance": 1e-12,
-            "passed": abs(amplitude - 0.5) < 1e-12,
-        },
-        {
-            "name": "biased balance residual",
-            "value": biased_residual,
-            "tolerance": 1e-12,
-            "passed": biased_residual < 1e-12,
-        },
+        verify.check("NS balance residual", gates.balance_residual(lams), 1e-12),
+        verify.check("NS success amplitude is 1/2", abs(amplitude - 0.5), 1e-12),
+        verify.check("biased balance residual", gates.balance_residual(blams), 1e-12),
     ]
     results = {
         "ns": {

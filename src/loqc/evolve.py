@@ -34,7 +34,10 @@ MAX_PHOTONS = 4
 _FACT = [math.factorial(k) for k in range(MAX_PHOTONS + 3)]
 
 
-@lru_cache(maxsize=None)
+# Bounded because it is keyed by float reflectivity: a long random sweep
+# would otherwise grow it without limit. One pass of a sweep, or of every
+# CLI command, fills fewer than 60 entries.
+@lru_cache(maxsize=1024)
 def _pair_transition(
     reflectivity: float, grey_port: int, n: int, m: int
 ) -> tuple[tuple[int, float], ...]:

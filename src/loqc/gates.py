@@ -131,9 +131,10 @@ def biased_ns_amplitudes(p: BiasedNsParameters) -> tuple[float, float, float]:
     return (s2, s7 * (1.0 - 2.0 * p.eta2), -p.eta7 * s2 * (2.0 - 3.0 * p.eta2))
 
 
-def _balanced(lams: tuple[float, float, float], tol: float = 1e-10) -> bool:
+def balance_residual(lams: tuple[float, float, float]) -> float:
+    """max(|l0 - l1|, |l0 + l2|): zero exactly when the map is balanced."""
     l0, l1, l2 = lams
-    return abs(l0 - l1) < tol and abs(l0 + l2) < tol
+    return max(abs(l0 - l1), abs(l0 + l2))
 
 
 def solve_optimal_ns(verify: bool = True) -> tuple[NsParameters, float]:
@@ -192,7 +193,7 @@ def _numeric_ns_maximum() -> float:
         triple = lams(res.x)
         if any(abs(l) > 1.0 + 1e-9 for l in triple):
             continue
-        if _balanced(triple, tol=1e-7):
+        if balance_residual(triple) < 1e-7:
             best = max(best, triple[0])
     if not np.isfinite(best):
         raise RuntimeError("numeric NS verification failed to converge")
@@ -210,9 +211,9 @@ def solve_biased_ns(verify: bool = True) -> BiasedNsParameters:
     """
     params = balanced_biased_parameters()
     if verify:
-        l0, l1, l2 = biased_ns_amplitudes(params)
-        if abs(l0 - l1) > 1e-12 or abs(l0 + l2) > 1e-12:
-            raise RuntimeError(f"biased closed form unbalanced: {(l0, l1, l2)}")
+        lams = biased_ns_amplitudes(params)
+        if balance_residual(lams) > 1e-12:
+            raise RuntimeError(f"biased closed form unbalanced: {lams}")
 
         def residuals(x):
             e2 = min(max(x[0], 0.0), 1.0)

@@ -77,6 +77,19 @@ def _as_circuit(gate: str | Circuit) -> Circuit:
     return gate_by_name(gate) if isinstance(gate, str) else gate
 
 
+def check(
+    name: str, value: float, tolerance: float, passed: bool | None = None
+) -> dict:
+    """One report check. It passes when ``value < tolerance``, unless
+    ``passed`` gives the verdict instead."""
+    return {
+        "name": name,
+        "value": value,
+        "tolerance": tolerance,
+        "pass": bool(value < tolerance if passed is None else passed),
+    }
+
+
 def coincidence_pattern(circuit: Circuit) -> DetectionPattern:
     """Four-fold coincidence: one photon on the control rail pair, one on
     the target rail pair, one at each NS herald; vacuum outputs are left
@@ -98,8 +111,14 @@ def conditioned_logical_output(
     Returns the success probability and the normalized conditional state
     over (c_H, c_V, t_H, t_V), or None when the probability vanishes.
     """
-    state = encode_logical(pair, circuit)
-    out = evolve(state, circuit)
+    out = evolve(encode_logical(pair, circuit), circuit)
+    return _conditioned_qubits(circuit, out, conditioning)
+
+
+def _conditioned_qubits(
+    circuit: Circuit, out: FockStateVector, conditioning: str
+) -> tuple[float, FockStateVector | None]:
+    """``conditioned_logical_output`` of an already evolved state."""
     if conditioning == "heralded":
         if circuit.detection is None:
             raise ValueError("circuit has no heralding detection pattern")
@@ -121,6 +140,16 @@ def conditioned_logical_output(
     return outcome.probability, state4
 
 
+def _decoded(label: str, state4: FockStateVector | None):
+    """Logical amplitudes, leakage and logical error 1 - |<image|out>|^2
+    of the conditioned output for basis input ``label``; the error is 1.0
+    when there is no output."""
+    if state4 is None:
+        return (0j, 0j, 0j, 0j), 0.0, 1.0
+    amps, leakage = decode_logical(state4)
+    return amps, leakage, 1.0 - abs(amps[BASIS_INPUTS.index(CNOT_IMAGE[label])]) ** 2
+
+
 # ---------------------------------------------------------------------------
 # truth table and moments
 
@@ -134,9 +163,6 @@ class GateReport:
     max_deviation: float
     checks: list[dict]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _expected_success(gate_name: str) -> tuple[float, float]:
@@ -157,6 +183,11 @@ def moment_table(gate: str | Circuit, input_label: str) -> dict[str, float]:
     """
     circuit = _as_circuit(gate)
     out = evolve(encode_logical(logical_pair(input_label), circuit), circuit)
+    return _moments(circuit, out)
+
+
+def _moments(circuit: Circuit, out: FockStateVector) -> dict[str, float]:
+    """``moment_table`` of an already evolved state."""
     a1 = circuit.mode_index("a1")
     a2 = circuit.mode_index("a2")
     table = {}
@@ -189,16 +220,11 @@ def truth_table(gate: str, conditioning: str = "heralded") -> GateReport:
     cross_max = 0.0
     for label in BASIS_INPUTS:
         image = CNOT_IMAGE[label]
-        probability, state4 = conditioned_logical_output(
-            circuit, logical_pair(label), conditioning
-        )
-        if state4 is None:
-            amps, leakage, row_error = (0j, 0j, 0j, 0j), 0.0, 1.0
-        else:
-            amps, leakage = decode_logical(state4)
-            row_error = 1.0 - abs(amps[BASIS_INPUTS.index(image)]) ** 2
+        out = evolve(encode_logical(logical_pair(label), circuit), circuit)
+        probability, state4 = _conditioned_qubits(circuit, out, conditioning)
+        amps, leakage, row_error = _decoded(label, state4)
         decoded = max(BASIS_INPUTS, key=lambda k: abs(amps[BASIS_INPUTS.index(k)]))
-        table = moment_table(circuit, label)
+        table = _moments(circuit, out)
         moments[label] = table
         for combo, value in table.items():
             if combo == image:
@@ -223,30 +249,10 @@ def truth_table(gate: str, conditioning: str = "heralded") -> GateReport:
             }
         )
     checks = [
-        {
-            "name": "logical map (1 - image weight)",
-            "value": map_dev,
-            "tolerance": 1e-10,
-            "passed": map_dev < 1e-10,
-        },
-        {
-            "name": "success probability deviation",
-            "value": prob_dev,
-            "tolerance": p_tol,
-            "passed": prob_dev < p_tol,
-        },
-        {
-            "name": "signal moment deviation",
-            "value": moment_dev,
-            "tolerance": 1e-10 if gate == "cnot" else 1e-7,
-            "passed": moment_dev < (1e-10 if gate == "cnot" else 1e-7),
-        },
-        {
-            "name": "cross moments",
-            "value": cross_max,
-            "tolerance": 1e-12,
-            "passed": cross_max < 1e-12,
-        },
+        check("logical map (1 - image weight)", map_dev, 1e-10),
+        check("success probability deviation", prob_dev, p_tol),
+        check("signal moment deviation", moment_dev, p_tol),
+        check("cross moments", cross_max, 1e-12),
     ]
     max_dev = max(map_dev, prob_dev, moment_dev, cross_max)
     return GateReport(
@@ -256,7 +262,7 @@ def truth_table(gate: str, conditioning: str = "heralded") -> GateReport:
         moments=moments,
         max_deviation=max_dev,
         checks=checks,
-        passed=all(c["passed"] for c in checks),
+        passed=all(c["pass"] for c in checks),
     )
 
 
@@ -299,12 +305,21 @@ def bell_test(gate: str = "cnot") -> dict:
         )
     worst_fidelity = min(e["fidelity"] for e in entries)
     worst_purity = max(abs(e["purity"] - 0.5) for e in entries)
+    checks = [
+        check(
+            "fidelity to nearest maximally entangled state",
+            1.0 - worst_fidelity,
+            1e-10,
+        ),
+        check("reduced purity deviation from 1/2", worst_purity, 1e-10),
+    ]
     return {
         "gate": gate if isinstance(gate, str) else "custom",
         "entries": entries,
         "worst_fidelity": worst_fidelity,
         "worst_purity_deviation": worst_purity,
-        "passed": worst_fidelity > 1.0 - 1e-10 and worst_purity < 1e-10,
+        "checks": checks,
+        "passed": all(c["pass"] for c in checks),
     }
 
 
@@ -397,6 +412,7 @@ def intermediate_state_check(gate: str, input_label: str, cut: str) -> dict:
     deviation = max(
         abs(aligned.amplitude(k) - reference.amplitude(k)) for k in keys
     )
+    checks = [check("amplitude deviation from closed form", deviation, 1e-10)]
     return {
         "gate": gate,
         "input": input_label,
@@ -404,7 +420,8 @@ def intermediate_state_check(gate: str, input_label: str, cut: str) -> dict:
         "deviation": deviation,
         "global_phase": complex(phase),
         "conditioned_probability": outcome.probability,
-        "passed": deviation < 1e-10,
+        "checks": checks,
+        "passed": all(c["pass"] for c in checks),
     }
 
 
@@ -472,13 +489,11 @@ class SensitivityResult:
     element_labels: list[str]
     records: list[dict]
 
-    def to_dict(self, with_records: bool = False) -> dict:
+    def to_dict(self) -> dict:
+        """The result without its per-vector records."""
         # asdict deep-copies; leave the records out before it copies them
-        doc = dataclasses.asdict(
-            self if with_records else dataclasses.replace(self, records=[])
-        )
-        if not with_records:
-            del doc["records"]
+        doc = dataclasses.asdict(dataclasses.replace(self, records=[]))
+        del doc["records"]
         return doc
 
 
@@ -633,12 +648,7 @@ def _sparse_logical_errors(circuit: Circuit) -> tuple[dict[str, float], list[flo
     errors, probabilities = {}, []
     for label in BASIS_INPUTS:
         probability, state4 = conditioned_logical_output(circuit, logical_pair(label))
-        if state4 is None:
-            errors[label] = 1.0
-        else:
-            amps, _ = decode_logical(state4)
-            image = CNOT_IMAGE[label]
-            errors[label] = 1.0 - abs(amps[BASIS_INPUTS.index(image)]) ** 2
+        errors[label] = _decoded(label, state4)[2]
         probabilities.append(probability)
     return errors, probabilities
 

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from loqc.elements import Beamsplitter, Circuit
 from loqc.fock import FockStateVector, enumerate_basis
+
+# pytest puts src/ on sys.path (pyproject.toml); commands the tests start
+# in a subprocess import loqc from the same checkout.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 # Regression constants, each computed once by exhaustive enumeration and
 # pinned so that later changes cannot silently move them.

@@ -10,6 +10,7 @@ from loqc.elements import Beamsplitter, Circuit, compose_transfer_matrix
 from loqc.evolve import (
     MAX_PHOTONS,
     AmplitudeQuery,
+    _pair_transition,
     apply_element,
     evolve,
     oracle_amplitude,
@@ -83,6 +84,16 @@ def test_upto_prefix_matches_stepwise_application():
     partial = evolve(state, c, upto=1)
     manual = apply_element(state, c.elements[0])
     assert (partial - manual).norm_sq < 1e-24
+
+
+def test_pair_transition_cache_stays_bounded():
+    limit = _pair_transition.cache_info().maxsize
+    assert limit is not None
+    state = basis_state(2, (1, 1))
+    for eta in np.linspace(0.01, 0.99, limit + 100):
+        apply_element(state, Beamsplitter(0, 1, float(eta), grey=1))
+    info = _pair_transition.cache_info()
+    assert info.currsize <= info.maxsize
 
 
 def test_evolve_guards_sector_and_photon_cap():

@@ -66,6 +66,33 @@ def test_truth_table_amplitude_signs():
         assert phase.imag == pytest.approx(0.0, abs=1e-10)
 
 
+def test_truth_table_evolves_each_input_once(monkeypatch):
+    calls = []
+    real_evolve = verify.evolve
+
+    def counting_evolve(*args, **kwargs):
+        calls.append(args)
+        return real_evolve(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "evolve", counting_evolve)
+    for conditioning in ("heralded", "coincidence"):
+        calls.clear()
+        assert truth_table("cnot", conditioning).passed
+        assert len(calls) == len(BASIS_INPUTS)
+
+
+def test_check_passes_strictly_below_tolerance_unless_overridden():
+    assert verify.check("c", 0.5, 1.0) == {
+        "name": "c",
+        "value": 0.5,
+        "tolerance": 1.0,
+        "pass": True,
+    }
+    assert verify.check("c", 1.0, 1.0)["pass"] is False
+    assert verify.check("c", 1.0, 1.0, passed=True)["pass"] is True
+    assert verify.check("c", 0.0, 1.0, passed=False)["pass"] is False
+
+
 def test_conditioning_modes_agree_on_ideal_inputs():
     for gate in (build_cnot_circuit(), build_simplified_cnot()):
         for label in BASIS_INPUTS:
