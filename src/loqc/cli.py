@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -53,8 +54,9 @@ def _jsonable(value):
 def _write_report(doc: dict, path: str | None) -> None:
     if path is None:
         return
-    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text)
+    # NaN and Infinity are not JSON: raise before anything is written
+    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def _fmt(x: float) -> str:
@@ -398,6 +400,9 @@ def _cmd_run_circuit(args) -> int:
 # parser
 
 
+# Built once per process: main() only parses with it, and every parse
+# returns a fresh namespace.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loqc",

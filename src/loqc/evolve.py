@@ -93,7 +93,7 @@ def apply_element(state: FockStateVector, element) -> FockStateVector:
             new_occ[b] = n + m - n_out
             key = tuple(new_occ)
             new_amps[key] = new_amps.get(key, 0j) + amp * coeff
-    return FockStateVector(state.n_modes, state.total_photons, new_amps)
+    return FockStateVector._trusted(state.n_modes, state.total_photons, new_amps)
 
 
 def evolve(

@@ -4,7 +4,13 @@ A state lives in a fixed sector: ``n_modes`` optical modes holding exactly
 ``total_photons`` photons in total. Basis kets are occupation tuples
 (photons per mode, left to right) and amplitudes are stored sparsely,
 keyed by occupation. Passive circuits never change the photon total, so
-the sector is fixed once at construction and every operation checks it.
+the sector is fixed once at construction.
+
+Validation happens at the API boundary: the public constructor,
+``make_state``, ``basis_state`` and scalar multiplication check every ket.
+Library operations that derive a state from an already-valid one
+(evolution, conditioning, normalization, addition) build it through the
+trusted ``FockStateVector._trusted``, which only prunes.
 """
 
 from __future__ import annotations
@@ -83,6 +89,26 @@ class FockStateVector:
                 pruned[occ] = amp
         object.__setattr__(self, "amplitudes", pruned)
 
+    @classmethod
+    def _trusted(
+        cls, n_modes: int, total_photons: int, amps: dict[Occupation, complex]
+    ) -> "FockStateVector":
+        """A state from kets the library derived from a valid state.
+
+        The caller guarantees that every key is an occupation tuple of the
+        (n_modes, total_photons) sector and every value a complex; only the
+        ``PRUNE_TOL`` pruning of ``__post_init__`` is applied.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "n_modes", n_modes)
+        object.__setattr__(state, "total_photons", total_photons)
+        object.__setattr__(
+            state,
+            "amplitudes",
+            {occ: amp for occ, amp in amps.items() if abs(amp) > PRUNE_TOL},
+        )
+        return state
+
     def amplitude(self, occ: Occupation) -> complex:
         return self.amplitudes.get(tuple(occ), 0j)
 
@@ -94,7 +120,7 @@ class FockStateVector:
         n = math.sqrt(self.norm_sq)
         if n == 0.0:
             raise ValueError("cannot normalize a zero state")
-        return FockStateVector(
+        return FockStateVector._trusted(
             self.n_modes,
             self.total_photons,
             {occ: a / n for occ, a in self.amplitudes.items()},
@@ -119,7 +145,7 @@ class FockStateVector:
         amps = dict(self.amplitudes)
         for occ, a in other.amplitudes.items():
             amps[occ] = amps.get(occ, 0j) + a
-        return FockStateVector(self.n_modes, self.total_photons, amps)
+        return FockStateVector._trusted(self.n_modes, self.total_photons, amps)
 
     def __sub__(self, other: "FockStateVector") -> "FockStateVector":
         return self + (-1.0) * other

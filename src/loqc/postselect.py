@@ -102,7 +102,7 @@ def condition(state: FockStateVector, pattern: DetectionPattern) -> ConditionalO
         reduced_occ = tuple(occ[m] for m in kept_modes)
         amps[reduced_occ] = amps.get(reduced_occ, 0j) + amp
         probability += abs(amp) ** 2
-    reduced = FockStateVector(len(kept_modes), max(reduced_total, 0), amps)
+    reduced = FockStateVector._trusted(len(kept_modes), max(reduced_total, 0), amps)
     normalized = reduced.normalized() if probability > 0.0 else None
     return ConditionalOutcome(probability, reduced, normalized, kept_modes)
 
@@ -149,4 +149,4 @@ def strip_empty_modes(
     amps = {
         tuple(occ[m] for m in kept): amp for occ, amp in state.amplitudes.items()
     }
-    return FockStateVector(len(kept), state.total_photons, amps)
+    return FockStateVector._trusted(len(kept), state.total_photons, amps)

@@ -681,8 +681,12 @@ def sensitivity_sweep(
     records.
     """
     base = _as_circuit(gate)
-    if not math.isfinite(magnitude) or magnitude < 0.0:
-        raise ValueError(f"magnitude must be a finite number >= 0, got {magnitude}")
+    # the random draw spans [-magnitude, magnitude], whose width must be finite
+    if not math.isfinite(2.0 * magnitude) or magnitude < 0.0:
+        raise ValueError(
+            f"magnitude must be a number >= 0 with 2 * magnitude finite, "
+            f"got {magnitude}"
+        )
     if model not in ("absolute", "relative"):
         raise ValueError(f"unknown perturbation model {model!r}")
     k = len(base.elements)

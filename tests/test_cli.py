@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from loqc import verify
-from loqc.cli import build_parser, main
+from loqc.cli import _write_report, build_parser, main
 
 NS_FILE = {
     "n_modes": 3,
@@ -267,6 +267,12 @@ def test_sweep_non_finite_magnitude_is_a_usage_error(mode, magnitude, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["corners", "random"])
+def test_sweep_magnitude_overflowing_its_range_is_a_usage_error(mode, capsys):
+    assert run(["sweep", "--magnitude", "1e308", "--mode", mode, "--samples", "2"]) == 2
+    assert "2 * magnitude finite" in capsys.readouterr().err
+
+
 def test_sweep_without_samples_is_a_usage_error(capsys):
     assert run(["sweep", "--mode", "random", "--samples", "0"]) == 2
     assert "evaluated no perturbations" in capsys.readouterr().err
@@ -290,3 +296,23 @@ def test_sweep_csv_cells_are_plain_floats(tmp_path, gate, mode):
     for row, record in zip(rows, records):
         values = [float(cell) for cell in row]
         assert values[:n_etas] == record["etas"]
+
+
+def test_report_with_nan_raises_and_writes_nothing(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        _write_report({"value": float("nan")}, str(path))
+    assert not path.exists()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_successive_calls_do_not_share_parsed_values(tmp_path):
+    assert run(["sweep", "--samples", "5", "--mode", "random"]) in (0, 1)
+    out = tmp_path / "sweep.json"
+    run(["sweep", "--json", str(out)])
+    inputs = read_doc(out)["inputs"]
+    assert inputs["samples"] == 100
+    assert inputs["mode"] == "corners"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_circuit, random_occupation, random_state
 from loqc.elements import Beamsplitter, Circuit, compose_transfer_matrix
@@ -16,7 +18,8 @@ from loqc.evolve import (
     oracle_amplitude,
     permanent,
 )
-from loqc.fock import basis_state, enumerate_basis, make_state
+from loqc.fock import FockStateVector, basis_state, enumerate_basis, make_state
+from loqc.postselect import DetectionPattern, condition
 
 RNG = np.random.default_rng(90125)
 
@@ -155,3 +158,50 @@ def test_oracle_normalization_on_bunched_output():
     assert oracle_amplitude(q) == pytest.approx(1.0)
     q = AmplitudeQuery(u, (2, 0), (1, 1))
     assert oracle_amplitude(q) == pytest.approx(0.0)
+
+
+@st.composite
+def _circuit_state_and_pattern(draw):
+    """A beamsplitter circuit on <= 6 modes, a random state of <= 4 photons
+    and an exact-count detection pattern on some of its modes."""
+    n = draw(st.integers(2, 6))
+    mode = st.integers(0, n - 1)
+    elements = []
+    for i in range(draw(st.integers(1, 8))):
+        a, b = draw(st.lists(mode, min_size=2, max_size=2, unique=True))
+        eta = draw(st.floats(0.0, 1.0))
+        grey = draw(st.sampled_from((a, b)))
+        elements.append(Beamsplitter(a, b, eta, grey, label=f"r{i}"))
+    circuit = Circuit(n, tuple(f"m{j}" for j in range(n)), tuple(elements))
+    seed = draw(st.integers(0, 2**32 - 1))
+    state = random_state(np.random.default_rng(seed), n, draw(st.integers(0, 4)))
+    detected = draw(st.lists(mode, unique=True, max_size=n))
+    pattern = DetectionPattern(exact={m: draw(st.integers(0, 2)) for m in detected})
+    return circuit, state, pattern
+
+
+def _assert_passes_public_validation(state: FockStateVector) -> None:
+    rebuilt = FockStateVector(
+        state.n_modes, state.total_photons, dict(state.amplitudes)
+    )
+    assert rebuilt == state
+    assert all(type(a) is complex for a in state.amplitudes.values())
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_circuit_state_and_pattern())
+def test_trusted_states_pass_public_validation(case):
+    # evolve, condition, normalized and + build their results without
+    # re-validating each ket; every one must equal its validated rebuild
+    circuit, state, pattern = case
+    out = evolve(state, circuit)
+    _assert_passes_public_validation(out)
+    assert out.total_photons == state.total_photons
+    assert abs(out.norm_sq - 1.0) < 1e-12
+    _assert_passes_public_validation((0.5 * out).normalized())
+    _assert_passes_public_validation(out + state)
+    outcome = condition(out, pattern)
+    _assert_passes_public_validation(outcome.reduced)
+    if outcome.normalized is not None:
+        _assert_passes_public_validation(outcome.normalized)
+        assert abs(outcome.normalized.norm_sq - 1.0) < 1e-12

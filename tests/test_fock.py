@@ -69,6 +69,13 @@ def test_constructor_prunes_dust_amplitudes():
     assert s.amplitude((0, 1)) == 0j
 
 
+def test_trusted_construction_prunes_and_keeps_order_like_the_constructor():
+    amps = {(0, 2): 0.5j, (2, 0): 1e-15 + 0j, (1, 1): -0.5 + 0j}
+    trusted = FockStateVector._trusted(2, 2, amps)
+    assert trusted == FockStateVector(2, 2, amps)
+    assert list(trusted.amplitudes) == [(0, 2), (1, 1)]
+
+
 def test_normalized_and_zero_state():
     s = make_state(2, [((1, 0), 3.0), ((0, 1), 4.0)])
     n = s.normalized()

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from loqc import gates
 from loqc.elements import compose_transfer_matrix, validate_circuit
 from loqc.fock import basis_state
 from loqc.gates import (
@@ -103,6 +104,20 @@ def test_solvers_recover_closed_forms():
     b = solve_biased_ns(verify=True)
     assert b.eta2 == pytest.approx(ETA2_BIASED, abs=1e-12)
     assert b.eta7 == pytest.approx(ETA7_BIASED, abs=1e-12)
+
+
+def test_numeric_ns_check_evaluates_the_map_once_per_point(monkeypatch):
+    calls = []
+    real_map = gates.ns_conditional_map
+
+    def counting_map(p):
+        calls.append(p)
+        return real_map(p)
+
+    monkeypatch.setattr(gates, "ns_conditional_map", counting_map)
+    solve_optimal_ns(verify=True)
+    # 1663 when each of two scalar balance constraints evaluated it twice
+    assert len(calls) < 1000
 
 
 def test_gate_builders_produce_valid_circuits():

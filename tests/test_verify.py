@@ -3,6 +3,7 @@ states, dual-path consistency, and the sensitivity sweep."""
 
 import dataclasses
 import math
+import sys
 
 import pytest
 
@@ -300,3 +301,13 @@ def test_sweep_rejects_non_finite_magnitude_and_empty_sweeps():
                 sensitivity_sweep("cnot", magnitude=magnitude, mode=mode)
     with pytest.raises(ValueError, match="evaluated no perturbations"):
         sensitivity_sweep("cnot", mode="random", samples=0)
+
+
+def test_sweep_rejects_magnitude_whose_range_overflows():
+    # a random draw spans 2 * magnitude, which is inf for 1e308
+    for mode in ("corners", "random"):
+        with pytest.raises(ValueError, match=r"2 \* magnitude finite"):
+            sensitivity_sweep("cnot", magnitude=1e308, mode=mode)
+    largest = sys.float_info.max / 2.0
+    result = sensitivity_sweep("cnot", magnitude=largest, mode="random", samples=2)
+    assert result.n_evaluations == 2
