@@ -11,17 +11,25 @@ its result, so a fast wrong answer fails.
 
 import contextlib
 import io
+import itertools
 
 import numpy as np
 import pytest
 
-from loqc import cli
+from loqc import cli, verify
+from loqc.elements import compose_transfer_matrix, transfer_matrices
 from loqc.evolve import apply_element, evolve, permanent
 from loqc.gates import encode_logical, gate_by_name, logical_pair, solve_optimal_ns
 from loqc.postselect import condition
 from loqc.verify import CNOT_SUCCESS
 
 CNOT = gate_by_name("cnot")
+# the first 128 sign corners of the CNOT's absolute sweep at magnitude 0.02
+CORNER_ETAS = verify._perturbed_etas(
+    CNOT,
+    np.array(list(itertools.product((-0.02, 0.02), repeat=len(CNOT.elements))))[:128],
+    "absolute",
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +70,25 @@ def test_permanent_k4(benchmark):
     rng = np.random.default_rng(4)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert benchmark(permanent, m) == pytest.approx(permanent(m.T))
+
+
+def test_compose_transfer_matrix_cnot(benchmark):
+    u = benchmark(compose_transfer_matrix, CNOT)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(CNOT.n_modes))) < 1e-12
+
+
+def test_transfer_matrices_b128(benchmark):
+    u = benchmark(transfer_matrices, CNOT, CORNER_ETAS)
+    assert u.shape == (128, CNOT.n_modes, CNOT.n_modes)
+    gram = np.einsum("bij,bkj->bik", u, u)
+    assert np.max(np.abs(gram - np.eye(CNOT.n_modes))) < 1e-12
+
+
+def test_batched_logical_errors_b128(benchmark):
+    errors, probabilities = benchmark(verify._batched_logical_errors, CNOT, CORNER_ETAS)
+    assert errors.shape == probabilities.shape == (128, 4)
+    # the last corner, checked against sparse evolution
+    circuit = verify._perturbed_circuit(CNOT, CORNER_ETAS[-1].tolist())
+    sparse_errors, sparse_probabilities = verify._sparse_logical_errors(circuit)
+    assert np.max(np.abs(errors[-1] - list(sparse_errors.values()))) < 1e-12
+    assert np.max(np.abs(probabilities[-1] - sparse_probabilities)) < 1e-12

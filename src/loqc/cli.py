@@ -361,13 +361,9 @@ def _cmd_run_circuit(args) -> int:
             file=sys.stderr,
         )
         return 2
-    occ = [0] * circuit.n_modes
-    for mode, c in zip(user_modes, counts):
-        occ[mode] = c
-    for mode, k in circuit.ancilla_prep.items():
-        occ[mode] += k
+    occ = circuit.prepared_occupation(dict(zip(user_modes, counts)))
     try:
-        out = evolve(basis_state(circuit.n_modes, tuple(occ)), circuit)
+        out = evolve(basis_state(circuit.n_modes, occ), circuit)
     except ValueError as exc:
         print(f"run-circuit: {exc}", file=sys.stderr)
         return 2
@@ -376,7 +372,7 @@ def _cmd_run_circuit(args) -> int:
         for o, amp in out.sorted_items()
     }
     results = {"prepared_occupation": list(occ), "amplitudes": amplitudes}
-    print(f"evolved {args.file} on input {tuple(occ)}")
+    print(f"evolved {args.file} on input {occ}")
     for key, amp in amplitudes.items():
         print(f"  |{key}>  {_fmt_complex(amp)}")
     if circuit.detection is not None:

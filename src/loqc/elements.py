@@ -13,33 +13,46 @@ same matrix serves as the Heisenberg map on mode operators and as the
 single-photon amplitude map (outputs indexed by rows, inputs by columns).
 Which port is grey matters: it decides which interference terms pick up a
 sign, and the gate constructions depend on those choices.
+
+``beamsplitter_matrix`` is the only place that applies the grey-port
+sign; it takes one reflectivity or an array of them. ``transfer_matrices``
+is the only composer of single-photon transfer matrices: it applies those
+blocks as row updates for a whole batch of reflectivity vectors, the
+batched sensitivity sweep's path. ``compose_transfer_matrix`` is its
+one-row case, the permanent oracle's path. Sparse evolution shares
+neither, which keeps it an independent check on both.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fock import Occupation
 from .postselect import DetectionPattern
 
 
-def beamsplitter_matrix(reflectivity: float, grey_port: int) -> np.ndarray:
-    """2x2 real amplitude matrix of a beamsplitter.
+def beamsplitter_matrix(reflectivity, grey_port: int) -> np.ndarray:
+    """Real amplitude matrix of a beamsplitter, shape (..., 2, 2) for a
+    reflectivity of shape (...) (a scalar gives one 2x2 matrix).
 
     ``grey_port`` is 0 or 1 and selects which diagonal entry carries
     -sqrt(reflectivity).
     """
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError(f"reflectivity {reflectivity} outside [0, 1]")
+    eta = np.asarray(reflectivity, dtype=float)
+    inside = (eta >= 0.0) & (eta <= 1.0)
+    if not inside.all():
+        raise ValueError(f"reflectivity {eta[~inside][0]} outside [0, 1]")
     if grey_port not in (0, 1):
         raise ValueError(f"grey_port must be 0 or 1, got {grey_port}")
-    r = math.sqrt(reflectivity)
-    t = math.sqrt(1.0 - reflectivity)
-    m = np.array([[r, t], [t, -r]])
-    if grey_port == 0:
-        m = np.array([[-r, t], [t, r]])
+    r = np.sqrt(eta)
+    t = np.sqrt(1.0 - eta)
+    m = np.empty(eta.shape + (2, 2))
+    m[..., 0, 1] = m[..., 1, 0] = t
+    m[..., 0, 0], m[..., 1, 1] = (-r, r) if grey_port == 0 else (r, -r)
     return m
 
 
@@ -60,6 +73,10 @@ class Beamsplitter:
     label: str = ""
 
     def grey_port(self) -> int:
+        """0 or 1: which of the two modes is grey. Raises when the modes
+        coincide or the grey mode is neither of them."""
+        if self.mode_a == self.mode_b:
+            raise ValueError(f"beamsplitter modes coincide: {self.mode_a}")
         if self.grey == self.mode_a:
             return 0
         if self.grey == self.mode_b:
@@ -70,8 +87,6 @@ class Beamsplitter:
         )
 
     def matrix(self) -> np.ndarray:
-        if self.mode_a == self.mode_b:
-            raise ValueError(f"beamsplitter modes coincide: {self.mode_a}")
         return beamsplitter_matrix(self.reflectivity, self.grey_port())
 
 
@@ -103,6 +118,14 @@ class Circuit:
 
     def user_modes(self) -> tuple[int, ...]:
         return tuple(m for m in range(self.n_modes) if m not in self.ancilla_prep)
+
+    def prepared_occupation(self, photons: dict[int, int]) -> Occupation:
+        """Input occupation with ``photons[m]`` photons on mode m plus the
+        ancilla preparation."""
+        occ = [0] * self.n_modes
+        for mode, k in itertools.chain(photons.items(), self.ancilla_prep.items()):
+            occ[mode] += k
+        return tuple(occ)
 
 
 @dataclass
@@ -154,21 +177,39 @@ def validate_circuit(circuit: Circuit) -> ValidationReport:
     return ValidationReport(valid=not issues, issues=issues)
 
 
+def transfer_matrices(circuit: Circuit, reflectivities) -> np.ndarray:
+    """Real single-photon transfer matrices, shape (B, n, n), of
+    ``circuit`` with its reflectivities replaced row by row from the
+    (B, k) array ``reflectivities`` (column j for element j).
+
+    Rows index outputs and columns inputs, so for elements applied in
+    circuit order c1 then c2 each matrix is U(c2) @ U(c1): every element's
+    block updates the two rows it mixes.
+    """
+    etas = np.asarray(reflectivities, dtype=float)
+    k = len(circuit.elements)
+    if etas.ndim != 2 or etas.shape[1] != k:
+        raise ValueError(f"need a (B, {k}) reflectivity array, got shape {etas.shape}")
+    n = circuit.n_modes
+    u = np.broadcast_to(np.eye(n), (len(etas), n, n)).copy()
+    # (B, k, 2, 2) blocks of every element for each grey port, built once
+    blocks = [beamsplitter_matrix(etas, port)[..., None] for port in (0, 1)]
+    for j, el in enumerate(circuit.elements):
+        block = blocks[el.grey_port()][:, j]
+        a, b = el.mode_a, el.mode_b
+        row_a, row_b = u[:, a].copy(), u[:, b].copy()
+        u[:, a] = block[:, 0, 0] * row_a + block[:, 0, 1] * row_b
+        u[:, b] = block[:, 1, 0] * row_a + block[:, 1, 1] * row_b
+    return u
+
+
 def compose_transfer_matrix(circuit: Circuit, upto: int | None = None) -> np.ndarray:
     """Single-photon transfer matrix of the first ``upto`` elements.
 
-    Rows index outputs and columns inputs, so for elements applied in
-    circuit order c1 then c2 the result is U(c2) @ U(c1). Returned
-    complex even though every in-scope element is real.
+    The one-row case of ``transfer_matrices`` at the circuit's own
+    reflectivities. Returned complex even though every in-scope element
+    is real.
     """
-    u = np.eye(circuit.n_modes, dtype=complex)
-    for el in circuit.elements[:upto]:
-        block = el.matrix()
-        e = np.eye(circuit.n_modes, dtype=complex)
-        a, b = el.mode_a, el.mode_b
-        e[a, a] = block[0, 0]
-        e[a, b] = block[0, 1]
-        e[b, a] = block[1, 0]
-        e[b, b] = block[1, 1]
-        u = e @ u
-    return u
+    prefix = dataclasses.replace(circuit, elements=circuit.elements[:upto])
+    etas = [[el.reflectivity for el in prefix.elements]]
+    return transfer_matrices(prefix, etas)[0].astype(complex)

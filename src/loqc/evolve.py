@@ -7,11 +7,12 @@ element, while ``oracle_amplitude`` evaluates a single matrix permanent.
 Agreement between them is part of the test suite's safety net.
 
 ``evolve`` is the path of truth tables, moments, Bell states and interior
-cuts. The sensitivity sweep in ``loqc.verify`` uses its own batched
-permanent engine for every perturbation and calls ``evolve`` only to
-check the perturbations at its worst error. ``permanent`` and
-``oracle_amplitude`` are on neither path: they are the reference that
-``verify.heisenberg_consistency`` and the tests compare both against.
+cuts. The sensitivity sweep in ``loqc.verify`` evaluates every
+perturbation by Glynn permanents of ``elements.transfer_matrices`` and
+calls ``evolve`` only to check the perturbations at its worst error.
+``permanent`` and ``oracle_amplitude`` are on neither path: they are the
+reference that ``verify.heisenberg_consistency`` and the tests compare
+both against.
 """
 
 from __future__ import annotations

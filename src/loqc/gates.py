@@ -286,16 +286,12 @@ def build_biased_ns_circuit(p: BiasedNsParameters | None = None) -> Circuit:
     )
 
 
-def build_cnot_circuit(
-    p: NsParameters | None = None, include_target_splitters: bool = True
-) -> Circuit:
+def build_cnot_circuit(p: NsParameters | None = None) -> Circuit:
     """Dual-rail CNOT from two NS gates inside nested interferometers.
 
     The target rails are mixed on B4, the control V rail and the t' arm
     interfere on B3 forming arms d1 and d2, one NS gate acts on each arm,
-    then B2 and B1 undo the interferometers. Omitting the two target
-    splitters (``include_target_splitters=False``) leaves the bare
-    control-sign-shift network.
+    then B2 and B1 undo the interferometers.
 
     Cut "x" is the state after the input splitters, cut "y" after both
     NS gates. Heralding detects one photon on each NS "1" output and
@@ -304,30 +300,25 @@ def build_cnot_circuit(
     if p is None:
         p = optimal_ns_parameters()
     c_h, c_v, t_h, t_v, a1, a2, v1, v2 = range(8)
-    elements: list[Beamsplitter] = []
-    if include_target_splitters:
-        elements.append(Beamsplitter(t_h, t_v, 0.5, grey=t_v, label="B4"))
-    elements.append(Beamsplitter(c_v, t_h, 0.5, grey=t_h, label="B3"))
-    cut_x = len(elements)
-    elements += [
+    elements = (
+        Beamsplitter(t_h, t_v, 0.5, grey=t_v, label="B4"),
+        Beamsplitter(c_v, t_h, 0.5, grey=t_h, label="B3"),
         Beamsplitter(a1, v1, p.eta1, grey=v1, label="NS1.eta1"),
         Beamsplitter(c_v, a1, p.eta2, grey=c_v, label="NS1.eta2"),
         Beamsplitter(a1, v1, p.eta3, grey=v1, label="NS1.eta3"),
         Beamsplitter(a2, v2, p.eta1, grey=v2, label="NS2.eta1"),
         Beamsplitter(t_h, a2, p.eta2, grey=t_h, label="NS2.eta2"),
         Beamsplitter(a2, v2, p.eta3, grey=v2, label="NS2.eta3"),
-    ]
-    cut_y = len(elements)
-    elements.append(Beamsplitter(c_v, t_h, 0.5, grey=t_h, label="B2"))
-    if include_target_splitters:
-        elements.append(Beamsplitter(t_h, t_v, 0.5, grey=t_v, label="B1"))
+        Beamsplitter(c_v, t_h, 0.5, grey=t_h, label="B2"),
+        Beamsplitter(t_h, t_v, 0.5, grey=t_v, label="B1"),
+    )
     return Circuit(
         n_modes=8,
         labels=("c_H", "c_V", "t_H", "t_V", "a1", "a2", "v1", "v2"),
-        elements=tuple(elements),
+        elements=elements,
         ancilla_prep={a1: 1, a2: 1, v1: 0, v2: 0},
         detection=DetectionPattern(exact={a1: 1, a2: 1, v1: 0, v2: 0}),
-        cuts={"x": cut_x, "y": cut_y},
+        cuts={"x": 2, "y": 8},
     )
 
 
@@ -362,25 +353,21 @@ def build_simplified_cnot(p: BiasedNsParameters | None = None) -> Circuit:
     )
 
 
-def conditional_map_by_evolution(
-    circuit: Circuit, max_photons: int = 2
-) -> tuple[complex, ...]:
+def conditional_map_by_evolution(circuit: Circuit) -> tuple[complex, ...]:
     """Conditioned signal amplitudes of an NS-style circuit, by evolution.
 
-    Feeds |n> into the signal mode (mode 0) together with the circuit's
-    ancilla preparation, evolves, conditions on the circuit's detection
-    pattern, and reads off the amplitude left on |n>. Used to cross-check
-    the closed forms through an entirely different code path.
+    Feeds |n>, n = 0, 1, 2, into the signal mode (mode 0) together with
+    the circuit's ancilla preparation, evolves, conditions on the
+    circuit's detection pattern, and reads off the amplitude left on |n>.
+    Used to cross-check the closed forms through an entirely different
+    code path.
     """
     if circuit.detection is None:
         raise ValueError("circuit has no detection pattern")
     out = []
-    for n in range(max_photons + 1):
-        occ = [0] * circuit.n_modes
-        occ[0] = n
-        for mode, k in circuit.ancilla_prep.items():
-            occ[mode] += k
-        final = evolve(basis_state(circuit.n_modes, tuple(occ)), circuit)
+    for n in range(3):
+        prepared = basis_state(circuit.n_modes, circuit.prepared_occupation({0: n}))
+        final = evolve(prepared, circuit)
         outcome = condition(final, circuit.detection)
         reduced_occ = tuple(
             n if m == 0 else 0 for m in outcome.kept_modes
@@ -439,12 +426,8 @@ def encode_logical(pair: LogicalQubitPair, circuit: Circuit) -> FockStateVector:
             amp = complex(c_amp) * complex(t_amp)
             if amp == 0:
                 continue
-            occ = [0] * circuit.n_modes
-            occ[c_mode] += 1
-            occ[t_mode] += 1
-            for mode, k in circuit.ancilla_prep.items():
-                occ[mode] += k
-            entries.append((tuple(occ), amp))
+            occ = circuit.prepared_occupation({c_mode: 1, t_mode: 1})
+            entries.append((occ, amp))
     return make_state(circuit.n_modes, entries)
 
 

@@ -56,6 +56,16 @@ class DetectionPattern:
             out.update(group_modes)
         return out
 
+    def matches(self, occ: Occupation) -> bool:
+        """Whether a ket meets every exact count and group total."""
+        for m, k in self.exact.items():
+            if occ[m] != k:
+                return False
+        for modes, total in self.groups:
+            if sum(occ[m] for m in modes) != total:
+                return False
+        return True
+
     def validate_for(self, n_modes: int) -> None:
         bad = [m for m in self.modes() if m < 0 or m >= n_modes]
         if bad:
@@ -93,11 +103,7 @@ def condition(state: FockStateVector, pattern: DetectionPattern) -> ConditionalO
     amps: dict[Occupation, complex] = {}
     probability = 0.0
     for occ, amp in state.amplitudes.items():
-        if any(occ[m] != k for m, k in pattern.exact.items()):
-            continue
-        if any(
-            sum(occ[m] for m in modes) != total for modes, total in pattern.groups
-        ):
+        if not pattern.matches(occ):
             continue
         reduced_occ = tuple(occ[m] for m in kept_modes)
         amps[reduced_occ] = amps.get(reduced_occ, 0j) + amp

@@ -7,11 +7,14 @@ beamsplitter-error sensitivity sweeps.
 
 Truth tables, moments, Bell states and interior cuts evolve the sparse
 state element by element. The sensitivity sweep instead evaluates all of
-its perturbations as one batch: transfer matrices composed for every
+its perturbations as one batch: ``elements.transfer_matrices`` for every
 perturbation at once, then Glynn permanents over the heralded output
-sector. The sparse evolution re-derives every perturbation within 1e-12
-of the batch's worst error and must agree with it to 1e-12; those sparse
-values are the ones the sweep reports as its worst case.
+sector, the kets that ``DetectionPattern.matches`` keeps. The sparse
+evolution re-derives every distinct perturbation within 1e-12 of the
+batch's worst error and must agree with it to 1e-12; those sparse values
+are the ones the sweep reports as its worst case. ``heisenberg_consistency``
+compares the complex amplitudes of sparse evolution with the permanent
+oracle on ``compose_transfer_matrix``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elements import Circuit, compose_transfer_matrix
+from .elements import Circuit, compose_transfer_matrix, transfer_matrices
 from .evolve import AmplitudeQuery, evolve, oracle_amplitude
 from .fock import (
     PRUNE_TOL,
@@ -431,7 +434,12 @@ def intermediate_state_check(gate: str, input_label: str, cut: str) -> dict:
 
 def heisenberg_consistency(gate: str) -> float:
     """Maximum deviation between sequential evolution and the permanent
-    oracle over every amplitude the gate's verification relies on."""
+    oracle over every amplitude the gate's verification relies on.
+
+    For the NS gates both are compared with the closed-form conditional
+    map; for the CNOTs the complex amplitudes of each basis input on the
+    16 four-fold coincidence kets are compared, phases included.
+    """
     circuit = _as_circuit(gate)
     transfer = compose_transfer_matrix(circuit)
     dev = 0.0
@@ -442,30 +450,25 @@ def heisenberg_consistency(gate: str) -> float:
             closed = biased_ns_amplitudes(balanced_biased_parameters())
         evolved = conditional_map_by_evolution(circuit)
         for n in range(3):
-            occ = [0] * circuit.n_modes
-            occ[0] = n
-            for mode, k in circuit.ancilla_prep.items():
-                occ[mode] += k
-            occ = tuple(occ)
+            occ = circuit.prepared_occupation({0: n})
             oracle = oracle_amplitude(AmplitudeQuery(transfer, occ, occ))
             dev = max(dev, abs(evolved[n] - closed[n]), abs(oracle - closed[n]))
         return dev
     a1 = circuit.mode_index("a1")
     a2 = circuit.mode_index("a2")
     for label in BASIS_INPUTS:
-        pair = logical_pair(label)
-        input_occ = next(iter(encode_logical(pair, circuit).amplitudes))
-        table = moment_table(circuit, label)
+        state = encode_logical(logical_pair(label), circuit)
+        input_occ = next(iter(state.amplitudes))
+        out = evolve(state, circuit)
         for c_rail, t_rail in itertools.product("HV", repeat=2):
             out_occ = [0] * circuit.n_modes
             out_occ[circuit.mode_index(f"c_{c_rail}")] = 1
             out_occ[circuit.mode_index(f"t_{t_rail}")] = 1
             out_occ[a1] = 1
             out_occ[a2] = 1
-            amp = oracle_amplitude(
-                AmplitudeQuery(transfer, input_occ, tuple(out_occ))
-            )
-            dev = max(dev, abs(abs(amp) ** 2 - table[c_rail + t_rail]))
+            out_occ = tuple(out_occ)
+            amp = oracle_amplitude(AmplitudeQuery(transfer, input_occ, out_occ))
+            dev = max(dev, abs(amp - out.amplitude(out_occ)))
     return dev
 
 
@@ -502,26 +505,9 @@ class SensitivityResult:
 _SWEEP_BLOCK = 128
 
 
-def _perturbed_circuit(
-    base: Circuit, deltas: tuple[float, ...], model: str
-) -> Circuit:
-    elements = []
-    for el, d in zip(base.elements, deltas):
-        if model == "absolute":
-            eta = el.reflectivity + d
-        elif model == "relative":
-            eta = el.reflectivity * (1.0 + d)
-        else:
-            raise ValueError(f"unknown perturbation model {model!r}")
-        eta = min(max(eta, 0.0), 1.0)
-        elements.append(dataclasses.replace(el, reflectivity=eta))
-    return dataclasses.replace(base, elements=tuple(elements))
-
-
 def _perturbed_etas(base: Circuit, deltas: np.ndarray, model: str) -> np.ndarray:
-    """(B, k) reflectivities for B perturbation vectors, with the
-    arithmetic and clamping of ``_perturbed_circuit``, so both agree bit
-    for bit."""
+    """(B, k) reflectivities for B perturbation vectors: eta + delta
+    ("absolute") or eta * (1 + delta) ("relative"), clamped to [0, 1]."""
     etas = np.array([el.reflectivity for el in base.elements])
     if model == "absolute":
         etas = etas + deltas
@@ -530,22 +516,16 @@ def _perturbed_etas(base: Circuit, deltas: np.ndarray, model: str) -> np.ndarray
     return np.minimum(np.maximum(etas, 0.0), 1.0)
 
 
-def _transfer_matrices(base: Circuit, etas: np.ndarray) -> np.ndarray:
-    """(B, n, n) single-photon transfer matrices of ``base`` with its
-    reflectivities replaced row by row from ``etas``; every element
-    updates the two rows it mixes (outputs index rows, inputs columns)."""
-    n = base.n_modes
-    u = np.broadcast_to(np.eye(n), (len(etas), n, n)).copy()
-    r, t = np.sqrt(etas), np.sqrt(1.0 - etas)
-    for j, el in enumerate(base.elements):
-        a, b = el.mode_a, el.mode_b
-        # the grey port reflects with -sqrt(eta)
-        sign = -1.0 if el.grey_port() == 0 else 1.0
-        rj, tj = sign * r[:, j, None], t[:, j, None]
-        row_a, row_b = u[:, a].copy(), u[:, b].copy()
-        u[:, a] = rj * row_a + tj * row_b
-        u[:, b] = tj * row_a - rj * row_b
-    return u
+def _perturbed_circuit(base: Circuit, etas: list[float]) -> Circuit:
+    """``base`` with its reflectivities replaced by one row of
+    ``_perturbed_etas``."""
+    return dataclasses.replace(
+        base,
+        elements=tuple(
+            dataclasses.replace(el, reflectivity=eta)
+            for el, eta in zip(base.elements, etas, strict=True)
+        ),
+    )
 
 
 def _glynn_permanents(sub: np.ndarray) -> np.ndarray:
@@ -568,10 +548,10 @@ def _batched_logical_errors(
 
     Every heralded amplitude is per(U_sub)/sqrt(prod n!) of the transfer
     matrix (Scheel, quant-ph/0406127). The heralded sector holds the
-    occupations of the modes the detection pattern does not fix, with
-    its exact counts on the others; amplitudes below ``PRUNE_TOL`` are
-    dropped, as the sparse evolution drops them, so a sector that only
-    carries rounding dust has probability 0 and error 1.0 on both paths.
+    occupations the detection pattern keeps. Amplitudes below
+    ``PRUNE_TOL`` are dropped, as the sparse evolution drops them, so a
+    sector that only carries rounding dust has probability 0 and error
+    1.0 on both paths.
     The vectors are processed in blocks of ``_SWEEP_BLOCK`` to bound the
     size of the intermediate arrays.
     """
@@ -582,27 +562,17 @@ def _batched_logical_errors(
         next(iter(encode_logical(logical_pair(label), base).amplitudes))
         for label in BASIS_INPUTS
     ]
-
-    def heralded(counts) -> tuple[int, ...]:
-        occ = [0] * base.n_modes
-        for m, k in itertools.chain(pattern.exact.items(), counts):
-            occ[m] = k
-        return tuple(occ)
-
-    kept = [m for m in range(base.n_modes) if m not in pattern.exact]
-    free_photons = sum(inputs[0]) - sum(pattern.exact.values())
     sector = [
         occ
-        for occ in (
-            heralded(zip(kept, ket))
-            for ket in enumerate_basis(len(kept), free_photons)
-        )
-        if all(sum(occ[m] for m in modes) == total for modes, total in pattern.groups)
+        for occ in enumerate_basis(base.n_modes, sum(inputs[0]))
+        if pattern.matches(occ)
     ]
+    # the qubit modes hold every photon the pattern leaves free, so their
+    # occupation picks out one sector ket
     qubit_modes = [base.mode_index(l) for l in _QUBIT_LABELS]
+    qubit_kets = [tuple(occ[m] for m in qubit_modes) for occ in sector]
     images = [
-        sector.index(heralded(zip(qubit_modes, dual_rail_ket(CNOT_IMAGE[label]))))
-        for label in BASIS_INPUTS
+        qubit_kets.index(dual_rail_ket(CNOT_IMAGE[label])) for label in BASIS_INPUTS
     ]
 
     def photon_modes(occ) -> list[int]:
@@ -618,7 +588,7 @@ def _batched_logical_errors(
     )
     errors, probabilities = [], []
     for start in range(0, len(etas), _SWEEP_BLOCK):
-        u = _transfer_matrices(base, etas[start : start + _SWEEP_BLOCK])
+        u = transfer_matrices(base, etas[start : start + _SWEEP_BLOCK])
         sub = u[:, rows[None, :, :, None], cols[:, None, None, :]]
         amps = _glynn_permanents(sub) / norms
         amps[np.abs(amps) <= PRUNE_TOL] = 0.0
@@ -672,13 +642,13 @@ def sensitivity_sweep(
     inputs and all perturbations.
 
     All perturbations are evaluated at once from their transfer matrices
-    and matrix permanents (``_batched_logical_errors``). Every vector
-    within 1e-12 of the batched worst error is then evaluated again by
-    sparse evolution (``_perturbed_circuit``, ``conditioned_logical_output``,
-    ``decode_logical``); the two must agree to 1e-12 per input, and the
-    sparse values decide the worst error, input and assignment (first
-    strict maximum in sweep order) and replace the batched ones in those
-    records.
+    and matrix permanents (``_batched_logical_errors``). Every distinct
+    reflectivity vector within 1e-12 of the batched worst error is then
+    evaluated again, once, by sparse evolution (``_perturbed_circuit``,
+    ``conditioned_logical_output``, ``decode_logical``); the two must agree
+    to 1e-12 per input in every record of that vector, and the sparse
+    values decide the worst error, input and assignment (first strict
+    maximum in sweep order) and replace the batched ones in those records.
     """
     base = _as_circuit(gate)
     # the random draw spans [-magnitude, magnitude], whose width must be finite
@@ -712,11 +682,12 @@ def sensitivity_sweep(
     worst_input = ""
     worst_assignment: dict[str, float] = {}
     run_worst = errors.max(axis=1)
+    sparse: dict[tuple[float, ...], tuple[dict[str, float], list[float]]] = {}
     for i in np.flatnonzero(run_worst >= run_worst.max() - 1e-12).tolist():
-        circuit = _perturbed_circuit(base, tuple(deltas[i].tolist()), model)
-        if [el.reflectivity for el in circuit.elements] != records[i]["etas"]:
-            raise RuntimeError(f"batched reflectivities of sweep vector {i} differ")
-        run_errors, run_probs = _sparse_logical_errors(circuit)
+        row = tuple(records[i]["etas"])
+        if row not in sparse:
+            sparse[row] = _sparse_logical_errors(_perturbed_circuit(base, row))
+        run_errors, run_probs = sparse[row]
         deviation = max(
             abs(a - b)
             for a, b in zip(
@@ -729,13 +700,11 @@ def sensitivity_sweep(
                 f"batched and sparse evaluations of sweep vector {i} differ "
                 f"by {deviation:.3e}"
             )
-        records[i] = _record(records[i]["etas"], run_errors, run_probs)
+        records[i] = _record(records[i]["etas"], dict(run_errors), run_probs)
         if records[i]["worst_error"] > worst:
             worst = records[i]["worst_error"]
             worst_input = max(run_errors, key=run_errors.get)
-            worst_assignment = {
-                lab: el.reflectivity for lab, el in zip(labels, circuit.elements)
-            }
+            worst_assignment = dict(zip(labels, records[i]["etas"]))
     return SensitivityResult(
         gate=gate if isinstance(gate, str) else "custom",
         model=model,

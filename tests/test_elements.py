@@ -1,7 +1,11 @@
 """Beamsplitter elements, circuit containers, and transfer matrices."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_circuit
 from loqc.elements import (
@@ -9,6 +13,7 @@ from loqc.elements import (
     Circuit,
     beamsplitter_matrix,
     compose_transfer_matrix,
+    transfer_matrices,
     validate_circuit,
 )
 from loqc.postselect import DetectionPattern
@@ -131,3 +136,80 @@ def test_transfer_matrix_embeds_element_on_its_modes():
     assert u[3, 3] == pytest.approx(block[1, 1])
     assert u[0, 0] == 1.0 and u[2, 2] == 1.0
     assert u[0, 2] == 0.0
+
+
+def test_beamsplitter_matrix_on_an_array_stacks_the_scalar_calls():
+    etas = np.concatenate([[0.0, 1.0, 0.5], RNG.uniform(size=21)])
+    for grey in (0, 1):
+        stacked = np.array([beamsplitter_matrix(float(e), grey) for e in etas])
+        assert np.array_equal(beamsplitter_matrix(etas, grey), stacked)
+        square = beamsplitter_matrix(etas.reshape(4, 6), grey)
+        assert np.array_equal(square, stacked.reshape(4, 6, 2, 2))
+    for bad in (1.0 + 1e-12, -1e-300, np.nan):
+        one_off = etas.copy()
+        one_off[7] = bad
+        with pytest.raises(ValueError, match="outside"):
+            beamsplitter_matrix(one_off, 0)
+
+
+def test_compose_transfer_matrix_rejects_malformed_elements():
+    good = Beamsplitter(0, 2, 0.3, grey=2)
+    for bad, message in (
+        (Beamsplitter(1, 1, 0.5, grey=1), "coincide"),
+        (Beamsplitter(0, 1, 0.5, grey=2), "grey mode 2"),
+        (Beamsplitter(0, 1, 1.5, grey=1), "reflectivity 1.5"),
+    ):
+        c = Circuit(3, ("a", "b", "c"), (good, bad))
+        with pytest.raises(ValueError, match=message):
+            compose_transfer_matrix(c)
+
+
+def test_transfer_matrices_reject_a_reflectivity_array_of_the_wrong_shape():
+    c = Circuit(2, ("a", "b"), (Beamsplitter(0, 1, 0.5, grey=1),))
+    for etas in ([0.5], [[0.5, 0.5]], np.zeros((2, 1, 1))):
+        with pytest.raises(ValueError, match="reflectivity array"):
+            transfer_matrices(c, etas)
+
+
+def _with_reflectivities(circuit: Circuit, etas) -> Circuit:
+    return dataclasses.replace(
+        circuit,
+        elements=tuple(
+            dataclasses.replace(el, reflectivity=float(eta))
+            for el, eta in zip(circuit.elements, etas, strict=True)
+        ),
+    )
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_transfer_matrices_rows_match_the_composer_and_the_block_product(seed, batch):
+    rng = np.random.default_rng(seed)
+    circuit = random_circuit(rng)
+    n = circuit.n_modes
+    etas = rng.uniform(size=(batch, len(circuit.elements)))
+    # some rows on the edges of [0, 1]
+    etas[rng.uniform(size=etas.shape) < 0.2] = 0.0
+    etas[rng.uniform(size=etas.shape) < 0.2] = 1.0
+    u = transfer_matrices(circuit, etas)
+    assert u.shape == (batch, n, n) and u.dtype == np.float64
+    for row, matrix in zip(etas, u):
+        perturbed = _with_reflectivities(circuit, row)
+        assert np.array_equal(compose_transfer_matrix(perturbed), matrix)
+        assert np.max(np.abs(matrix @ matrix.T - np.eye(n))) < 1e-12
+        product = np.eye(n)
+        for el in perturbed.elements:
+            embedded = np.eye(n)
+            modes = [el.mode_a, el.mode_b]
+            embedded[np.ix_(modes, modes)] = beamsplitter_matrix(
+                el.reflectivity, el.grey_port()
+            )
+            product = embedded @ product
+        assert np.max(np.abs(product - matrix)) <= 1e-15
+
+
+def test_prepared_occupation_adds_the_ancilla_preparation():
+    c = Circuit(3, ("s", "a", "v"), (), ancilla_prep={1: 1, 2: 0})
+    assert c.prepared_occupation({0: 2}) == (2, 1, 0)
+    assert c.prepared_occupation({}) == (0, 1, 0)
+    assert c.prepared_occupation({1: 1}) == (0, 2, 0)

@@ -123,3 +123,29 @@ def test_strip_empty_modes():
     assert stripped.amplitude((1, 1)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         strip_empty_modes(s, (0,))
+
+
+def test_matches_keeps_exactly_the_kets_condition_keeps():
+    kept_any = dropped_any = False
+    for _ in range(30):
+        n = int(RNG.integers(3, 7))
+        state = random_state(RNG, n, int(RNG.integers(1, 5)))
+        modes = [int(m) for m in RNG.permutation(n)]
+        n_exact = int(RNG.integers(1, n - 1))
+        pattern = DetectionPattern(
+            exact={m: int(RNG.integers(0, 3)) for m in modes[:n_exact]},
+            groups=((tuple(modes[n_exact : n_exact + 2]), int(RNG.integers(0, 3))),),
+        )
+        outcome = condition(state, pattern)
+        kept = [occ for occ in state.amplitudes if pattern.matches(occ)]
+        reduced = {
+            tuple(occ[m] for m in outcome.kept_modes): state.amplitudes[occ]
+            for occ in kept
+        }
+        assert outcome.reduced.amplitudes == reduced
+        assert outcome.probability == pytest.approx(
+            sum(abs(state.amplitudes[occ]) ** 2 for occ in kept), abs=1e-15
+        )
+        kept_any |= bool(kept)
+        dropped_any |= len(kept) < len(state.amplitudes)
+    assert kept_any and dropped_any

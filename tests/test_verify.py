@@ -178,6 +178,14 @@ def test_dual_path_consistency_all_gates():
     assert heisenberg_consistency("cnot-simplified") < 1e-10
 
 
+def test_dual_path_consistency_sees_a_sign_error(monkeypatch):
+    # the CNOT check compares complex amplitudes, so a flipped sign shows
+    oracle = verify.oracle_amplitude
+    monkeypatch.setattr(verify, "oracle_amplitude", lambda query: -oracle(query))
+    assert heisenberg_consistency("cnot") > 1e-10
+    assert heisenberg_consistency("cnot-simplified") > 1e-10
+
+
 def test_sweep_zero_magnitude_has_zero_error():
     res = sensitivity_sweep("cnot", model="absolute", magnitude=0.0, mode="random", samples=4)
     assert res.worst_error < 1e-13
@@ -280,6 +288,26 @@ def test_sweep_absolute_corner_ties_resolve_to_first_in_sweep_order():
     )
     assert signs == "---+-+-++-"
     assert res.records[86]["etas"] == list(res.worst_assignment.values())
+
+
+def test_sweep_rederives_each_distinct_tied_vector_once(monkeypatch):
+    # at magnitude 0 all 1024 corners are one reflectivity vector and tie
+    calls = []
+    conditioned = verify.conditioned_logical_output
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return conditioned(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "conditioned_logical_output", counting)
+    res = sensitivity_sweep("cnot", model="absolute", magnitude=0.0, mode="corners")
+    assert len(calls) == len(BASIS_INPUTS)
+    assert res.n_evaluations == 2**10
+    assert all(record == res.records[0] for record in res.records)
+    assert res.worst_error < 1e-13
+    assert res.worst_assignment == {
+        el.label: el.reflectivity for el in build_cnot_circuit().elements
+    }
 
 
 def test_sweep_raises_when_batched_and_sparse_paths_disagree(monkeypatch):
