@@ -21,7 +21,7 @@ from loqc.elements import compose_transfer_matrix, transfer_matrices
 from loqc.evolve import apply_element, evolve, permanent
 from loqc.gates import encode_logical, gate_by_name, logical_pair, solve_optimal_ns
 from loqc.postselect import condition
-from loqc.verify import CNOT_SUCCESS
+from loqc.verify import CNOT_SUCCESS, truth_table
 
 CNOT = gate_by_name("cnot")
 # the first 128 sign corners of the CNOT's absolute sweep at magnitude 0.02
@@ -66,10 +66,27 @@ def test_solve_optimal_ns_with_numeric_check(benchmark):
     assert abs(amplitude - 0.5) < 1e-12
 
 
+def test_evolve_through_cnot(benchmark, cnot_input):
+    out = benchmark(evolve, cnot_input, CNOT)
+    assert abs(out.norm_sq - 1.0) < 1e-12
+    assert abs(condition(out, CNOT.detection).probability - CNOT_SUCCESS) < 1e-12
+
+
+def test_truth_table_cnot(benchmark):
+    report = benchmark(truth_table, "cnot")
+    assert report.passed
+    assert report.max_deviation < 1e-10
+
+
 def test_permanent_k4(benchmark):
     rng = np.random.default_rng(4)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert benchmark(permanent, m) == pytest.approx(permanent(m.T))
+
+
+def test_permanent_k6(benchmark):
+    # the all-ones matrix has permanent k!
+    assert benchmark(permanent, np.ones((6, 6))) == pytest.approx(720.0, abs=1e-9)
 
 
 def test_compose_transfer_matrix_cnot(benchmark):

@@ -185,26 +185,15 @@ def _cmd_truth_table(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    inputs = [args.input] if args.input else list(gates.BASIS_INPUTS)
-    expected_p, tol = verify._expected_success(args.gate)
-    tables = {}
-    checks = []
-    for label in inputs:
-        table = verify.moment_table(args.gate, label)
-        tables[label] = table
-        image = gates.CNOT_IMAGE[label]
-        signal_dev = abs(table[image] - expected_p)
-        cross = max(v for k, v in table.items() if k != image)
-        checks.append(verify.check(f"{label} signal moment", signal_dev, tol))
-        checks.append(verify.check(f"{label} cross moments", cross, 1e-12))
+    result = verify.moment_report(args.gate, args.input)
     doc = _document(
         "moments",
         {"gate": args.gate, "input": args.input},
-        {"expected_signal": expected_p, "tables": tables},
-        checks,
+        _results(result),
+        result["checks"],
     )
     print(f"four-fold coincidence moments for {args.gate}")
-    for label, table in tables.items():
+    for label, table in result["tables"].items():
         cells = "  ".join(f"{k}:{_fmt(v)}" for k, v in sorted(table.items()))
         print(f"  input {label}:  {cells}")
     return _finish(doc, args)

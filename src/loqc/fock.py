@@ -15,6 +15,7 @@ trusted ``FockStateVector._trusted``, which only prunes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -41,12 +42,15 @@ def enumerate_basis(n_modes: int, total_photons: int) -> list[Occupation]:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if total_photons < 0:
         raise ValueError(f"total_photons must be >= 0, got {total_photons}")
-    if n_modes == 1:
-        return [(total_photons,)]
+    # ascending mode multisets are exactly the descending occupations
     out: list[Occupation] = []
-    for first in range(total_photons, -1, -1):
-        for rest in enumerate_basis(n_modes - 1, total_photons - first):
-            out.append((first,) + rest)
+    for photon_modes in itertools.combinations_with_replacement(
+        range(n_modes), total_photons
+    ):
+        occ = [0] * n_modes
+        for m in photon_modes:
+            occ[m] += 1
+        out.append(tuple(occ))
     return out
 
 

@@ -6,7 +6,10 @@ total photon number across a set of modes without caring where inside the
 group the photons land (a coincidence among detectors covering several
 modes). Conditioning a state on a pattern yields the success probability,
 the unnormalized reduced state on the surviving modes, and the normalized
-conditional state when the probability is nonzero.
+conditional state when the probability is nonzero. The CNOT's four-fold
+coincidence (``verify.coincidence_pattern``) is the heralding pattern's
+exact counts plus one group per qubit rail pair, so conditioning on it
+keeps the same modes as heralding does.
 """
 
 from __future__ import annotations
@@ -134,25 +137,3 @@ def coincidence_probability(
         for occ, amp in state.amplitudes.items()
         if all(occ[m] == 1 for m in modes)
     )
-
-
-def strip_empty_modes(
-    state: FockStateVector, modes: tuple[int, ...]
-) -> FockStateVector:
-    """Drop modes that carry no photons in any ket of ``state``.
-
-    Raises if any ket has a photon in one of the stripped modes; used to
-    collapse spectator vacuum modes after conditioning.
-    """
-    drop = set(modes)
-    for occ in state.amplitudes:
-        occupied = [m for m in drop if occ[m] != 0]
-        if occupied:
-            raise ValueError(
-                f"mode(s) {sorted(occupied)} are not empty in ket {occ}"
-            )
-    kept = [m for m in range(state.n_modes) if m not in drop]
-    amps = {
-        tuple(occ[m] for m in kept): amp for occ, amp in state.amplitudes.items()
-    }
-    return FockStateVector._trusted(len(kept), state.total_photons, amps)

@@ -3,7 +3,12 @@
 Truth tables, four-fold coincidence moment tables, Bell-state generation,
 interior-state comparisons against the closed-form kets, dual-path
 consistency between sequential evolution and the permanent oracle, and
-beamsplitter-error sensitivity sweeps.
+beamsplitter-error sensitivity sweeps. Every report takes a gate name
+(``gates.gate_by_name``).
+
+Each CNOT readout rule has one home: ``coincidence_pattern`` (heralding
+plus one photon per rail pair), ``_sector`` (the kets a pattern keeps)
+and ``_moment_deviations`` (the signal and cross moment checks).
 
 Truth tables, moments, Bell states and interior cuts evolve the sparse
 state element by element. The sensitivity sweep instead evaluates all of
@@ -31,6 +36,7 @@ from .evolve import AmplitudeQuery, evolve, oracle_amplitude
 from .fock import (
     PRUNE_TOL,
     FockStateVector,
+    Occupation,
     enumerate_basis,
     inner_product,
     make_state,
@@ -56,12 +62,7 @@ from .gates import (
     ns_conditional_map,
     optimal_ns_parameters,
 )
-from .postselect import (
-    DetectionPattern,
-    coincidence_probability,
-    condition,
-    strip_empty_modes,
-)
+from .postselect import DetectionPattern, coincidence_probability, condition
 
 CNOT_SUCCESS = 1.0 / 16.0
 SIMPLIFIED_SUCCESS = ETA2_BIASED**2
@@ -74,10 +75,6 @@ BELL_STATES = {
     "psi+": (0.0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0.0),
     "psi-": (0.0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0.0),
 }
-
-
-def _as_circuit(gate: str | Circuit) -> Circuit:
-    return gate_by_name(gate) if isinstance(gate, str) else gate
 
 
 def check(
@@ -94,16 +91,26 @@ def check(
 
 
 def coincidence_pattern(circuit: Circuit) -> DetectionPattern:
-    """Four-fold coincidence: one photon on the control rail pair, one on
-    the target rail pair, one at each NS herald; vacuum outputs are left
-    unconstrained (with four photons in, they are forced empty anyway)."""
+    """Four-fold coincidence: the circuit's heralding pattern (one photon
+    at each NS herald, none at the vacuum outputs) plus one photon on the
+    control rail pair and one on the target rail pair."""
     c_pair = tuple(circuit.mode_index(l) for l in ("c_H", "c_V"))
     t_pair = tuple(circuit.mode_index(l) for l in ("t_H", "t_V"))
-    a1 = circuit.mode_index("a1")
-    a2 = circuit.mode_index("a2")
     return DetectionPattern(
-        exact={a1: 1, a2: 1}, groups=((c_pair, 1), (t_pair, 1))
+        exact=circuit.detection.exact, groups=((c_pair, 1), (t_pair, 1))
     )
+
+
+def _sector(
+    circuit: Circuit, pattern: DetectionPattern, photons: int
+) -> list[Occupation]:
+    """The ``photons``-photon basis kets of ``circuit`` that ``pattern``
+    keeps, in ``enumerate_basis`` order."""
+    return [
+        occ
+        for occ in enumerate_basis(circuit.n_modes, photons)
+        if pattern.matches(occ)
+    ]
 
 
 def conditioned_logical_output(
@@ -121,26 +128,19 @@ def conditioned_logical_output(
 def _conditioned_qubits(
     circuit: Circuit, out: FockStateVector, conditioning: str
 ) -> tuple[float, FockStateVector | None]:
-    """``conditioned_logical_output`` of an already evolved state."""
+    """``conditioned_logical_output`` of an already evolved state. Both
+    patterns fix every mode but (c_H, c_V, t_H, t_V), so those are the
+    modes the conditioned state keeps."""
+    if circuit.detection is None:
+        raise ValueError("circuit has no heralding detection pattern")
     if conditioning == "heralded":
-        if circuit.detection is None:
-            raise ValueError("circuit has no heralding detection pattern")
         pattern = circuit.detection
     elif conditioning == "coincidence":
         pattern = coincidence_pattern(circuit)
     else:
         raise ValueError(f"unknown conditioning mode {conditioning!r}")
     outcome = condition(out, pattern)
-    if outcome.normalized is None:
-        return outcome.probability, None
-    qubit_modes = {circuit.mode_index(l) for l in _QUBIT_LABELS}
-    extra = tuple(
-        i for i, m in enumerate(outcome.kept_modes) if m not in qubit_modes
-    )
-    state4 = outcome.normalized
-    if extra:
-        state4 = strip_empty_modes(state4, extra)
-    return outcome.probability, state4
+    return outcome.probability, outcome.normalized
 
 
 def _decoded(label: str, state4: FockStateVector | None):
@@ -177,14 +177,14 @@ def _expected_success(gate_name: str) -> tuple[float, float]:
     raise ValueError(f"no truth table defined for gate {gate_name!r}")
 
 
-def moment_table(gate: str | Circuit, input_label: str) -> dict[str, float]:
+def moment_table(gate: str, input_label: str) -> dict[str, float]:
     """Four-fold coincidence probabilities for one basis input.
 
     Keys name the (control rail, target rail) detector pair: "HV" is the
     coincidence of c_H out, t_V out, a1 out and a2 out. Computed on the
     raw evolved output, with no conditioning.
     """
-    circuit = _as_circuit(gate)
+    circuit = gate_by_name(gate)
     out = evolve(encode_logical(logical_pair(input_label), circuit), circuit)
     return _moments(circuit, out)
 
@@ -205,6 +205,36 @@ def _moments(circuit: Circuit, out: FockStateVector) -> dict[str, float]:
     return table
 
 
+def _moment_deviations(
+    label: str, table: dict[str, float], expected_p: float
+) -> tuple[float, float]:
+    """(|signal moment - expected_p|, largest cross moment) of basis input
+    ``label``'s moment table; the signal is the image's coincidence."""
+    image = CNOT_IMAGE[label]
+    cross = max(v for k, v in table.items() if k != image)
+    return abs(table[image] - expected_p), cross
+
+
+def moment_report(gate: str, input_label: str | None = None) -> dict:
+    """Moment tables of one basis input, or of all four, each checked for
+    its signal moment (the expected success probability) and its cross
+    moments (zero)."""
+    expected_p, p_tol = _expected_success(gate)
+    labels = BASIS_INPUTS if input_label is None else (input_label,)
+    tables, checks = {}, []
+    for label in labels:
+        tables[label] = moment_table(gate, label)
+        signal_dev, cross = _moment_deviations(label, tables[label], expected_p)
+        checks.append(check(f"{label} signal moment", signal_dev, p_tol))
+        checks.append(check(f"{label} cross moments", cross, 1e-12))
+    return {
+        "expected_signal": expected_p,
+        "tables": tables,
+        "checks": checks,
+        "passed": all(c["pass"] for c in checks),
+    }
+
+
 def truth_table(gate: str, conditioning: str = "heralded") -> GateReport:
     """Evolve all four computational basis inputs and check the gate logic.
 
@@ -213,7 +243,7 @@ def truth_table(gate: str, conditioning: str = "heralded") -> GateReport:
     The row is correct when the normalized output sits entirely on the
     image basis state (the sign of its amplitude is not observable).
     """
-    circuit = _as_circuit(gate)
+    circuit = gate_by_name(gate)
     expected_p, p_tol = _expected_success(gate)
     rows = []
     moments: dict[str, dict[str, float]] = {}
@@ -227,13 +257,10 @@ def truth_table(gate: str, conditioning: str = "heralded") -> GateReport:
         probability, state4 = _conditioned_qubits(circuit, out, conditioning)
         amps, leakage, row_error = _decoded(label, state4)
         decoded = max(BASIS_INPUTS, key=lambda k: abs(amps[BASIS_INPUTS.index(k)]))
-        table = _moments(circuit, out)
-        moments[label] = table
-        for combo, value in table.items():
-            if combo == image:
-                moment_dev = max(moment_dev, abs(value - expected_p))
-            else:
-                cross_max = max(cross_max, value)
+        moments[label] = _moments(circuit, out)
+        signal_dev, cross = _moment_deviations(label, moments[label], expected_p)
+        moment_dev = max(moment_dev, signal_dev)
+        cross_max = max(cross_max, cross)
         map_dev = max(map_dev, row_error)
         prob_dev = max(prob_dev, abs(probability - expected_p))
         rows.append(
@@ -259,7 +286,7 @@ def truth_table(gate: str, conditioning: str = "heralded") -> GateReport:
     ]
     max_dev = max(map_dev, prob_dev, moment_dev, cross_max)
     return GateReport(
-        gate=gate if isinstance(gate, str) else "custom",
+        gate=gate,
         conditioning=conditioning,
         rows=rows,
         moments=moments,
@@ -281,7 +308,7 @@ def bell_test(gate: str = "cnot") -> dict:
     the evolution itself and reported; it is stable because the circuit
     is fixed.
     """
-    circuit = _as_circuit(gate)
+    circuit = gate_by_name(gate)
     entries = []
     for label in ("+H", "-H", "+V", "-V"):
         probability, state4 = conditioned_logical_output(
@@ -317,7 +344,7 @@ def bell_test(gate: str = "cnot") -> dict:
         check("reduced purity deviation from 1/2", worst_purity, 1e-10),
     ]
     return {
-        "gate": gate if isinstance(gate, str) else "custom",
+        "gate": gate,
         "entries": entries,
         "worst_fidelity": worst_fidelity,
         "worst_purity_deviation": worst_purity,
@@ -398,7 +425,7 @@ def intermediate_state_check(gate: str, input_label: str, cut: str) -> dict:
     """
     if input_label not in BASIS_INPUTS:
         raise ValueError(f"interior states are defined for {BASIS_INPUTS}")
-    circuit = _as_circuit(gate)
+    circuit = gate_by_name(gate)
     if cut not in circuit.cuts:
         raise ValueError(
             f"gate {gate!r} has no cut {cut!r}; available: "
@@ -440,7 +467,7 @@ def heisenberg_consistency(gate: str) -> float:
     map; for the CNOTs the complex amplitudes of each basis input on the
     16 four-fold coincidence kets are compared, phases included.
     """
-    circuit = _as_circuit(gate)
+    circuit = gate_by_name(gate)
     transfer = compose_transfer_matrix(circuit)
     dev = 0.0
     if gate in ("ns", "ns-biased"):
@@ -454,19 +481,12 @@ def heisenberg_consistency(gate: str) -> float:
             oracle = oracle_amplitude(AmplitudeQuery(transfer, occ, occ))
             dev = max(dev, abs(evolved[n] - closed[n]), abs(oracle - closed[n]))
         return dev
-    a1 = circuit.mode_index("a1")
-    a2 = circuit.mode_index("a2")
+    kets = _sector(circuit, coincidence_pattern(circuit), 4)
     for label in BASIS_INPUTS:
         state = encode_logical(logical_pair(label), circuit)
         input_occ = next(iter(state.amplitudes))
         out = evolve(state, circuit)
-        for c_rail, t_rail in itertools.product("HV", repeat=2):
-            out_occ = [0] * circuit.n_modes
-            out_occ[circuit.mode_index(f"c_{c_rail}")] = 1
-            out_occ[circuit.mode_index(f"t_{t_rail}")] = 1
-            out_occ[a1] = 1
-            out_occ[a2] = 1
-            out_occ = tuple(out_occ)
+        for out_occ in kets:
             amp = oracle_amplitude(AmplitudeQuery(transfer, input_occ, out_occ))
             dev = max(dev, abs(amp - out.amplitude(out_occ)))
     return dev
@@ -562,11 +582,7 @@ def _batched_logical_errors(
         next(iter(encode_logical(logical_pair(label), base).amplitudes))
         for label in BASIS_INPUTS
     ]
-    sector = [
-        occ
-        for occ in enumerate_basis(base.n_modes, sum(inputs[0]))
-        if pattern.matches(occ)
-    ]
+    sector = _sector(base, pattern, sum(inputs[0]))
     # the qubit modes hold every photon the pattern leaves free, so their
     # occupation picks out one sector ket
     qubit_modes = [base.mode_index(l) for l in _QUBIT_LABELS]
@@ -650,7 +666,7 @@ def sensitivity_sweep(
     values decide the worst error, input and assignment (first strict
     maximum in sweep order) and replace the batched ones in those records.
     """
-    base = _as_circuit(gate)
+    base = gate_by_name(gate)
     # the random draw spans [-magnitude, magnitude], whose width must be finite
     if not math.isfinite(2.0 * magnitude) or magnitude < 0.0:
         raise ValueError(
@@ -706,7 +722,7 @@ def sensitivity_sweep(
             worst_input = max(run_errors, key=run_errors.get)
             worst_assignment = dict(zip(labels, records[i]["etas"]))
     return SensitivityResult(
-        gate=gate if isinstance(gate, str) else "custom",
+        gate=gate,
         model=model,
         magnitude=magnitude,
         mode=mode,

@@ -1,5 +1,6 @@
 """Sparse Fock-sector state container."""
 
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,16 @@ def test_enumerate_basis_descending_unique_and_complete():
     assert basis == sorted(basis, reverse=True)
     assert all(len(occ) == 5 and sum(occ) == 3 for occ in basis)
     assert len(basis) == math.comb(3 + 5 - 1, 5 - 1)
+
+
+def test_enumerate_basis_matches_a_brute_force_reference():
+    for n in range(1, 7):
+        for k in range(5):
+            reference = sorted(
+                {occ for occ in itertools.product(range(k + 1), repeat=n) if sum(occ) == k},
+                reverse=True,
+            )
+            assert enumerate_basis(n, k) == reference
 
 
 def test_enumerate_basis_rejects_bad_arguments():

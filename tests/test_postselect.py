@@ -7,12 +7,7 @@ import pytest
 
 from conftest import random_state
 from loqc.fock import basis_state, enumerate_basis, make_state
-from loqc.postselect import (
-    DetectionPattern,
-    coincidence_probability,
-    condition,
-    strip_empty_modes,
-)
+from loqc.postselect import DetectionPattern, coincidence_probability, condition
 
 RNG = np.random.default_rng(777)
 
@@ -114,15 +109,6 @@ def test_coincidence_probability_counts_single_occupancy_kets():
         coincidence_probability(s, (0, 1, 2, 2))
     with pytest.raises(ValueError):
         coincidence_probability(s, (0, 1, 2, 9))
-
-
-def test_strip_empty_modes():
-    s = make_state(3, [((1, 0, 1), 1.0)])
-    stripped = strip_empty_modes(s, (1,))
-    assert stripped.n_modes == 2
-    assert stripped.amplitude((1, 1)) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        strip_empty_modes(s, (0,))
 
 
 def test_matches_keeps_exactly_the_kets_condition_keeps():

@@ -1,11 +1,15 @@
 """Gate verification: truth tables, moments, Bell outputs, interior
 states, dual-path consistency, and the sensitivity sweep."""
 
+import cmath
 import dataclasses
 import math
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BELL_ASSIGNMENT,
@@ -13,6 +17,8 @@ from conftest import (
     WORST_ERROR_REL_CORNERS_002,
 )
 from loqc import verify
+from loqc.evolve import permanent
+from loqc.fock import enumerate_basis
 from loqc.gates import (
     BASIS_INPUTS,
     CNOT_IMAGE,
@@ -27,9 +33,11 @@ from loqc.verify import (
     CNOT_SUCCESS,
     SIMPLIFIED_SUCCESS,
     bell_test,
+    coincidence_pattern,
     conditioned_logical_output,
     heisenberg_consistency,
     intermediate_state_check,
+    moment_report,
     moment_table,
     reference_interior_state,
     sensitivity_sweep,
@@ -106,6 +114,62 @@ def test_conditioning_modes_agree_on_ideal_inputs():
             assert p_h == pytest.approx(p_c, abs=1e-12)
             diff = s_h - s_c
             assert diff.norm_sq < 1e-24
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cnot-simplified"])
+def test_coincidence_is_the_heralding_plus_one_photon_per_rail_pair(gate):
+    circuit = gate_by_name(gate)
+    pattern = coincidence_pattern(circuit)
+    assert pattern.exact == circuit.detection.exact
+    expected = set()
+    for c_rail in ("c_H", "c_V"):
+        for t_rail in ("t_H", "t_V"):
+            occ = [0] * circuit.n_modes
+            for label in (c_rail, t_rail, "a1", "a2"):
+                occ[circuit.mode_index(label)] = 1
+            expected.add(tuple(occ))
+    kept = {occ for occ in enumerate_basis(circuit.n_modes, 4) if pattern.matches(occ)}
+    assert kept == expected
+
+
+def test_moment_report_checks_each_table_it_reports():
+    full = moment_report("cnot")
+    assert full["passed"]
+    assert list(full["tables"]) == list(BASIS_INPUTS)
+    assert full["expected_signal"] == CNOT_SUCCESS
+    assert [c["name"] for c in full["checks"][:2]] == [
+        "HH signal moment",
+        "HH cross moments",
+    ]
+    one = moment_report("cnot-simplified", "VH")
+    assert one["passed"]
+    assert one["tables"] == {"VH": moment_table("cnot-simplified", "VH")}
+    assert len(one["checks"]) == 2
+    with pytest.raises(ValueError):
+        moment_report("ns")
+
+
+@st.composite
+def _bunched_matrices(draw):
+    """A stack of k x k complex matrices with |m_ij| <= 1, k = 1..4, whose
+    columns may repeat as a bunched input's do."""
+    k = draw(st.integers(1, 4))
+    entry = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+    stack = []
+    for _ in range(draw(st.integers(1, 3))):
+        base = [[draw(entry) for _ in range(k)] for _ in range(k)]
+        cols = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
+        stack.append([[row[c] for c in cols] for row in base])
+    return np.array(stack, dtype=complex)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bunched_matrices())
+def test_glynn_permanents_match_the_permutation_expansion(stack):
+    glynn = verify._glynn_permanents(stack)
+    assert glynn.shape == stack.shape[:1]
+    for value, matrix in zip(glynn, stack):
+        assert abs(value - permanent(matrix)) < 1e-12
 
 
 def test_moment_tables_signal_and_cross():
