@@ -19,7 +19,15 @@ import pytest
 from loqc import cli, verify
 from loqc.elements import compose_transfer_matrix, transfer_matrices
 from loqc.evolve import apply_element, evolve, permanent
-from loqc.gates import encode_logical, gate_by_name, logical_pair, solve_optimal_ns
+from loqc.gates import (
+    ETA2_BIASED,
+    ETA7_BIASED,
+    encode_logical,
+    gate_by_name,
+    logical_pair,
+    solve_biased_ns,
+    solve_optimal_ns,
+)
 from loqc.postselect import condition
 from loqc.verify import CNOT_SUCCESS, truth_table
 
@@ -64,6 +72,12 @@ def test_cli_ns_verify(benchmark):
 def test_solve_optimal_ns_with_numeric_check(benchmark):
     _, amplitude = benchmark(solve_optimal_ns, verify=True)
     assert abs(amplitude - 0.5) < 1e-12
+
+
+def test_solve_biased_ns_with_numeric_check(benchmark):
+    p = benchmark(solve_biased_ns, verify=True)
+    assert abs(p.eta2 - ETA2_BIASED) < 1e-12
+    assert abs(p.eta7 - ETA7_BIASED) < 1e-12
 
 
 def test_evolve_through_cnot(benchmark, cnot_input):

@@ -118,7 +118,7 @@ class FockStateVector:
 
     @property
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
+        return sum((abs(a) ** 2 for a in self.amplitudes.values()), 0.0)
 
     def normalized(self) -> "FockStateVector":
         n = math.sqrt(self.norm_sq)
@@ -197,8 +197,10 @@ def inner_product(a: FockStateVector, b: FockStateVector) -> complex:
     small, large = a.amplitudes, b.amplitudes
     if len(small) <= len(large):
         return sum(
-            small[occ].conjugate() * large[occ] for occ in small if occ in large
+            (small[occ].conjugate() * large[occ] for occ in small if occ in large),
+            0j,
         )
     return sum(
-        large[occ] * small[occ].conjugate() for occ in large if occ in small
+        (large[occ] * small[occ].conjugate() for occ in large if occ in small),
+        0j,
     )

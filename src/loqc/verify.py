@@ -30,6 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# Imported at start-up so that a random sweep does not pay for loading
+# numpy.random inside its run.
+from numpy.random import default_rng
 
 from .elements import Circuit, compose_transfer_matrix, transfer_matrices
 from .evolve import AmplitudeQuery, evolve, oracle_amplitude
@@ -680,7 +683,7 @@ def sensitivity_sweep(
     if mode == "corners":
         deltas = np.array(list(itertools.product((-magnitude, +magnitude), repeat=k)))
     elif mode == "random":
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         deltas = rng.uniform(-magnitude, magnitude, size=(max(samples, 0), k))
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")

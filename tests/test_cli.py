@@ -260,6 +260,23 @@ def test_module_entry_point_runs():
     assert "PASS" in proc.stdout
 
 
+def test_cli_import_loads_no_scipy_and_preloads_numpy_random():
+    # a fresh interpreter: the suite's own process has scipy loaded by pytest plugins
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, loqc.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print('numpy.random' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
 @pytest.mark.parametrize("mode", ["corners", "random"])
 @pytest.mark.parametrize("magnitude", ["nan", "inf"])
 def test_sweep_non_finite_magnitude_is_a_usage_error(mode, magnitude, capsys):

@@ -119,6 +119,13 @@ def test_inner_product_orthonormal_kets():
     assert inner_product(ten, ten) == 1.0 + 0j
 
 
+def test_empty_sums_are_complex_and_float_zeros():
+    disjoint = inner_product(basis_state(2, (1, 0)), basis_state(2, (0, 1)))
+    assert disjoint == 0j and type(disjoint) is complex
+    empty = FockStateVector(2, 1, {}).norm_sq
+    assert empty == 0.0 and type(empty) is float
+
+
 def test_inner_product_conjugate_linear_in_first_argument():
     a = random_state(RNG, 3, 2)
     b = random_state(RNG, 3, 2)

@@ -120,6 +120,29 @@ def test_numeric_ns_check_evaluates_the_map_once_per_point(monkeypatch):
     assert len(calls) < 1000
 
 
+@pytest.mark.parametrize(
+    "eta13, message",
+    [
+        (0.9, "above the closed form"),  # vacuum amplitude 0.473
+        (0.8, "far from"),  # vacuum amplitude 0.531
+    ],
+)
+def test_numeric_ns_check_rejects_a_wrong_closed_form(monkeypatch, eta13, message):
+    wrong = NsParameters(eta13, ETA2_NS, eta13)
+    monkeypatch.setattr(gates, "optimal_ns_parameters", lambda: wrong)
+    with pytest.raises(RuntimeError, match=message):
+        solve_optimal_ns(verify=True)
+
+
+@pytest.mark.parametrize("start", gates._NS_STARTS)
+def test_each_numeric_ns_start_reaches_the_closed_form(start):
+    p = gates._ns_lagrange_root(start)
+    assert p is not None
+    assert abs(p.eta1 - ETA13_NS) < 1e-9
+    assert abs(p.eta2 - ETA2_NS) < 1e-9
+    assert abs(p.eta3 - ETA13_NS) < 1e-9
+
+
 def test_gate_builders_produce_valid_circuits():
     for name in GATE_NAMES:
         circuit = gate_by_name(name)
