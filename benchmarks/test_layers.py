@@ -20,6 +20,7 @@ from loqc import cli, verify
 from loqc.elements import compose_transfer_matrix, transfer_matrices
 from loqc.evolve import apply_element, evolve, permanent
 from loqc.gates import (
+    BASIS_INPUTS,
     ETA2_BIASED,
     ETA7_BIASED,
     encode_logical,
@@ -38,6 +39,9 @@ CORNER_ETAS = verify._perturbed_etas(
     np.array(list(itertools.product((-0.02, 0.02), repeat=len(CNOT.elements))))[:128],
     "absolute",
 )
+
+# sweep record 86, the absolute model's worst corner (error 3.04e-2 at VH)
+WORST_CORNER = verify._perturbed_circuit(CNOT, CORNER_ETAS[86].tolist())
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +88,27 @@ def test_evolve_through_cnot(benchmark, cnot_input):
     out = benchmark(evolve, cnot_input, CNOT)
     assert abs(out.norm_sq - 1.0) < 1e-12
     assert abs(condition(out, CNOT.detection).probability - CNOT_SUCCESS) < 1e-12
+
+
+def test_heralded_evolution_of_worst_corner(benchmark):
+    detection = WORST_CORNER.detection
+    states = [
+        encode_logical(logical_pair(label), WORST_CORNER) for label in BASIS_INPUTS
+    ]
+
+    def heralded():
+        return [evolve(s, WORST_CORNER, keep=detection) for s in states]
+
+    for state, out in zip(states, benchmark(heralded)):
+        got = condition(out, detection)
+        full = condition(evolve(state, WORST_CORNER), detection)
+        assert got.probability == full.probability
+        assert list(got.reduced.amplitudes.items()) == list(
+            full.reduced.amplitudes.items()
+        )
+        assert list(got.normalized.amplitudes.items()) == list(
+            full.normalized.amplitudes.items()
+        )
 
 
 def test_truth_table_cnot(benchmark):

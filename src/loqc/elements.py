@@ -127,6 +127,15 @@ class Circuit:
             occ[mode] += k
         return tuple(occ)
 
+    def first_elements(self, upto: int | None) -> tuple[Beamsplitter, ...]:
+        """The first ``upto`` elements, all of them for None. An ``upto``
+        outside 0..len(elements) raises rather than slicing from the end."""
+        if upto is None:
+            return self.elements
+        if not 0 <= upto <= len(self.elements):
+            raise ValueError(f"upto {upto} outside 0..{len(self.elements)}")
+        return self.elements[:upto]
+
 
 @dataclass
 class ValidationReport:
@@ -210,6 +219,6 @@ def compose_transfer_matrix(circuit: Circuit, upto: int | None = None) -> np.nda
     reflectivities. Returned complex even though every in-scope element
     is real.
     """
-    prefix = dataclasses.replace(circuit, elements=circuit.elements[:upto])
+    prefix = dataclasses.replace(circuit, elements=circuit.first_elements(upto))
     etas = [[el.reflectivity for el in prefix.elements]]
     return transfer_matrices(prefix, etas)[0].astype(complex)

@@ -13,6 +13,19 @@ calls ``evolve`` only to check the perturbations at its worst error.
 ``permanent`` and ``oracle_amplitude`` are on neither path: they are the
 reference that ``verify.heisenberg_consistency`` and the tests compare
 both against.
+
+``evolve(..., keep=pattern)`` evolves only the kets a detector outcome can
+still keep. Right after the last element that touches a mode of
+``pattern.exact`` (before the first element, for a mode none touches),
+every ket whose count on that mode differs from the pattern's is dropped;
+group totals are left to ``postselect.condition``. This is exact: an
+element that does not touch a mode keeps its count, so no dropped ket
+ever feeds a ket the pattern keeps, and the kept kets are built from the
+same terms in the same order. ``condition(evolve(s, c, upto, keep=p), p)``
+therefore equals ``condition(evolve(s, c, upto), p)`` bit for bit,
+dictionary order included. Every report that reads only heralded kets
+passes the circuit's detection pattern; ``loqc run-circuit`` prints the
+whole output state, so it evolves every ket.
 """
 
 from __future__ import annotations
@@ -24,8 +37,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .elements import Circuit, beamsplitter_matrix
+from .elements import Beamsplitter, Circuit, beamsplitter_matrix
 from .fock import FockStateVector, Occupation
+from .postselect import DetectionPattern
 
 # Largest photon total the simulator accepts. The gates under study use
 # at most four photons; larger sectors would silently explode the sparse
@@ -97,10 +111,44 @@ def apply_element(state: FockStateVector, element) -> FockStateVector:
     return FockStateVector._trusted(state.n_modes, state.total_photons, new_amps)
 
 
+def _settled_counts(
+    elements: tuple[Beamsplitter, ...], keep: DetectionPattern
+) -> dict[int, DetectionPattern]:
+    """The exact counts of ``keep`` grouped by the step after which their
+    mode no longer changes: step i + 1 follows ``elements[i]``, the last
+    element touching the mode, and step 0 (before the first element)
+    holds the modes no element touches."""
+    last_step = {}
+    for step, el in enumerate(elements, 1):
+        last_step[el.mode_a] = last_step[el.mode_b] = step
+    counts: dict[int, dict[int, int]] = {}
+    for mode, k in keep.exact.items():
+        counts.setdefault(last_step.get(mode, 0), {})[mode] = k
+    return {step: DetectionPattern(exact=c) for step, c in counts.items()}
+
+
+def _kept(state: FockStateVector, pattern: DetectionPattern) -> FockStateVector:
+    """``state`` without the kets ``pattern`` does not keep."""
+    return FockStateVector._trusted(
+        state.n_modes,
+        state.total_photons,
+        {occ: amp for occ, amp in state.amplitudes.items() if pattern.matches(occ)},
+    )
+
+
 def evolve(
-    state: FockStateVector, circuit: Circuit, upto: int | None = None
+    state: FockStateVector,
+    circuit: Circuit,
+    upto: int | None = None,
+    keep: DetectionPattern | None = None,
 ) -> FockStateVector:
-    """Push ``state`` through the first ``upto`` elements (all by default)."""
+    """Push ``state`` through the first ``upto`` elements (all by default).
+
+    With ``keep``, every ket whose count on a mode of ``keep.exact``
+    differs from the pattern's is dropped as soon as no later element can
+    change that count, so only kets ``condition(..., keep)`` may still
+    keep are evolved further (see the module docstring).
+    """
     if state.n_modes != circuit.n_modes:
         raise ValueError(
             f"state has {state.n_modes} modes, circuit {circuit.n_modes}"
@@ -110,8 +158,17 @@ def evolve(
             f"{state.total_photons} photons exceeds the supported maximum "
             f"of {MAX_PHOTONS}"
         )
-    for el in circuit.elements[:upto]:
+    elements = circuit.first_elements(upto)
+    settled = {}
+    if keep is not None:
+        keep.validate_for(state.n_modes)
+        settled = _settled_counts(elements, keep)
+    if 0 in settled:
+        state = _kept(state, settled[0])
+    for step, el in enumerate(elements, 1):
         state = apply_element(state, el)
+        if step in settled:
+            state = _kept(state, settled[step])
     return state
 
 

@@ -431,7 +431,7 @@ def conditional_map_by_evolution(circuit: Circuit) -> tuple[complex, ...]:
     out = []
     for n in range(3):
         prepared = basis_state(circuit.n_modes, circuit.prepared_occupation({0: n}))
-        final = evolve(prepared, circuit)
+        final = evolve(prepared, circuit, keep=circuit.detection)
         outcome = condition(final, circuit.detection)
         reduced_occ = tuple(
             n if m == 0 else 0 for m in outcome.kept_modes

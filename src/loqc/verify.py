@@ -11,15 +11,27 @@ plus one photon per rail pair), ``_sector`` (the kets a pattern keeps)
 and ``_moment_deviations`` (the signal and cross moment checks).
 
 Truth tables, moments, Bell states and interior cuts evolve the sparse
-state element by element. The sensitivity sweep instead evaluates all of
-its perturbations as one batch: ``elements.transfer_matrices`` for every
-perturbation at once, then Glynn permanents over the heralded output
-sector, the kets that ``DetectionPattern.matches`` keeps. The sparse
-evolution re-derives every distinct perturbation within 1e-12 of the
-batch's worst error and must agree with it to 1e-12; those sparse values
-are the ones the sweep reports as its worst case. ``heisenberg_consistency``
-compares the complex amplitudes of sparse evolution with the permanent
-oracle on ``compose_transfer_matrix``.
+state element by element with ``evolve(..., keep=circuit.detection)``:
+a ket that misses a herald or lights a vacuum port is dropped once the
+last element touching that detector's mode has acted, instead of being
+carried to the end. Each report reads only heralded kets. A four-fold
+coincidence puts all four photons on a control rail, a target rail and
+the two heralds, so it leaves the vacuum ports dark; the moment tables
+and the dual-path check's 16 coincidence kets are therefore heralded
+too. No later element changes a settled count, so the reports come out
+bit for bit as from the full evolution (see ``loqc.evolve``).
+``loqc run-circuit`` prints the whole output state, so it evolves every
+ket.
+
+The sensitivity sweep instead evaluates all of its perturbations as one
+batch: ``elements.transfer_matrices`` for every perturbation at once,
+then Glynn permanents over the heralded output sector, the kets that
+``DetectionPattern.matches`` keeps. The sparse evolution re-derives
+every distinct perturbation within 1e-12 of the batch's worst error and
+must agree with it to 1e-12; those sparse values are the ones the sweep
+reports as its worst case. ``heisenberg_consistency`` compares the
+complex amplitudes of sparse evolution with the permanent oracle on
+``compose_transfer_matrix``.
 """
 
 from __future__ import annotations
@@ -124,7 +136,7 @@ def conditioned_logical_output(
     Returns the success probability and the normalized conditional state
     over (c_H, c_V, t_H, t_V), or None when the probability vanishes.
     """
-    out = evolve(encode_logical(pair, circuit), circuit)
+    out = evolve(encode_logical(pair, circuit), circuit, keep=circuit.detection)
     return _conditioned_qubits(circuit, out, conditioning)
 
 
@@ -185,11 +197,12 @@ def moment_table(gate: str, input_label: str) -> dict[str, float]:
 
     Keys name the (control rail, target rail) detector pair: "HV" is the
     coincidence of c_H out, t_V out, a1 out and a2 out. Computed on the
-    raw evolved output, with no conditioning.
+    evolved output with no conditioning; the evolution keeps only the
+    heralded kets, which hold every four-fold coincidence.
     """
     circuit = gate_by_name(gate)
-    out = evolve(encode_logical(logical_pair(input_label), circuit), circuit)
-    return _moments(circuit, out)
+    state = encode_logical(logical_pair(input_label), circuit)
+    return _moments(circuit, evolve(state, circuit, keep=circuit.detection))
 
 
 def _moments(circuit: Circuit, out: FockStateVector) -> dict[str, float]:
@@ -256,7 +269,8 @@ def truth_table(gate: str, conditioning: str = "heralded") -> GateReport:
     cross_max = 0.0
     for label in BASIS_INPUTS:
         image = CNOT_IMAGE[label]
-        out = evolve(encode_logical(logical_pair(label), circuit), circuit)
+        state = encode_logical(logical_pair(label), circuit)
+        out = evolve(state, circuit, keep=circuit.detection)
         probability, state4 = _conditioned_qubits(circuit, out, conditioning)
         amps, leakage, row_error = _decoded(label, state4)
         decoded = max(BASIS_INPUTS, key=lambda k: abs(amps[BASIS_INPUTS.index(k)]))
@@ -435,7 +449,7 @@ def intermediate_state_check(gate: str, input_label: str, cut: str) -> dict:
             f"{sorted(circuit.cuts)}"
         )
     state = encode_logical(logical_pair(input_label), circuit)
-    evolved = evolve(state, circuit, upto=circuit.cuts[cut])
+    evolved = evolve(state, circuit, upto=circuit.cuts[cut], keep=circuit.detection)
     outcome = condition(evolved, circuit.detection)
     reference = reference_interior_state(gate, cut, input_label)
     overlap = inner_product(reference, outcome.reduced)
@@ -488,7 +502,7 @@ def heisenberg_consistency(gate: str) -> float:
     for label in BASIS_INPUTS:
         state = encode_logical(logical_pair(label), circuit)
         input_occ = next(iter(state.amplitudes))
-        out = evolve(state, circuit)
+        out = evolve(state, circuit, keep=circuit.detection)
         for out_occ in kets:
             amp = oracle_amplitude(AmplitudeQuery(transfer, input_occ, out_occ))
             dev = max(dev, abs(amp - out.amplitude(out_occ)))

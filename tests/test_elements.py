@@ -123,6 +123,16 @@ def test_compose_transfer_matrix_order_and_prefix():
     assert np.allclose(compose_transfer_matrix(c), u2 @ u1, atol=1e-15)
     assert np.allclose(compose_transfer_matrix(c, upto=1), u1, atol=1e-15)
     assert np.allclose(compose_transfer_matrix(c, upto=0), np.eye(3), atol=1e-15)
+    assert np.allclose(compose_transfer_matrix(c, upto=2), u2 @ u1, atol=1e-15)
+
+
+@pytest.mark.parametrize("upto", [-1, -2, 3, 99])
+def test_compose_transfer_matrix_rejects_upto_outside_the_circuit(upto):
+    # a slice would read -1 as "all but the last" and 99 as "all"
+    elements = (Beamsplitter(0, 1, 0.3, grey=1), Beamsplitter(1, 2, 0.8, grey=1))
+    c = Circuit(3, ("a", "b", "c"), elements)
+    with pytest.raises(ValueError, match="upto"):
+        compose_transfer_matrix(c, upto)
 
 
 def test_transfer_matrix_embeds_element_on_its_modes():

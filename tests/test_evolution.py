@@ -19,6 +19,7 @@ from loqc.evolve import (
     permanent,
 )
 from loqc.fock import FockStateVector, basis_state, enumerate_basis, make_state
+from loqc.gates import build_cnot_circuit, encode_logical, logical_pair
 from loqc.postselect import DetectionPattern, condition
 
 RNG = np.random.default_rng(90125)
@@ -99,6 +100,25 @@ def test_pair_transition_cache_stays_bounded():
     assert info.currsize <= info.maxsize
 
 
+@pytest.mark.parametrize("upto", [-1, -11, 11, 99])
+def test_evolve_rejects_upto_outside_the_circuit(upto):
+    # on the 10-element CNOT a slice would read -1 as "all but the last"
+    # (50 kets from input HH instead of 59) and 99 as "all"
+    cnot = build_cnot_circuit()
+    assert len(cnot.elements) == 10
+    state = encode_logical(logical_pair("HH"), cnot)
+    with pytest.raises(ValueError, match="upto"):
+        evolve(state, cnot, upto=upto)
+
+
+def test_evolve_validates_the_keep_pattern():
+    with pytest.raises(ValueError, match="outside"):
+        evolve(basis_state(2, (1, 1)), PAIR, keep=DetectionPattern(exact={2: 0}))
+    group = DetectionPattern(groups=(((0, 5), 1),))
+    with pytest.raises(ValueError, match="outside"):
+        evolve(basis_state(2, (1, 1)), PAIR, keep=group)
+
+
 def test_evolve_guards_sector_and_photon_cap():
     with pytest.raises(ValueError):
         evolve(basis_state(3, (1, 0, 0)), PAIR)
@@ -160,19 +180,27 @@ def test_oracle_normalization_on_bunched_output():
     assert oracle_amplitude(q) == pytest.approx(0.0)
 
 
-@st.composite
-def _circuit_state_and_pattern(draw):
-    """A beamsplitter circuit on <= 6 modes, a random state of <= 4 photons
-    and an exact-count detection pattern on some of its modes."""
+def _draw_circuit(draw, reflectivity) -> Circuit:
+    """A beamsplitter circuit on 2..6 modes with 1..8 elements, each
+    reflectivity drawn from the strategy ``reflectivity``."""
     n = draw(st.integers(2, 6))
     mode = st.integers(0, n - 1)
     elements = []
     for i in range(draw(st.integers(1, 8))):
         a, b = draw(st.lists(mode, min_size=2, max_size=2, unique=True))
-        eta = draw(st.floats(0.0, 1.0))
+        eta = draw(reflectivity)
         grey = draw(st.sampled_from((a, b)))
         elements.append(Beamsplitter(a, b, eta, grey, label=f"r{i}"))
-    circuit = Circuit(n, tuple(f"m{j}" for j in range(n)), tuple(elements))
+    return Circuit(n, tuple(f"m{j}" for j in range(n)), tuple(elements))
+
+
+@st.composite
+def _circuit_state_and_pattern(draw):
+    """A beamsplitter circuit on <= 6 modes, a random state of <= 4 photons
+    and an exact-count detection pattern on some of its modes."""
+    circuit = _draw_circuit(draw, st.floats(0.0, 1.0))
+    n = circuit.n_modes
+    mode = st.integers(0, n - 1)
     seed = draw(st.integers(0, 2**32 - 1))
     state = random_state(np.random.default_rng(seed), n, draw(st.integers(0, 4)))
     detected = draw(st.lists(mode, unique=True, max_size=n))
@@ -205,3 +233,53 @@ def test_trusted_states_pass_public_validation(case):
     if outcome.normalized is not None:
         _assert_passes_public_validation(outcome.normalized)
         assert abs(outcome.normalized.norm_sq - 1.0) < 1e-12
+
+
+@st.composite
+def _keep_case(draw):
+    """A circuit on <= 6 modes with reflectivities 0, 1, 1/2 or uniform, an
+    input of <= 4 photons (one basis ket, bunched ones included, or a
+    random superposition), a cut ``upto`` (None or in range) and a pattern
+    of exact counts with or without one group."""
+    circuit = _draw_circuit(
+        draw, st.one_of(st.sampled_from((0.0, 1.0, 0.5)), st.floats(0.0, 1.0))
+    )
+    n = circuit.n_modes
+    total = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        state = basis_state(n, random_occupation(rng, n, total))
+    else:
+        state = random_state(rng, n, total)
+    upto = draw(st.one_of(st.none(), st.integers(0, len(circuit.elements))))
+    modes = draw(st.permutations(range(n)))
+    n_exact = draw(st.integers(0, n))
+    exact = {m: draw(st.integers(0, 2)) for m in modes[:n_exact]}
+    groups = ()
+    if n_exact < n and draw(st.booleans()):
+        group = modes[n_exact : n_exact + draw(st.integers(1, n - n_exact))]
+        groups = ((tuple(group), draw(st.integers(0, 4))),)
+    return circuit, state, upto, DetectionPattern(exact=exact, groups=groups)
+
+
+def _items(state: FockStateVector | None):
+    return None if state is None else list(state.amplitudes.items())
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_keep_case())
+def test_keep_drops_only_kets_the_pattern_rejects(case):
+    # condition after a kept evolution equals condition after the full
+    # one bit for bit, dict order included; keep=None is the full state
+    circuit, state, upto, pattern = case
+    full = evolve(state, circuit, upto=upto)
+    stepwise = state
+    for el in circuit.elements[:upto]:
+        stepwise = apply_element(stepwise, el)
+    assert _items(full) == _items(stepwise)
+    kept = evolve(state, circuit, upto=upto, keep=pattern)
+    expected, got = condition(full, pattern), condition(kept, pattern)
+    assert got.probability == expected.probability
+    assert _items(got.reduced) == _items(expected.reduced)
+    assert _items(got.normalized) == _items(expected.normalized)
+    assert got.kept_modes == expected.kept_modes

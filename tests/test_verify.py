@@ -3,6 +3,7 @@ states, dual-path consistency, and the sensitivity sweep."""
 
 import cmath
 import dataclasses
+import importlib
 import math
 import sys
 
@@ -88,6 +89,23 @@ def test_truth_table_evolves_each_input_once(monkeypatch):
         calls.clear()
         assert truth_table("cnot", conditioning).passed
         assert len(calls) == len(BASIS_INPUTS)
+
+
+def test_truth_table_evolves_only_kets_the_heralds_can_keep(monkeypatch):
+    # the full evolution of the four CNOT inputs sends 1,162 kets through
+    # the splitters; dropping each unheralded branch once its detector
+    # mode is settled leaves 234
+    evolve_module = importlib.import_module("loqc.evolve")
+    kets_in = []
+    real_apply = evolve_module.apply_element
+
+    def counting_apply(state, element):
+        kets_in.append(len(state.amplitudes))
+        return real_apply(state, element)
+
+    monkeypatch.setattr(evolve_module, "apply_element", counting_apply)
+    assert truth_table("cnot").passed
+    assert sum(kets_in) <= 300
 
 
 def test_check_passes_strictly_below_tolerance_unless_overridden():
