@@ -74,12 +74,12 @@ def test_cli_ns_verify(benchmark):
 
 
 def test_solve_optimal_ns_with_numeric_check(benchmark):
-    _, amplitude = benchmark(solve_optimal_ns, verify=True)
+    _, amplitude = benchmark(solve_optimal_ns)
     assert abs(amplitude - 0.5) < 1e-12
 
 
 def test_solve_biased_ns_with_numeric_check(benchmark):
-    p = benchmark(solve_biased_ns, verify=True)
+    p = benchmark(solve_biased_ns)
     assert abs(p.eta2 - ETA2_BIASED) < 1e-12
     assert abs(p.eta7 - ETA7_BIASED) < 1e-12
 

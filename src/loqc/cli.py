@@ -11,30 +11,33 @@ sweep         beamsplitter-error sensitivity sweep
 solve-params  solve and cross-check the gate operating points
 run-circuit   evolve an input through a circuit description file
 
-Every command accepts --json PATH to write a machine-readable report;
-reports are byte-identical across runs for the same flags (randomized
-sweeps take --rng-seed). Exit codes: 0 all checks passed, 1 at least one
-check failed, 2 usage or input error.
+Every command accepts --json PATH to write a machine-readable report whose
+``inputs`` echo every parsed argument except the output paths; reports are
+byte-identical across runs for the same flags (randomized sweeps take
+--rng-seed). Exit codes: 0 all checks passed, 1 at least one check failed,
+2 usage or input error, or a report or CSV path that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import gates, verify
-from .circuit_io import CircuitFileError, load_circuit
+from .circuit_io import load_circuit
 from .evolve import evolve
 from .fock import basis_state
 from .postselect import condition
 
 CNOT_GATES = ("cnot", "cnot-simplified")
+
+# parsed arguments that are not inputs of the command's computation
+_NOT_INPUTS = ("command", "handler", "json", "csv")
 
 
 def _jsonable(value):
@@ -44,10 +47,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     return value
 
 
@@ -68,16 +67,8 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.15g}{z.imag:+.15g}j"
 
 
-def _document(command: str, inputs: dict, results: dict, checks: list[dict]) -> dict:
-    """Assemble a report document; ``pass`` is the conjunction of checks."""
-    return {
-        "schema_version": "1",
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
+def _ket_label(occ) -> str:
+    return "".join(map(str, occ)) if occ and max(occ) <= 9 else str(occ)
 
 
 def _results(result: dict) -> dict:
@@ -85,10 +76,21 @@ def _results(result: dict) -> dict:
     return {k: v for k, v in result.items() if k not in ("checks", "passed")}
 
 
-def _finish(doc: dict, args) -> int:
-    _write_report(doc, getattr(args, "json", None))
-    print("PASS" if doc["pass"] else "FAIL")
-    return 0 if doc["pass"] else 1
+def _finish(args, results: dict, checks: list[dict]) -> int:
+    """Write the report (``pass`` is the conjunction of the checks), print
+    the verdict and return the exit code."""
+    passed = all(c["pass"] for c in checks)
+    doc = {
+        "schema_version": "1",
+        "command": args.command,
+        "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
+        "results": results,
+        "checks": checks,
+        "pass": passed,
+    }
+    _write_report(doc, args.json)
+    print("PASS" if passed else "FAIL")
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -96,59 +98,38 @@ def _finish(doc: dict, args) -> int:
 
 
 def _cmd_ns_verify(args) -> int:
-    overridden = any(
-        getattr(args, name) is not None for name in ("eta1", "eta2", "eta3", "eta7")
-    )
     if args.biased:
-        if args.eta1 is not None or args.eta3 is not None:
-            print("ns-verify: --eta1/--eta3 do not apply to --biased", file=sys.stderr)
-            return 2
-        defaults = gates.balanced_biased_parameters()
-        params = gates.BiasedNsParameters(
-            args.eta2 if args.eta2 is not None else defaults.eta2,
-            args.eta7 if args.eta7 is not None else defaults.eta7,
-        )
-        closed = gates.biased_ns_amplitudes(params)
-        circuit = gates.build_biased_ns_circuit(params)
-        param_doc = {"eta2": params.eta2, "eta7": params.eta7}
+        kind, defaults = "biased NS", gates.balanced_biased_parameters()
+        closed_form, build = gates.biased_ns_amplitudes, gates.build_biased_ns_circuit
+        stray = "--eta1/--eta3 do not apply to --biased"
     else:
-        if args.eta7 is not None:
-            print("ns-verify: --eta7 requires --biased", file=sys.stderr)
-            return 2
-        defaults = gates.optimal_ns_parameters()
-        params = gates.NsParameters(
-            args.eta1 if args.eta1 is not None else defaults.eta1,
-            args.eta2 if args.eta2 is not None else defaults.eta2,
-            args.eta3 if args.eta3 is not None else defaults.eta3,
-        )
-        closed = gates.ns_conditional_map(params)
-        circuit = gates.build_ns_circuit(params)
-        param_doc = {"eta1": params.eta1, "eta2": params.eta2, "eta3": params.eta3}
-    evolved = gates.conditional_map_by_evolution(circuit)
+        kind, defaults = "NS", gates.optimal_ns_parameters()
+        closed_form, build = gates.ns_conditional_map, gates.build_ns_circuit
+        stray = "--eta7 requires --biased"
+    given = {
+        k: v for k, v in vars(args).items() if k.startswith("eta") and v is not None
+    }
+    if given.keys() - {f.name for f in dataclasses.fields(defaults)}:
+        raise ValueError(stray)
+    params = dataclasses.replace(defaults, **given)
+    parameters = dataclasses.asdict(params)
+    closed = closed_form(params)
+    evolved = gates.conditional_map_by_evolution(build(params))
     deviation = max(abs(c - e) for c, e in zip(closed, evolved))
     balance = verify.check("balanced operation", gates.balance_residual(closed), 1e-10)
     success_uniform = sum(abs(l) ** 2 for l in closed) / 3.0
     checks = [verify.check("closed form vs circuit evolution", deviation, 1e-10)]
-    if not overridden:
+    if not given:
         checks.append(balance)
-    inputs = {
-        "biased": args.biased,
-        "eta1": args.eta1,
-        "eta2": args.eta2,
-        "eta3": args.eta3,
-        "eta7": args.eta7,
-    }
     results = {
-        "parameters": param_doc,
+        "parameters": parameters,
         "closed_form": list(closed),
         "circuit_evolution": list(evolved),
         "deviation": deviation,
         "balanced": balance["pass"],
         "success_probability_uniform_input": success_uniform,
     }
-    doc = _document("ns-verify", inputs, results, checks)
-    kind = "biased NS" if args.biased else "NS"
-    print(f"{kind} gate at " + " ".join(f"{k}={_fmt(v)}" for k, v in param_doc.items()))
+    print(f"{kind} gate at", *(f"{k}={_fmt(v)}" for k, v in parameters.items()))
     print(
         "  closed form: "
         + " ".join(f"l{i}={_fmt(l)}" for i, l in enumerate(closed))
@@ -160,7 +141,7 @@ def _cmd_ns_verify(args) -> int:
     print(f"  deviation {_fmt(deviation)}")
     print(f"  success probability (uniform input) {_fmt(success_uniform)}")
     print(f"  balanced: {'yes' if balance['pass'] else 'no (flagged unbalanced)'}")
-    return _finish(doc, args)
+    return _finish(args, results, checks)
 
 
 def _cmd_truth_table(args) -> int:
@@ -170,40 +151,29 @@ def _cmd_truth_table(args) -> int:
         "moments": report.moments,
         "max_deviation": report.max_deviation,
     }
-    inputs = {"gate": args.gate, "conditioning": args.conditioning}
-    doc = _document("truth-table", inputs, results, report.checks)
     print(f"truth table for {args.gate} ({args.conditioning} conditioning)")
     for row in report.rows:
         print(
             f"  {row['input']} -> {row['decoded']} (expected {row['expected']})"
             f"  p={_fmt(row['probability'])}  leakage={_fmt(row['leakage'])}"
         )
-    for check in doc["checks"]:
+    for check in report.checks:
         status = "ok" if check["pass"] else "FAILED"
         print(f"  [{status}] {check['name']}: {_fmt(check['value'])}")
-    return _finish(doc, args)
+    return _finish(args, results, report.checks)
 
 
 def _cmd_moments(args) -> int:
     result = verify.moment_report(args.gate, args.input)
-    doc = _document(
-        "moments",
-        {"gate": args.gate, "input": args.input},
-        _results(result),
-        result["checks"],
-    )
     print(f"four-fold coincidence moments for {args.gate}")
     for label, table in result["tables"].items():
         cells = "  ".join(f"{k}:{_fmt(v)}" for k, v in sorted(table.items()))
         print(f"  input {label}:  {cells}")
-    return _finish(doc, args)
+    return _finish(args, _results(result), result["checks"])
 
 
 def _cmd_bell_test(args) -> int:
     result = verify.bell_test(args.gate)
-    doc = _document(
-        "bell-test", {"gate": args.gate}, _results(result), result["checks"]
-    )
     print(f"Bell-state generation through {args.gate}")
     for entry in result["entries"]:
         print(
@@ -211,27 +181,17 @@ def _cmd_bell_test(args) -> int:
             f"{entry['bell_state']}  fidelity={_fmt(entry['fidelity'])}  "
             f"purity={_fmt(entry['purity'])}"
         )
-    return _finish(doc, args)
+    return _finish(args, _results(result), result["checks"])
 
 
 def _cmd_intermediate(args) -> int:
-    try:
-        result = verify.intermediate_state_check(args.gate, args.input, args.cut)
-    except ValueError as exc:
-        print(f"intermediate: {exc}", file=sys.stderr)
-        return 2
-    doc = _document(
-        "intermediate",
-        {"gate": args.gate, "input": args.input, "cut": args.cut},
-        _results(result),
-        result["checks"],
-    )
+    result = verify.intermediate_state_check(args.gate, args.input, args.cut)
     print(
         f"{args.gate} input {args.input} at cut {args.cut}: deviation "
         f"{_fmt(result['deviation'])}, global phase "
         f"{_fmt_complex(result['global_phase'])}"
     )
-    return _finish(doc, args)
+    return _finish(args, _results(result), result["checks"])
 
 
 def _cmd_sweep(args) -> int:
@@ -250,32 +210,20 @@ def _cmd_sweep(args) -> int:
         checks.append(
             verify.check("worst logical error below 1e-2", result.worst_error, 1e-2)
         )
-    inputs = {
-        "gate": args.gate,
-        "model": args.model,
-        "magnitude": args.magnitude,
-        "mode": args.mode,
-        "samples": args.samples,
-        "rng_seed": args.rng_seed,
-    }
-    doc = _document("sweep", inputs, result.to_dict(), checks)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
+            tail = ("worst_error", "probability_min", "probability_max")
             writer.writerow(
                 result.element_labels
                 + [f"error_{k}" for k in gates.BASIS_INPUTS]
-                + ["worst_error", "probability_min", "probability_max"]
+                + list(tail)
             )
             for rec in result.records:
                 writer.writerow(
-                    [repr(x) for x in rec["etas"]]
-                    + [repr(rec["errors"][k]) for k in gates.BASIS_INPUTS]
-                    + [
-                        repr(rec["worst_error"]),
-                        repr(rec["probability_min"]),
-                        repr(rec["probability_max"]),
-                    ]
+                    rec["etas"]
+                    + [rec["errors"][k] for k in gates.BASIS_INPUTS]
+                    + [rec[k] for k in tail]
                 )
     print(
         f"sweep {args.gate} model={args.model} magnitude={_fmt(args.magnitude)} "
@@ -289,13 +237,13 @@ def _cmd_sweep(args) -> int:
         f"  success probability range [{_fmt(result.probability_min)}, "
         f"{_fmt(result.probability_max)}]"
     )
-    return _finish(doc, args)
+    return _finish(args, result.to_dict(), checks)
 
 
 def _cmd_solve_params(args) -> int:
-    ns_params, amplitude = gates.solve_optimal_ns(verify=True)
+    ns_params, amplitude = gates.solve_optimal_ns()
     lams = gates.ns_conditional_map(ns_params)
-    biased = gates.solve_biased_ns(verify=True)
+    biased = gates.solve_biased_ns()
     blams = gates.biased_ns_amplitudes(biased)
     checks = [
         verify.check("NS balance residual", gates.balance_residual(lams), 1e-12),
@@ -317,7 +265,6 @@ def _cmd_solve_params(args) -> int:
             "success_probability": biased.eta2,
         },
     }
-    doc = _document("solve-params", {}, results, checks)
     print("NS gate:")
     print(
         f"  eta1=eta3={_fmt(ns_params.eta1)}  eta2={_fmt(ns_params.eta2)}"
@@ -328,38 +275,24 @@ def _cmd_solve_params(args) -> int:
         f"  eta2={_fmt(biased.eta2)}  eta7={_fmt(biased.eta7)}"
         f"  success probability {_fmt(biased.eta2)}"
     )
-    return _finish(doc, args)
+    return _finish(args, results, checks)
 
 
 def _cmd_run_circuit(args) -> int:
-    try:
-        circuit = load_circuit(args.file)
-    except CircuitFileError as exc:
-        print(f"run-circuit: {exc}", file=sys.stderr)
-        return 2
+    circuit = load_circuit(args.file)
     user_modes = circuit.user_modes()
     try:
         counts = [int(tok) for tok in args.input.split(",")]
     except ValueError:
-        print(f"run-circuit: cannot parse --input {args.input!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot parse --input {args.input!r}") from None
     if len(counts) != len(user_modes) or any(c < 0 for c in counts):
-        print(
-            f"run-circuit: --input needs {len(user_modes)} non-negative counts "
-            f"for modes {[circuit.labels[m] for m in user_modes]}",
-            file=sys.stderr,
+        raise ValueError(
+            f"--input needs {len(user_modes)} non-negative counts "
+            f"for modes {[circuit.labels[m] for m in user_modes]}"
         )
-        return 2
     occ = circuit.prepared_occupation(dict(zip(user_modes, counts)))
-    try:
-        out = evolve(basis_state(circuit.n_modes, occ), circuit)
-    except ValueError as exc:
-        print(f"run-circuit: {exc}", file=sys.stderr)
-        return 2
-    amplitudes = {
-        "".join(map(str, o)) if max(o) <= 9 else str(o): amp
-        for o, amp in out.sorted_items()
-    }
+    out = evolve(basis_state(circuit.n_modes, occ), circuit)
+    amplitudes = {_ket_label(o): amp for o, amp in out.sorted_items()}
     results = {"prepared_occupation": list(occ), "amplitudes": amplitudes}
     print(f"evolved {args.file} on input {occ}")
     for key, amp in amplitudes.items():
@@ -370,15 +303,11 @@ def _cmd_run_circuit(args) -> int:
             "probability": outcome.probability,
             "kept_modes": [circuit.labels[m] for m in outcome.kept_modes],
             "amplitudes": {
-                "".join(map(str, o)) if (o and max(o) <= 9) else str(o): amp
-                for o, amp in outcome.reduced.sorted_items()
+                _ket_label(o): amp for o, amp in outcome.reduced.sorted_items()
             },
         }
         print(f"  heralded probability {_fmt(outcome.probability)}")
-    doc = _document(
-        "run-circuit", {"file": str(args.file), "input": args.input}, results, []
-    )
-    return _finish(doc, args)
+    return _finish(args, results, [])
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

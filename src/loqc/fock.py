@@ -194,13 +194,9 @@ def basis_state(n_modes: int, occ: Occupation) -> FockStateVector:
 def inner_product(a: FockStateVector, b: FockStateVector) -> complex:
     """Hermitian inner product <a|b>, conjugate-linear in the first argument."""
     a._require_same_sector(b)
-    small, large = a.amplitudes, b.amplitudes
-    if len(small) <= len(large):
-        return sum(
-            (small[occ].conjugate() * large[occ] for occ in small if occ in large),
-            0j,
-        )
+    right = b.amplitudes
     return sum(
-        (large[occ] * small[occ].conjugate() for occ in large if occ in small),
+        (amp.conjugate() * right[occ] for occ, amp in a.amplitudes.items()
+         if occ in right),
         0j,
     )

@@ -142,29 +142,26 @@ def balance_residual(lams: tuple[float, float, float]) -> float:
     return max(abs(l0 - l1), abs(l0 + l2))
 
 
-def solve_optimal_ns(verify: bool = True) -> tuple[NsParameters, float]:
+def solve_optimal_ns() -> tuple[NsParameters, float]:
     """Best balanced NS operating point and its success amplitude (1/2).
 
-    The closed forms are authoritative. When ``verify`` is set, each of
-    four interior starting points is run to a stationary point of l0 on
-    the balanced curve l0 = l1 = -l2 (a Newton solve of the balance and
-    Lagrange conditions, ``_ns_lagrange_root``). The best balanced
+    The closed forms are authoritative. Each of four interior starting
+    points is run to a stationary point of l0 on the balanced curve
+    l0 = l1 = -l2 (a Newton solve of the balance and Lagrange
+    conditions, ``_ns_lagrange_root``). The best balanced
     amplitude found must equal the closed form to 1e-6, so no better
     balanced solution hides inside the parameter cube.
     """
     params = optimal_ns_parameters()
     amplitude = ns_success_amplitude_vacuum(params)
-    if verify:
-        best = _numeric_ns_maximum()
-        if best > amplitude + 1e-6:
-            raise RuntimeError(
-                f"numeric search found balanced amplitude {best}, above the "
-                f"closed form {amplitude}"
-            )
-        if abs(best - amplitude) > 1e-6:
-            raise RuntimeError(
-                f"numeric search converged to {best}, far from {amplitude}"
-            )
+    best = _numeric_ns_maximum()
+    if best > amplitude + 1e-6:
+        raise RuntimeError(
+            f"numeric search found balanced amplitude {best}, above the "
+            f"closed form {amplitude}"
+        )
+    if abs(best - amplitude) > 1e-6:
+        raise RuntimeError(f"numeric search converged to {best}, far from {amplitude}")
     return params, amplitude
 
 
@@ -268,37 +265,34 @@ def _numeric_ns_maximum() -> float:
     return float(best)
 
 
-def solve_biased_ns(verify: bool = True) -> BiasedNsParameters:
+def solve_biased_ns() -> BiasedNsParameters:
     """Balanced biased operating point eta2 = (3 - sqrt(2))/7, eta7 = 5 - 3*sqrt(2).
 
-    When ``verify`` is set the closed form is checked two ways: the
-    balance residuals must vanish, and a Newton solve of the two balance
+    The closed form is checked two ways: the balance residuals must
+    vanish, and a Newton solve of the two balance
     equations (``_newton``) started from (0.2, 0.8) must land on the same
     point to 1e-9 rather than on the degenerate eta2 = 1/2, eta7 = 1 root
     where the one-photon amplitude vanishes.
     """
     params = balanced_biased_parameters()
-    if verify:
-        lams = biased_ns_amplitudes(params)
-        if balance_residual(lams) > 1e-12:
-            raise RuntimeError(f"biased closed form unbalanced: {lams}")
+    lams = biased_ns_amplitudes(params)
+    if balance_residual(lams) > 1e-12:
+        raise RuntimeError(f"biased closed form unbalanced: {lams}")
 
-        def residuals(x):
-            e2 = min(max(x[0], 0.0), 1.0)
-            e7 = min(max(x[1], 0.0), 1.0)
-            a0, a1, a2 = biased_ns_amplitudes(BiasedNsParameters(e2, e7))
-            return [a0 - a1, a0 + a2]
+    def residuals(x):
+        e2 = min(max(x[0], 0.0), 1.0)
+        e7 = min(max(x[1], 0.0), 1.0)
+        a0, a1, a2 = biased_ns_amplitudes(BiasedNsParameters(e2, e7))
+        return [a0 - a1, a0 + a2]
 
-        root = _newton(residuals, (0.2, 0.8), 1e-13)
-        if root is None:
-            raise RuntimeError("numeric cross-check of biased solution failed")
-        e2, e7 = root
-        if abs(e2 - params.eta2) > 1e-9 or abs(e7 - params.eta7) > 1e-9:
-            raise RuntimeError(
-                f"numeric root ({e2}, {e7}) disagrees with the closed form"
-            )
-        if abs(biased_ns_amplitudes(BiasedNsParameters(e2, e7))[1]) < 1e-6:
-            raise RuntimeError("root-find landed on the degenerate l1 = 0 point")
+    root = _newton(residuals, (0.2, 0.8), 1e-13)
+    if root is None:
+        raise RuntimeError("numeric cross-check of biased solution failed")
+    e2, e7 = root
+    if abs(e2 - params.eta2) > 1e-9 or abs(e7 - params.eta7) > 1e-9:
+        raise RuntimeError(f"numeric root ({e2}, {e7}) disagrees with the closed form")
+    if abs(biased_ns_amplitudes(BiasedNsParameters(e2, e7))[1]) < 1e-6:
+        raise RuntimeError("root-find landed on the degenerate l1 = 0 point")
     return params
 
 

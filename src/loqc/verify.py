@@ -593,8 +593,6 @@ def _batched_logical_errors(
     size of the intermediate arrays.
     """
     pattern = base.detection
-    if pattern is None:
-        raise ValueError("circuit has no heralding detection pattern")
     inputs = [
         next(iter(encode_logical(logical_pair(label), base).amplitudes))
         for label in BASIS_INPUTS

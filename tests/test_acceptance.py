@@ -118,7 +118,7 @@ def test_criterion_2_full_cnot_truth_table_and_moments():
 
 
 def test_criterion_3_biased_ns_solver():
-    solved = solve_biased_ns(verify=True)
+    solved = solve_biased_ns()
     eta2_closed = (3.0 - SQRT2) / 7.0
     eta7_closed = 5.0 - 3.0 * SQRT2
     dev = max(abs(solved.eta2 - eta2_closed), abs(solved.eta7 - eta7_closed))

@@ -176,3 +176,70 @@ def test_counts_must_be_integers_not_coerced(doc, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["run-circuit", str(path), "--input", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            _with("elements", [{"a": "s", "b": "a", "eta": [0.5], "grey": "s"}]),
+            "reflectivity must be a number or token, got [0.5]",
+        ),
+        (
+            _with("elements", [{"a": 7, "b": "a", "eta": 0.5, "grey": "a"}]),
+            "elements[0]: mode index 7 outside 0..2",
+        ),
+        (
+            _with("elements", [{"a": 1.5, "b": "a", "eta": 0.5, "grey": "a"}]),
+            "elements[0]: mode reference must be a label or index",
+        ),
+        ([GOOD], "top-level value must be an object"),
+        (_with("labels", ["s", "a"]), "labels must be 3 strings, got ['s', 'a']"),
+        (
+            _with("labels", ["s", "a", 2]),
+            "labels must be 3 strings, got ['s', 'a', 2]",
+        ),
+        (_with("elements", ["s"]), "elements[0]: must be an object"),
+        (
+            _with("elements", [{"a": "s", "b": "a", "eta": 0.5}]),
+            "elements[0]: missing field 'grey'",
+        ),
+        (_with("detection", [["a", 1]]), "detection must be an object"),
+        (
+            _with("detection.groups", [[["s"]]]),
+            "detection.groups[0]: must be [modes, total]",
+        ),
+        (_with("detection.groups", [5]), "detection.groups[0]: must be [modes, total]"),
+        (
+            _with("detection.groups", [[["s", "a"], 1]]),
+            "detection: modes [1] appear in more than one constraint",
+        ),
+    ],
+    ids=[
+        "eta-type",
+        "mode-index-range",
+        "mode-reference-type",
+        "top-level-not-object",
+        "labels-count",
+        "labels-type",
+        "element-not-object",
+        "element-missing-field",
+        "detection-not-object",
+        "group-short",
+        "group-not-pair",
+        "overlapping-constraints",
+    ],
+)
+def test_file_shape_errors_say_what_and_where(doc, message):
+    with pytest.raises(CircuitFileError) as err:
+        circuit_from_dict(doc)
+    assert str(err.value) == message
+
+
+def test_round_trip_keeps_a_detection_group():
+    doc = _with("detection", {"exact": {"a": 1}, "groups": [[["v", "s"], 1]]})
+    circuit = circuit_from_dict(doc)
+    assert circuit.detection.groups == (((0, 2), 1),)
+    written = circuit_to_dict(circuit)
+    assert written["detection"] == {"exact": {"a": 1}, "groups": [[["s", "v"], 1]]}
+    assert circuit_from_dict(json.loads(json.dumps(written))) == circuit

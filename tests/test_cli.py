@@ -333,3 +333,79 @@ def test_successive_calls_do_not_share_parsed_values(tmp_path):
     inputs = read_doc(out)["inputs"]
     assert inputs["samples"] == 100
     assert inputs["mode"] == "corners"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ns-verify", "--json", "{missing}/x.json"],
+        ["sweep", "--mode", "random", "--samples", "3", "--csv", "{missing}/x.csv"],
+    ],
+    ids=["json", "csv"],
+)
+def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys, argv):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ns-verify", "--eta7", "0.5"], "ns-verify: --eta7 requires --biased"),
+        (
+            ["ns-verify", "--biased", "--eta1", "0.5"],
+            "ns-verify: --eta1/--eta3 do not apply to --biased",
+        ),
+        (["ns-verify", "--eta1", "2"], "ns-verify: eta1 = 2.0 outside [0, 1]"),
+        (
+            ["intermediate", "cnot", "--input", "VH", "--cut", "z"],
+            "intermediate: gate 'cnot' has no cut 'z'; available: ['x', 'y']",
+        ),
+        (
+            ["run-circuit", "{missing}", "--input", "1"],
+            "run-circuit: cannot read {missing}: "
+            "[Errno 2] No such file or directory: '{missing}'",
+        ),
+        (["run-circuit", "{ns}", "--input", "x"], "run-circuit: cannot parse --input 'x'"),
+        (
+            ["run-circuit", "{ns}", "--input", "1,2"],
+            "run-circuit: --input needs 1 non-negative counts for modes ['s']",
+        ),
+        (
+            ["run-circuit", "{ns}", "--input", "5"],
+            "run-circuit: 6 photons exceeds the supported maximum of 4",
+        ),
+        (
+            ["sweep", "--magnitude", "nan"],
+            "sweep: magnitude must be a number >= 0 with 2 * magnitude finite, got nan",
+        ),
+        (
+            ["sweep", "--mode", "random", "--samples", "0"],
+            "sweep: sweep evaluated no perturbations",
+        ),
+    ],
+    ids=[
+        "eta7-without-biased",
+        "eta1-with-biased",
+        "eta-out-of-range",
+        "unknown-cut",
+        "missing-file",
+        "unparseable-input",
+        "wrong-input-count",
+        "photon-cap",
+        "nan-magnitude",
+        "no-samples",
+    ],
+)
+def test_errors_exit_2_with_one_stderr_line(tmp_path, capsys, argv, message):
+    ns = tmp_path / "ns.json"
+    ns.write_text(json.dumps(NS_FILE))
+    paths = {"ns": ns, "missing": tmp_path / "missing.json"}
+    assert run([a.format(**paths) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message.format(**paths) + "\n"

@@ -127,6 +127,37 @@ def test_evolve_guards_sector_and_photon_cap():
         evolve(too_many, PAIR)
 
 
+@pytest.mark.parametrize(
+    "input_occ, output_occ, message",
+    [
+        ((1, 0, 0), (1, 0), "occupations must have 2 modes, got 3 and 2"),
+        ((1, 0), (1, 0, 0), "occupations must have 2 modes, got 2 and 3"),
+        ((1, 0), (1, 1), "photon number not conserved: 1 in, 2 out"),
+        (
+            (MAX_PHOTONS + 1, 0),
+            (0, MAX_PHOTONS + 1),
+            f"{MAX_PHOTONS + 1} photons exceeds the supported maximum of {MAX_PHOTONS}",
+        ),
+    ],
+    ids=["input-modes", "output-modes", "photon-conservation", "photon-cap"],
+)
+def test_oracle_rejects_bad_queries(input_occ, output_occ, message):
+    query = AmplitudeQuery(np.eye(2), input_occ, output_occ)
+    with pytest.raises(ValueError) as err:
+        oracle_amplitude(query)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "element, bad",
+    [(Beamsplitter(0, 2, 0.5, grey=2), 2), (Beamsplitter(-1, 1, 0.5, grey=1), -1)],
+)
+def test_apply_element_rejects_a_mode_outside_the_state(element, bad):
+    with pytest.raises(ValueError) as err:
+        apply_element(basis_state(2, (1, 1)), element)
+    assert str(err.value) == f"element mode {bad} outside 0..1"
+
+
 def test_permanent_known_values():
     assert permanent(np.zeros((0, 0))) == 1.0 + 0j
     assert permanent(np.array([[7.0]])) == 7.0 + 0j

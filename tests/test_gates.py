@@ -96,12 +96,12 @@ def test_balanced_biased_point_satisfies_exact_algebra():
 
 
 def test_solvers_recover_closed_forms():
-    p, amplitude = solve_optimal_ns(verify=True)
+    p, amplitude = solve_optimal_ns()
     assert p.eta2 == pytest.approx(ETA2_NS, abs=1e-12)
     assert p.eta1 == pytest.approx(ETA13_NS, abs=1e-12)
     assert p.eta3 == pytest.approx(ETA13_NS, abs=1e-12)
     assert amplitude == pytest.approx(0.5, abs=1e-12)
-    b = solve_biased_ns(verify=True)
+    b = solve_biased_ns()
     assert b.eta2 == pytest.approx(ETA2_BIASED, abs=1e-12)
     assert b.eta7 == pytest.approx(ETA7_BIASED, abs=1e-12)
 
@@ -115,7 +115,7 @@ def test_numeric_ns_check_evaluates_the_map_once_per_point(monkeypatch):
         return real_map(p)
 
     monkeypatch.setattr(gates, "ns_conditional_map", counting_map)
-    solve_optimal_ns(verify=True)
+    solve_optimal_ns()
     # 1663 when each of two scalar balance constraints evaluated it twice
     assert len(calls) < 1000
 
@@ -131,7 +131,7 @@ def test_numeric_ns_check_rejects_a_wrong_closed_form(monkeypatch, eta13, messag
     wrong = NsParameters(eta13, ETA2_NS, eta13)
     monkeypatch.setattr(gates, "optimal_ns_parameters", lambda: wrong)
     with pytest.raises(RuntimeError, match=message):
-        solve_optimal_ns(verify=True)
+        solve_optimal_ns()
 
 
 @pytest.mark.parametrize("start", gates._NS_STARTS)
@@ -207,6 +207,38 @@ def test_encode_decode_roundtrip():
     assert leakage == pytest.approx(0.0)
     with pytest.raises(ValueError):
         dual_rail_ket("QQ")
+
+
+def test_decode_rejects_a_state_that_is_not_four_modes():
+    with pytest.raises(ValueError) as err:
+        decode_logical(basis_state(3, (1, 0, 0)))
+    assert str(err.value) == "decode expects a 4-mode state, got 3"
+
+
+@pytest.mark.parametrize(
+    "f, x0, tol, n_calls",
+    [
+        # f ignores x[1]: the Jacobian's second column is exactly zero, so
+        # the first solve fails after f(x0) and two difference columns
+        (lambda x: [x[0] - 1.0, x[0] - 2.0], (0.0, 0.0), 1e-10, 3),
+        # |x| + 1 has its minimum 1 at the start: f(x0), one difference
+        # column and every halving of the step, none of which lowers ||f||
+        (lambda x: [abs(x[0]) + 1.0], (0.0,), 1e-10, 2 + gates._MAX_HALVINGS),
+        # exp(x) falls by ~1/e per step and never reaches the tolerance:
+        # f(x0), then one difference column and one full step per step
+        (lambda x: [np.exp(x[0])], (0.0,), 1e-30, 1 + 2 * gates._MAX_STEPS),
+    ],
+    ids=["singular-jacobian", "no-halving-lowers-norm", "step-cap"],
+)
+def test_newton_reports_each_failed_start_as_none(f, x0, tol, n_calls):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    assert gates._newton(counted, x0, tol) is None
+    assert len(calls) == n_calls
 
 
 def test_cnot_image_is_an_involution():
