@@ -113,8 +113,8 @@ def test_heralded_evolution_of_worst_corner(benchmark):
 
 def test_truth_table_cnot(benchmark):
     report = benchmark(truth_table, "cnot")
-    assert report.passed
-    assert report.max_deviation < 1e-10
+    assert report["passed"]
+    assert report["max_deviation"] < 1e-10
 
 
 def test_permanent_k4(benchmark):

@@ -12,7 +12,6 @@ from .elements import (
 from .evolve import AmplitudeQuery, apply_element, evolve, oracle_amplitude, permanent
 from .fock import (
     FockStateVector,
-    SectorMismatchError,
     basis_state,
     enumerate_basis,
     inner_product,

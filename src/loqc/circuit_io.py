@@ -153,9 +153,9 @@ def circuit_from_dict(doc: dict) -> Circuit:
         detection=detection,
         cuts={name: _count(k, f"cuts[{name!r}]") for name, k in cuts.items()},
     )
-    report = validate_circuit(circuit)
-    if not report.valid:
-        raise CircuitFileError("; ".join(report.issues))
+    issues = validate_circuit(circuit)
+    if issues:
+        raise CircuitFileError("; ".join(issues))
     return circuit
 
 

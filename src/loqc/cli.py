@@ -15,7 +15,8 @@ Every command accepts --json PATH to write a machine-readable report whose
 ``inputs`` echo every parsed argument except the output paths; reports are
 byte-identical across runs for the same flags (randomized sweeps take
 --rng-seed). Exit codes: 0 all checks passed, 1 at least one check failed,
-2 usage or input error, or a report or CSV path that cannot be written.
+2 usage or input error, or a report or CSV path that cannot be written; a
+path that is a directory or under a missing one prints and writes nothing.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -36,8 +39,9 @@ from .postselect import condition
 
 CNOT_GATES = ("cnot", "cnot-simplified")
 
+_OUTPUTS = ("json", "csv")  # parsed arguments that name output files
 # parsed arguments that are not inputs of the command's computation
-_NOT_INPUTS = ("command", "handler", "json", "csv")
+_NOT_INPUTS = ("command", "handler") + _OUTPUTS
 
 
 def _jsonable(value):
@@ -146,21 +150,16 @@ def _cmd_ns_verify(args) -> int:
 
 def _cmd_truth_table(args) -> int:
     report = verify.truth_table(args.gate, args.conditioning)
-    results = {
-        "rows": report.rows,
-        "moments": report.moments,
-        "max_deviation": report.max_deviation,
-    }
     print(f"truth table for {args.gate} ({args.conditioning} conditioning)")
-    for row in report.rows:
+    for row in report["rows"]:
         print(
             f"  {row['input']} -> {row['decoded']} (expected {row['expected']})"
             f"  p={_fmt(row['probability'])}  leakage={_fmt(row['leakage'])}"
         )
-    for check in report.checks:
+    for check in report["checks"]:
         status = "ok" if check["pass"] else "FAILED"
         print(f"  [{status}] {check['name']}: {_fmt(check['value'])}")
-    return _finish(args, results, report.checks)
+    return _finish(args, _results(report), report["checks"])
 
 
 def _cmd_moments(args) -> int:
@@ -280,7 +279,7 @@ def _cmd_solve_params(args) -> int:
 
 def _cmd_run_circuit(args) -> int:
     circuit = load_circuit(args.file)
-    user_modes = circuit.user_modes()
+    user_modes = [m for m in range(circuit.n_modes) if m not in circuit.ancilla_prep]
     try:
         counts = [int(tok) for tok in args.input.split(",")]
     except ValueError:
@@ -384,6 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # refuse an output path with the error its write would raise, up front
+        for path in (getattr(args, k, None) for k in _OUTPUTS):
+            if path is None:
+                continue
+            if Path(path).is_dir() or not Path(path).parent.is_dir():
+                code = errno.EISDIR if Path(path).is_dir() else errno.ENOENT
+                raise OSError(code, os.strerror(code), path)
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -63,7 +63,7 @@ class Beamsplitter:
     ``grey`` must equal ``mode_a`` or ``mode_b`` and names the mode whose
     reflection is sign-flipped. Construction is permissive so that
     circuits read from files can be inspected; ``validate_circuit``
-    reports violations and ``matrix`` refuses to evaluate them.
+    reports violations and ``grey_port`` refuses them.
     """
 
     mode_a: int
@@ -85,9 +85,6 @@ class Beamsplitter:
             f"grey mode {self.grey} is neither mode {self.mode_a} nor "
             f"mode {self.mode_b}"
         )
-
-    def matrix(self) -> np.ndarray:
-        return beamsplitter_matrix(self.reflectivity, self.grey_port())
 
 
 @dataclass(frozen=True)
@@ -116,9 +113,6 @@ class Circuit:
                 f"no mode labeled {label!r}; have {list(self.labels)}"
             ) from None
 
-    def user_modes(self) -> tuple[int, ...]:
-        return tuple(m for m in range(self.n_modes) if m not in self.ancilla_prep)
-
     def prepared_occupation(self, photons: dict[int, int]) -> Occupation:
         """Input occupation with ``photons[m]`` photons on mode m plus the
         ancilla preparation."""
@@ -137,14 +131,8 @@ class Circuit:
         return self.elements[:upto]
 
 
-@dataclass
-class ValidationReport:
-    valid: bool
-    issues: list[str]
-
-
-def validate_circuit(circuit: Circuit) -> ValidationReport:
-    """Check structural consistency; returns a report instead of raising."""
+def validate_circuit(circuit: Circuit) -> list[str]:
+    """Check structural consistency; returns the issues, none if valid."""
     issues: list[str] = []
     n = circuit.n_modes
     if n < 1:
@@ -183,7 +171,7 @@ def validate_circuit(circuit: Circuit) -> ValidationReport:
     for name, k in circuit.cuts.items():
         if k < 0 or k > len(circuit.elements):
             issues.append(f"cut {name!r} at {k} outside 0..{len(circuit.elements)}")
-    return ValidationReport(valid=not issues, issues=issues)
+    return issues
 
 
 def transfer_matrices(circuit: Circuit, reflectivities) -> np.ndarray:

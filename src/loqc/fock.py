@@ -27,10 +27,6 @@ Occupation = tuple[int, ...]
 PRUNE_TOL = 1e-14
 
 
-class SectorMismatchError(ValueError):
-    """Occupations disagree on mode count or total photon number."""
-
-
 def enumerate_basis(n_modes: int, total_photons: int) -> list[Occupation]:
     """All occupations of ``total_photons`` over ``n_modes`` modes.
 
@@ -56,9 +52,7 @@ def enumerate_basis(n_modes: int, total_photons: int) -> list[Occupation]:
 
 def _check_occupation(occ: Occupation, n_modes: int) -> None:
     if len(occ) != n_modes:
-        raise SectorMismatchError(
-            f"occupation {occ} has {len(occ)} modes, expected {n_modes}"
-        )
+        raise ValueError(f"occupation {occ} has {len(occ)} modes, expected {n_modes}")
     if any((not isinstance(k, int)) or k < 0 for k in occ):
         raise ValueError(f"occupation {occ} must hold non-negative integers")
 
@@ -84,7 +78,7 @@ class FockStateVector:
             occ = tuple(occ)
             _check_occupation(occ, self.n_modes)
             if sum(occ) != self.total_photons:
-                raise SectorMismatchError(
+                raise ValueError(
                     f"occupation {occ} has {sum(occ)} photons, expected "
                     f"{self.total_photons}"
                 )
@@ -139,7 +133,7 @@ class FockStateVector:
             self.n_modes != other.n_modes
             or self.total_photons != other.total_photons
         ):
-            raise SectorMismatchError(
+            raise ValueError(
                 f"sectors differ: ({self.n_modes} modes, {self.total_photons} "
                 f"photons) vs ({other.n_modes} modes, {other.total_photons} photons)"
             )

@@ -14,9 +14,18 @@ keeps the same modes as heralding does.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .fock import FockStateVector, Occupation
+
+
+def _natural(value, what: str) -> int:
+    """A mode, count or total as an int; negative numbers, floats and
+    booleans are rejected, not coerced."""
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -32,15 +41,14 @@ class DetectionPattern:
     groups: tuple[tuple[tuple[int, ...], int], ...] = ()
 
     def __post_init__(self):
-        exact = {int(m): int(k) for m, k in self.exact.items()}
-        if any(k < 0 for k in exact.values()):
-            raise ValueError("exact photon counts must be non-negative")
+        exact = {
+            _natural(m, "mode"): _natural(k, "count") for m, k in self.exact.items()
+        }
         norm_groups = []
         seen: set[int] = set(exact)
         for modes, total in self.groups:
-            modes = tuple(sorted(int(m) for m in modes))
-            if int(total) < 0:
-                raise ValueError("group totals must be non-negative")
+            modes = tuple(sorted(_natural(m, "mode") for m in modes))
+            total = _natural(total, "group total")
             if len(set(modes)) != len(modes):
                 raise ValueError(f"group {modes} repeats a mode")
             overlap = seen.intersection(modes)
@@ -49,15 +57,9 @@ class DetectionPattern:
                     f"modes {sorted(overlap)} appear in more than one constraint"
                 )
             seen.update(modes)
-            norm_groups.append((modes, int(total)))
+            norm_groups.append((modes, total))
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "groups", tuple(norm_groups))
-
-    def modes(self) -> set[int]:
-        out = set(self.exact)
-        for group_modes, _ in self.groups:
-            out.update(group_modes)
-        return out
 
     def matches(self, occ: Occupation) -> bool:
         """Whether a ket meets every exact count and group total."""
@@ -70,7 +72,8 @@ class DetectionPattern:
         return True
 
     def validate_for(self, n_modes: int) -> None:
-        bad = [m for m in self.modes() if m < 0 or m >= n_modes]
+        modes = [*self.exact, *(m for group, _ in self.groups for m in group)]
+        bad = [m for m in modes if m >= n_modes]
         if bad:
             raise ValueError(
                 f"detection pattern references modes {sorted(bad)} outside "

@@ -172,17 +172,6 @@ def _decoded(label: str, state4: FockStateVector | None):
 # truth table and moments
 
 
-@dataclass
-class GateReport:
-    gate: str
-    conditioning: str
-    rows: list[dict]
-    moments: dict[str, dict[str, float]]
-    max_deviation: float
-    checks: list[dict]
-    passed: bool
-
-
 def _expected_success(gate_name: str) -> tuple[float, float]:
     """(expected per-input success probability, tolerance)."""
     if gate_name == "cnot":
@@ -251,9 +240,10 @@ def moment_report(gate: str, input_label: str | None = None) -> dict:
     }
 
 
-def truth_table(gate: str, conditioning: str = "heralded") -> GateReport:
+def truth_table(gate: str, conditioning: str = "heralded") -> dict:
     """Evolve all four computational basis inputs and check the gate logic.
 
+    Returns rows, per-input moments, max_deviation, checks and passed.
     Each row records the conditioned output's logical amplitudes, its
     success probability and the leakage outside the dual-rail subspace.
     The row is correct when the normalized output sits entirely on the
@@ -301,16 +291,13 @@ def truth_table(gate: str, conditioning: str = "heralded") -> GateReport:
         check("signal moment deviation", moment_dev, p_tol),
         check("cross moments", cross_max, 1e-12),
     ]
-    max_dev = max(map_dev, prob_dev, moment_dev, cross_max)
-    return GateReport(
-        gate=gate,
-        conditioning=conditioning,
-        rows=rows,
-        moments=moments,
-        max_deviation=max_dev,
-        checks=checks,
-        passed=all(c["pass"] for c in checks),
-    )
+    return {
+        "rows": rows,
+        "moments": moments,
+        "max_deviation": max(map_dev, prob_dev, moment_dev, cross_max),
+        "checks": checks,
+        "passed": all(c["pass"] for c in checks),
+    }
 
 
 # ---------------------------------------------------------------------------

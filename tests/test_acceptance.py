@@ -96,16 +96,16 @@ def test_criterion_2_full_cnot_truth_table_and_moments():
     report = truth_table("cnot")
     map_ok = all(
         row["decoded"] == CNOT_IMAGE[row["input"]] and row["leakage"] < 1e-10
-        for row in report.rows
+        for row in report["rows"]
     )
     signal_dev = max(
-        abs(report.moments[label][CNOT_IMAGE[label]] - 1.0 / 16.0)
+        abs(report["moments"][label][CNOT_IMAGE[label]] - 1.0 / 16.0)
         for label in BASIS_INPUTS
     )
     cross = max(
         value
         for label in BASIS_INPUTS
-        for combo, value in report.moments[label].items()
+        for combo, value in report["moments"][label].items()
         if combo != CNOT_IMAGE[label]
     )
     ok = map_ok and signal_dev < 1e-10 and cross < 1e-12
@@ -139,10 +139,10 @@ def test_criterion_4_simplified_cnot():
     report = truth_table("cnot-simplified")
     map_ok = all(
         row["decoded"] == CNOT_IMAGE[row["input"]] and row["leakage"] < 1e-10
-        for row in report.rows
+        for row in report["rows"]
     )
     p_target = ((3.0 - SQRT2) / 7.0) ** 2
-    p_dev = max(abs(row["probability"] - p_target) for row in report.rows)
+    p_dev = max(abs(row["probability"] - p_target) for row in report["rows"])
     ok = map_ok and p_dev < 1e-7
     assert _line(
         4,

@@ -340,16 +340,25 @@ def test_successive_calls_do_not_share_parsed_values(tmp_path):
     [
         ["ns-verify", "--json", "{missing}/x.json"],
         ["sweep", "--mode", "random", "--samples", "3", "--csv", "{missing}/x.csv"],
+        ["ns-verify", "--json", "{tmp}"],
+        ["ns-verify", "--json", ""],
+        [
+            "sweep", "--mode", "random", "--samples", "3",
+            "--csv", "{tmp}/ok.csv", "--json", "{missing}/x.json",
+        ],
     ],
-    ids=["json", "csv"],
+    ids=["json", "csv", "json-directory", "json-empty", "csv-then-bad-json"],
 )
 def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys, argv):
-    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv]
     assert run(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith(f"{argv[0]}: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    # the path is refused before the command prints or writes anything
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

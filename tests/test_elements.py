@@ -50,7 +50,9 @@ def test_beamsplitter_matrix_rejects_bad_arguments():
 def test_element_grey_port_and_matrix():
     el = Beamsplitter(2, 5, 0.3, grey=5, label="x")
     assert el.grey_port() == 1
-    assert np.allclose(el.matrix(), beamsplitter_matrix(0.3, 1))
+    assert np.allclose(
+        beamsplitter_matrix(el.reflectivity, el.grey_port()), beamsplitter_matrix(0.3, 1)
+    )
     el = Beamsplitter(2, 5, 0.3, grey=2)
     assert el.grey_port() == 0
     bad = Beamsplitter(2, 5, 0.3, grey=4)
@@ -58,7 +60,7 @@ def test_element_grey_port_and_matrix():
         bad.grey_port()
     degenerate = Beamsplitter(2, 2, 0.3, grey=2)
     with pytest.raises(ValueError):
-        degenerate.matrix()
+        beamsplitter_matrix(degenerate.reflectivity, degenerate.grey_port())
 
 
 def test_circuit_mode_lookup():
@@ -66,11 +68,6 @@ def test_circuit_mode_lookup():
     assert c.mode_index("out") == 1
     with pytest.raises(KeyError):
         c.mode_index("nope")
-    assert c.user_modes() == (0, 1)
-    c2 = Circuit(
-        2, ("in", "anc"), c.elements, ancilla_prep={1: 1}
-    )
-    assert c2.user_modes() == (0,)
 
 
 def test_validate_circuit_reports_every_issue():
@@ -85,9 +82,9 @@ def test_validate_circuit_reports_every_issue():
         detection=DetectionPattern(exact={9: 1}),
         cuts={"q": 7},
     )
-    report = validate_circuit(c)
-    assert not report.valid
-    text = "\n".join(report.issues)
+    issues = validate_circuit(c)
+    assert issues
+    text = "\n".join(issues)
     assert "labels are not unique" in text
     assert "mode 3 outside" in text
     assert "reflectivity 1.7" in text
@@ -96,13 +93,15 @@ def test_validate_circuit_reports_every_issue():
     assert "ancilla prep mode 5" in text
     assert "outside 0..1" in text
     assert "cut 'q'" in text
+    assert validate_circuit(Circuit(0, ("a",), ())) == [
+        "n_modes must be >= 1, got 0",
+        "1 labels for 0 modes",
+    ]
 
 
 def test_validate_circuit_accepts_good_circuits():
     for _ in range(10):
-        report = validate_circuit(random_circuit(RNG))
-        assert report.valid
-        assert report.issues == []
+        assert validate_circuit(random_circuit(RNG)) == []
 
 
 def test_compose_transfer_matrix_is_unitary():
@@ -117,9 +116,9 @@ def test_compose_transfer_matrix_order_and_prefix():
     e2 = Beamsplitter(1, 2, 0.8, grey=1)
     c = Circuit(3, ("a", "b", "c"), (e1, e2))
     u1 = np.eye(3, dtype=complex)
-    u1[:2, :2] = e1.matrix()
+    u1[:2, :2] = beamsplitter_matrix(e1.reflectivity, e1.grey_port())
     u2 = np.eye(3, dtype=complex)
-    u2[1:, 1:] = e2.matrix()
+    u2[1:, 1:] = beamsplitter_matrix(e2.reflectivity, e2.grey_port())
     assert np.allclose(compose_transfer_matrix(c), u2 @ u1, atol=1e-15)
     assert np.allclose(compose_transfer_matrix(c, upto=1), u1, atol=1e-15)
     assert np.allclose(compose_transfer_matrix(c, upto=0), np.eye(3), atol=1e-15)
@@ -139,7 +138,7 @@ def test_transfer_matrix_embeds_element_on_its_modes():
     el = Beamsplitter(1, 3, 0.42, grey=3)
     c = Circuit(4, ("a", "b", "c", "d"), (el,))
     u = compose_transfer_matrix(c)
-    block = el.matrix()
+    block = beamsplitter_matrix(el.reflectivity, el.grey_port())
     assert u[1, 1] == pytest.approx(block[0, 0])
     assert u[1, 3] == pytest.approx(block[0, 1])
     assert u[3, 1] == pytest.approx(block[1, 0])

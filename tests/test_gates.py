@@ -134,6 +134,35 @@ def test_numeric_ns_check_rejects_a_wrong_closed_form(monkeypatch, eta13, messag
         solve_optimal_ns()
 
 
+@pytest.mark.parametrize("root", [None, NsParameters(0.5, 0.5, 0.5)])
+def test_numeric_ns_check_fails_when_no_start_reaches_a_balanced_point(
+    monkeypatch, root
+):
+    # None: no start converges; (0.5, 0.5, 0.5) is far from balanced
+    monkeypatch.setattr(gates, "_ns_lagrange_root", lambda eta0: root)
+    with pytest.raises(RuntimeError, match="numeric NS verification failed to converge"):
+        solve_optimal_ns()
+
+
+@pytest.mark.parametrize(
+    "closed_form, root, message",
+    [
+        ((0.5, 0.5), (0.2, 0.8), r"biased closed form unbalanced"),
+        ((ETA2_BIASED, ETA7_BIASED), None, r"numeric cross-check .* failed"),
+        ((ETA2_BIASED, ETA7_BIASED), (0.5, 1.0), r"disagrees with the closed form"),
+        # (0, 0) is balanced, and the root agrees with it, but l1 vanishes there
+        ((0.0, 0.0), (0.0, 0.0), r"degenerate l1 = 0 point"),
+    ],
+)
+def test_biased_solver_guards(monkeypatch, closed_form, root, message):
+    closed = BiasedNsParameters(*closed_form)
+    monkeypatch.setattr(gates, "balanced_biased_parameters", lambda: closed)
+    found = None if root is None else np.array(root)
+    monkeypatch.setattr(gates, "_newton", lambda f, x0, tol: found)
+    with pytest.raises(RuntimeError, match=message):
+        solve_biased_ns()
+
+
 @pytest.mark.parametrize("start", gates._NS_STARTS)
 def test_each_numeric_ns_start_reaches_the_closed_form(start):
     p = gates._ns_lagrange_root(start)
@@ -146,8 +175,7 @@ def test_each_numeric_ns_start_reaches_the_closed_form(start):
 def test_gate_builders_produce_valid_circuits():
     for name in GATE_NAMES:
         circuit = gate_by_name(name)
-        report = validate_circuit(circuit)
-        assert report.valid, report.issues
+        assert validate_circuit(circuit) == []
         u = compose_transfer_matrix(circuit)
         assert np.allclose(u @ u.conj().T, np.eye(circuit.n_modes), atol=1e-12)
     with pytest.raises(ValueError):

@@ -23,14 +23,29 @@ def test_pattern_rejects_conflicting_constraints():
         DetectionPattern(exact={0: 1}, groups=(((0, 1), 1),))
     with pytest.raises(ValueError):
         DetectionPattern(groups=(((0, 1), 1), ((1, 2), 0)))
+    # floats and booleans are rejected, not truncated to integers
+    for bad in (
+        {"exact": {0: 1.7}},
+        {"exact": {0.9: True}},
+        {"exact": {0: True}},
+        {"groups": (((0, 1.5), 1),)},
+        {"groups": (((0, 1), 1.9),)},
+        {"groups": (((0, 1), False),)},
+    ):
+        with pytest.raises(ValueError, match="must be a non-negative integer"):
+            DetectionPattern(**bad)
+    p = DetectionPattern(exact={np.int64(3): np.int8(1)}, groups=(((np.int32(0), 1), 2),))
+    assert p.exact == {3: 1} and p.groups == (((0, 1), 2),)
 
 
 def test_pattern_modes_and_range_validation():
     p = DetectionPattern(exact={3: 1}, groups=(((0, 1), 2),))
-    assert p.modes() == {0, 1, 3}
     p.validate_for(4)
     with pytest.raises(ValueError):
         p.validate_for(3)
+    group = DetectionPattern(groups=(((0, 4), 1),))
+    with pytest.raises(ValueError, match=r"modes \[4\] outside 0\.\.3"):
+        group.validate_for(4)
 
 
 def test_condition_exact_counts():

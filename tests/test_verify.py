@@ -18,15 +18,18 @@ from conftest import (
     WORST_ERROR_REL_CORNERS_002,
 )
 from loqc import verify
-from loqc.evolve import permanent
-from loqc.fock import enumerate_basis
+from loqc.elements import compose_transfer_matrix
+from loqc.evolve import AmplitudeQuery, evolve, oracle_amplitude, permanent
+from loqc.fock import basis_state, enumerate_basis
 from loqc.gates import (
     BASIS_INPUTS,
     CNOT_IMAGE,
     ETA2_BIASED,
+    GATE_NAMES,
     build_cnot_circuit,
     build_simplified_cnot,
     decode_logical,
+    encode_logical,
     gate_by_name,
     logical_pair,
 )
@@ -48,8 +51,8 @@ from loqc.verify import (
 
 def test_truth_table_cnot_passes_all_checks():
     report = truth_table("cnot")
-    assert report.passed
-    for row in report.rows:
+    assert report["passed"]
+    for row in report["rows"]:
         assert row["decoded"] == CNOT_IMAGE[row["input"]]
         assert row["probability"] == pytest.approx(1.0 / 16.0, abs=1e-10)
         assert row["leakage"] < 1e-12
@@ -58,8 +61,8 @@ def test_truth_table_cnot_passes_all_checks():
 
 def test_truth_table_simplified_passes_all_checks():
     report = truth_table("cnot-simplified")
-    assert report.passed
-    for row in report.rows:
+    assert report["passed"]
+    for row in report["rows"]:
         assert row["decoded"] == CNOT_IMAGE[row["input"]]
         assert row["probability"] == pytest.approx(ETA2_BIASED**2, abs=1e-12)
 
@@ -69,11 +72,18 @@ def test_truth_table_amplitude_signs():
     # control-H rows; it is unobservable per basis input but pinned here
     expected_sign = {"HH": 1.0, "HV": 1.0, "VH": -1.0, "VV": -1.0}
     report = truth_table("cnot")
-    for row in report.rows:
+    for row in report["rows"]:
         amp = complex(row["amplitudes"][row["expected"]])
         phase = amp / abs(amp)
         assert phase.real == pytest.approx(expected_sign[row["input"]], abs=1e-10)
         assert phase.imag == pytest.approx(0.0, abs=1e-10)
+
+
+def test_truth_table_rejects_unknown_conditioning_and_gate():
+    with pytest.raises(ValueError, match="unknown conditioning mode 'bogus'"):
+        truth_table("cnot", "bogus")
+    with pytest.raises(ValueError, match="no truth table defined for gate 'ns'"):
+        truth_table("ns")
 
 
 def test_truth_table_evolves_each_input_once(monkeypatch):
@@ -87,7 +97,7 @@ def test_truth_table_evolves_each_input_once(monkeypatch):
     monkeypatch.setattr(verify, "evolve", counting_evolve)
     for conditioning in ("heralded", "coincidence"):
         calls.clear()
-        assert truth_table("cnot", conditioning).passed
+        assert truth_table("cnot", conditioning)["passed"]
         assert len(calls) == len(BASIS_INPUTS)
 
 
@@ -104,7 +114,7 @@ def test_truth_table_evolves_only_kets_the_heralds_can_keep(monkeypatch):
         return real_apply(state, element)
 
     monkeypatch.setattr(evolve_module, "apply_element", counting_apply)
-    assert truth_table("cnot").passed
+    assert truth_table("cnot")["passed"]
     assert sum(kets_in) <= 300
 
 
@@ -251,6 +261,12 @@ def test_interior_state_check_rejects_unknown_cut_and_input():
         intermediate_state_check("cnot", "HH", "z")
     with pytest.raises(ValueError):
         intermediate_state_check("cnot", "+H", "x")
+    with pytest.raises(ValueError, match="no closed-form state at cut 'z' for cnot"):
+        reference_interior_state("cnot", "z", "HH")
+    with pytest.raises(ValueError, match="at cut 'x' for cnot-simplified"):
+        reference_interior_state("cnot-simplified", "x", "HH")
+    with pytest.raises(ValueError, match="no interior states defined for gate 'ns'"):
+        reference_interior_state("ns", "x", "HH")
 
 
 def test_dual_path_consistency_all_gates():
@@ -258,6 +274,27 @@ def test_dual_path_consistency_all_gates():
     assert heisenberg_consistency("ns-biased") < 1e-12
     assert heisenberg_consistency("cnot") < 1e-10
     assert heisenberg_consistency("cnot-simplified") < 1e-10
+
+
+@pytest.mark.parametrize("gate", GATE_NAMES)
+def test_evolution_matches_the_oracle_over_the_whole_sector_at_every_cut(gate):
+    # complex amplitudes, phases included, on every ket of the output sector
+    circuit = gate_by_name(gate)
+    if gate in ("ns", "ns-biased"):
+        inputs = [
+            basis_state(circuit.n_modes, circuit.prepared_occupation({0: n}))
+            for n in range(3)
+        ]
+    else:
+        inputs = [encode_logical(logical_pair(l), circuit) for l in BASIS_INPUTS]
+    for upto in {None, *circuit.cuts.values()}:
+        transfer = compose_transfer_matrix(circuit, upto)
+        for state in inputs:
+            (input_occ,) = state.amplitudes
+            out = evolve(state, circuit, upto=upto)
+            for out_occ in enumerate_basis(circuit.n_modes, state.total_photons):
+                query = AmplitudeQuery(transfer, input_occ, out_occ)
+                assert abs(oracle_amplitude(query) - out.amplitude(out_occ)) < 1e-12
 
 
 def test_dual_path_consistency_sees_a_sign_error(monkeypatch):
