@@ -19,7 +19,8 @@ numbers or one of the symbolic tokens below, which resolve to the
 closed-form operating points so that files never carry rounded decimals.
 Photon counts and cut positions are non-negative integers (not booleans);
 a cut names the state after that many elements. ``ancilla_prep``,
-``detection`` and ``cuts`` are optional.
+``detection`` and ``cuts`` are optional. Lists, objects and labels must
+be JSON lists, objects and strings: another type is rejected, not converted.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from pathlib import Path
 
 from . import gates
 from .elements import Beamsplitter, Circuit, validate_circuit
-from .postselect import DetectionPattern
+from .postselect import DetectionPattern, _natural
 
 REFLECTIVITY_TOKENS = {
     "eta2_ns": gates.ETA2_NS,
@@ -57,13 +58,13 @@ def resolve_reflectivity(value) -> float:
     raise CircuitFileError(f"reflectivity must be a number or token, got {value!r}")
 
 
-def _count(value, where: str) -> int:
-    """A non-negative integer from the file; booleans and floats are
-    rejected rather than coerced."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise CircuitFileError(
-            f"{where}: must be a non-negative integer, got {value!r}"
-        )
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` if it has the JSON type ``kind``; no other is converted."""
+    if not isinstance(value, kind):
+        raise CircuitFileError(f"{where} must be {_JSON_TYPES[kind]}")
     return value
 
 
@@ -82,24 +83,31 @@ def _mode_ref(value, labels: tuple[str, ...], where: str) -> int:
 
 
 def circuit_from_dict(doc: dict) -> Circuit:
-    if not isinstance(doc, dict):
-        raise CircuitFileError("top-level value must be an object")
+    """The circuit a decoded JSON document describes; every error, those of
+    ``postselect._natural`` on counts included, is a CircuitFileError."""
+    try:
+        return _circuit(doc)
+    except ValueError as exc:
+        raise CircuitFileError(str(exc)) from None
+
+
+def _circuit(doc: dict) -> Circuit:
+    _typed(doc, dict, "top-level value")
     for key in ("n_modes", "labels", "elements"):
         if key not in doc:
             raise CircuitFileError(f"missing required field {key!r}")
     n_modes = doc["n_modes"]
     if isinstance(n_modes, bool) or not isinstance(n_modes, int) or n_modes < 1:
         raise CircuitFileError(f"n_modes must be a positive integer, got {n_modes!r}")
-    labels = tuple(doc["labels"])
+    labels = tuple(_typed(doc["labels"], list, "labels"))
     if len(labels) != n_modes or not all(isinstance(s, str) for s in labels):
         raise CircuitFileError(
             f"labels must be {n_modes} strings, got {doc['labels']!r}"
         )
     elements = []
-    for i, el in enumerate(doc["elements"]):
+    for i, el in enumerate(_typed(doc["elements"], list, "elements")):
         where = f"elements[{i}]"
-        if not isinstance(el, dict):
-            raise CircuitFileError(f"{where}: must be an object")
+        _typed(el, dict, f"{where}:")
         for key in ("a", "b", "eta", "grey"):
             if key not in el:
                 raise CircuitFileError(f"{where}: missing field {key!r}")
@@ -107,51 +115,50 @@ def circuit_from_dict(doc: dict) -> Circuit:
         b = _mode_ref(el["b"], labels, where)
         grey = _mode_ref(el["grey"], labels, where)
         eta = resolve_reflectivity(el["eta"])
-        elements.append(
-            Beamsplitter(a, b, eta, grey=grey, label=str(el.get("label", "")))
-        )
+        label = _typed(el.get("label", ""), str, f"{where}: label")
+        elements.append(Beamsplitter(a, b, eta, grey=grey, label=label))
     prep = {}
-    for ref, count in dict(doc.get("ancilla_prep", {})).items():
+    prep_doc = _typed(doc.get("ancilla_prep", {}), dict, "ancilla_prep")
+    for ref, count in prep_doc.items():
         mode = _mode_ref(ref, labels, "ancilla_prep")
-        prep[mode] = _count(count, f"ancilla_prep[{ref!r}]")
+        prep[mode] = _natural(count, f"ancilla_prep[{ref!r}]:")
     detection = None
     if "detection" in doc and doc["detection"] is not None:
-        det = doc["detection"]
-        if not isinstance(det, dict):
-            raise CircuitFileError("detection must be an object")
+        det = _typed(doc["detection"], dict, "detection")
+        exact_doc = _typed(det.get("exact", {}), dict, "detection.exact")
         exact = {
-            _mode_ref(ref, labels, "detection.exact"): _count(
-                count, f"detection.exact[{ref!r}]"
+            _mode_ref(ref, labels, "detection.exact"): _natural(
+                count, f"detection.exact[{ref!r}]:"
             )
-            for ref, count in dict(det.get("exact", {})).items()
+            for ref, count in exact_doc.items()
         }
         groups = []
-        for j, entry in enumerate(det.get("groups", [])):
+        groups_doc = _typed(det.get("groups", []), list, "detection.groups")
+        for j, entry in enumerate(groups_doc):
             where = f"detection.groups[{j}]"
             try:
                 modes, total = entry
             except (TypeError, ValueError):
                 raise CircuitFileError(f"{where}: must be [modes, total]") from None
+            modes = _typed(modes, list, f"{where}: modes")
             groups.append(
                 (
                     tuple(_mode_ref(m, labels, where) for m in modes),
-                    _count(total, f"{where} total"),
+                    _natural(total, f"{where} total:"),
                 )
             )
         try:
             detection = DetectionPattern(exact=exact, groups=tuple(groups))
         except ValueError as exc:
             raise CircuitFileError(f"detection: {exc}") from None
-    cuts = doc.get("cuts", {})
-    if not isinstance(cuts, dict):
-        raise CircuitFileError("cuts must be an object")
+    cuts = _typed(doc.get("cuts", {}), dict, "cuts")
     circuit = Circuit(
         n_modes=n_modes,
         labels=labels,
         elements=tuple(elements),
         ancilla_prep=prep,
         detection=detection,
-        cuts={name: _count(k, f"cuts[{name!r}]") for name, k in cuts.items()},
+        cuts={name: _natural(k, f"cuts[{name!r}]:") for name, k in cuts.items()},
     )
     issues = validate_circuit(circuit)
     if issues:

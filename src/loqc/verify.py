@@ -4,7 +4,9 @@ Truth tables, four-fold coincidence moment tables, Bell-state generation,
 interior-state comparisons against the closed-form kets, dual-path
 consistency between sequential evolution and the permanent oracle, and
 beamsplitter-error sensitivity sweeps. Every report takes a gate name
-(``gates.gate_by_name``).
+(``gates.gate_by_name``) and returns a dict with its ``checks`` and
+``passed``; the sweep's checks are that its errors lie in [0, 1] and, at
+magnitude <= 0.02, that its worst error is below 1e-2.
 
 Each CNOT readout rule has one home: ``coincidence_pattern`` (heralding
 plus one photon per rail pair), ``_sector`` (the kets a pattern keeps)
@@ -28,8 +30,8 @@ batch: ``elements.transfer_matrices`` for every perturbation at once,
 then Glynn permanents over the heralded output sector, the kets that
 ``DetectionPattern.matches`` keeps. The sparse evolution re-derives
 every distinct perturbation within 1e-12 of the batch's worst error and
-must agree with it to 1e-12; those sparse values are the ones the sweep
-reports as its worst case. ``heisenberg_consistency`` compares the
+must agree with it to 1e-12; its values replace the batched ones, so the
+sweep's worst case is a sparse one. ``heisenberg_consistency`` compares the
 complex amplitudes of sparse evolution with the permanent oracle on
 ``compose_transfer_matrix``.
 """
@@ -39,7 +41,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 # Imported at start-up so that a random sweep does not pay for loading
@@ -500,30 +501,6 @@ def heisenberg_consistency(gate: str) -> float:
 # sensitivity sweep
 
 
-@dataclass
-class SensitivityResult:
-    gate: str
-    model: str
-    magnitude: float
-    mode: str
-    n_evaluations: int
-    worst_error: float
-    mean_error: float
-    worst_input: str
-    worst_assignment: dict[str, float]
-    probability_min: float
-    probability_max: float
-    element_labels: list[str]
-    records: list[dict]
-
-    def to_dict(self) -> dict:
-        """The result without its per-vector records."""
-        # asdict deep-copies; leave the records out before it copies them
-        doc = dataclasses.asdict(dataclasses.replace(self, records=[]))
-        del doc["records"]
-        return doc
-
-
 # Perturbation vectors evaluated together by the batched sweep; bounds the
 # (block, inputs, kets, photons, photons) arrays of permanent submatrices.
 _SWEEP_BLOCK = 128
@@ -620,16 +597,6 @@ def _batched_logical_errors(
     return np.concatenate(errors), np.concatenate(probabilities)
 
 
-def _record(etas: list[float], errors: dict[str, float], probabilities) -> dict:
-    return {
-        "etas": etas,
-        "errors": errors,
-        "worst_error": max(errors.values()),
-        "probability_min": min(probabilities),
-        "probability_max": max(probabilities),
-    }
-
-
 def _sparse_logical_errors(circuit: Circuit) -> tuple[dict[str, float], list[float]]:
     """Per-input logical errors and heralding probabilities of one circuit
     by sparse evolution, the check on ``_batched_logical_errors``."""
@@ -648,7 +615,7 @@ def sensitivity_sweep(
     mode: str = "corners",
     samples: int = 100,
     seed: int = 0,
-) -> SensitivityResult:
+) -> dict:
     """Perturb every beamsplitter reflectivity and measure the logical error.
 
     "corners" enumerates all +/-magnitude sign patterns over the gate's
@@ -664,9 +631,14 @@ def sensitivity_sweep(
     reflectivity vector within 1e-12 of the batched worst error is then
     evaluated again, once, by sparse evolution (``_perturbed_circuit``,
     ``conditioned_logical_output``, ``decode_logical``); the two must agree
-    to 1e-12 per input in every record of that vector, and the sparse
-    values decide the worst error, input and assignment (first strict
-    maximum in sweep order) and replace the batched ones in those records.
+    to 1e-12 per input in every row of that vector, and the sparse values
+    replace the batched ones in those rows. The worst error, input and
+    assignment are the first maximum in sweep order, which is always such
+    a row.
+
+    Returns the report with one record per vector, its checks and passed.
+    The errors must lie in [0, 1]; at magnitude <= 0.02 the worst error
+    must also be below 1e-2.
     """
     base = gate_by_name(gate)
     # the random draw spans [-magnitude, magnitude], whose width must be finite
@@ -690,51 +662,54 @@ def sensitivity_sweep(
         raise ValueError("sweep evaluated no perturbations")
     etas = _perturbed_etas(base, deltas, model)
     errors, probabilities = _batched_logical_errors(base, etas)
-    records = [
-        _record(row_etas, dict(zip(BASIS_INPUTS, row_errors)), row_probs)
-        for row_etas, row_errors, row_probs in zip(
-            etas.tolist(), errors.tolist(), probabilities.tolist()
-        )
-    ]
-    worst = -1.0
-    worst_input = ""
-    worst_assignment: dict[str, float] = {}
     run_worst = errors.max(axis=1)
-    sparse: dict[tuple[float, ...], tuple[dict[str, float], list[float]]] = {}
+    sparse: dict[tuple[float, ...], np.ndarray] = {}
     for i in np.flatnonzero(run_worst >= run_worst.max() - 1e-12).tolist():
-        row = tuple(records[i]["etas"])
+        row = tuple(etas[i].tolist())
         if row not in sparse:
-            sparse[row] = _sparse_logical_errors(_perturbed_circuit(base, row))
-        run_errors, run_probs = sparse[row]
-        deviation = max(
-            abs(a - b)
-            for a, b in zip(
-                [*run_errors.values(), *run_probs],
-                [*errors[i].tolist(), *probabilities[i].tolist()],
-            )
-        )
+            run_errors, run_probs = _sparse_logical_errors(_perturbed_circuit(base, row))
+            sparse[row] = np.array([*run_errors.values(), *run_probs])
+        deviation = np.abs(sparse[row] - np.r_[errors[i], probabilities[i]]).max()
         if deviation > 1e-12:
             raise RuntimeError(
                 f"batched and sparse evaluations of sweep vector {i} differ "
                 f"by {deviation:.3e}"
             )
-        records[i] = _record(records[i]["etas"], dict(run_errors), run_probs)
-        if records[i]["worst_error"] > worst:
-            worst = records[i]["worst_error"]
-            worst_input = max(run_errors, key=run_errors.get)
-            worst_assignment = dict(zip(labels, records[i]["etas"]))
-    return SensitivityResult(
-        gate=gate,
-        model=model,
-        magnitude=magnitude,
-        mode=mode,
-        n_evaluations=len(records),
-        worst_error=worst,
-        mean_error=sum(r["worst_error"] for r in records) / len(records),
-        worst_input=worst_input,
-        worst_assignment=worst_assignment,
-        probability_min=min(r["probability_min"] for r in records),
-        probability_max=max(r["probability_max"] for r in records),
-        element_labels=labels,
-        records=records,
-    )
+        errors[i], probabilities[i] = np.split(sparse[row], 2)
+    records = [
+        {
+            "etas": row_etas,
+            "errors": dict(zip(BASIS_INPUTS, row_errors)),
+            "worst_error": max(row_errors),
+            "probability_min": min(row_probs),
+            "probability_max": max(row_probs),
+        }
+        for row_etas, row_errors, row_probs in zip(
+            etas.tolist(), errors.tolist(), probabilities.tolist()
+        )
+    ]
+    worst = int(errors.max(axis=1).argmax())
+    worst_error = records[worst]["worst_error"]
+    mean_error = sum(r["worst_error"] for r in records) / len(records)
+    # an error of exactly 1.0 is in range, so this verdict is not value < tolerance
+    in_range = 0.0 <= mean_error <= worst_error <= 1.0
+    checks = [check("errors within [0, 1]", worst_error, 1.0, in_range)]
+    if magnitude <= 0.02 + 1e-15:
+        checks.append(check("worst logical error below 1e-2", worst_error, 1e-2))
+    return {
+        "gate": gate,
+        "model": model,
+        "magnitude": magnitude,
+        "mode": mode,
+        "n_evaluations": len(records),
+        "worst_error": worst_error,
+        "mean_error": mean_error,
+        "worst_input": BASIS_INPUTS[int(errors[worst].argmax())],
+        "worst_assignment": dict(zip(labels, records[worst]["etas"])),
+        "probability_min": min(r["probability_min"] for r in records),
+        "probability_max": max(r["probability_max"] for r in records),
+        "element_labels": labels,
+        "records": records,
+        "checks": checks,
+        "passed": all(c["pass"] for c in checks),
+    }

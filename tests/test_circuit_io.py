@@ -157,6 +157,7 @@ def _with(path: str, value, doc=GOOD) -> dict:
         _with("cuts", {"mid": 4}),
         _with("cuts", [1]),
         {"n_modes": True, "labels": ["s"], "elements": []},
+        _with("labels", "sav"),
     ],
     ids=[
         "exact-float",
@@ -168,6 +169,7 @@ def _with(path: str, value, doc=GOOD) -> dict:
         "cut-out-of-range",
         "cuts-not-object",
         "n_modes-bool",
+        "labels-string",
     ],
 )
 def test_counts_must_be_integers_not_coerced(doc, tmp_path):
@@ -214,6 +216,30 @@ def test_counts_must_be_integers_not_coerced(doc, tmp_path):
             _with("detection.groups", [[["s", "a"], 1]]),
             "detection: modes [1] appear in more than one constraint",
         ),
+        # a value of the wrong JSON type is rejected, not iterated or converted
+        (_with("labels", 5), "labels must be a list"),
+        (_with("labels", "sav"), "labels must be a list"),
+        (_with("labels", {"s": 0, "a": 1, "v": 2}), "labels must be a list"),
+        (_with("elements", 5), "elements must be a list"),
+        (_with("ancilla_prep", 5), "ancilla_prep must be an object"),
+        (_with("ancilla_prep", [["a", 1]]), "ancilla_prep must be an object"),
+        (_with("detection", {"groups": 5}), "detection.groups must be a list"),
+        (
+            _with("detection.groups", [[5, 1]]),
+            "detection.groups[0]: modes must be a list",
+        ),
+        (
+            _with("detection", {"exact": [["a", 1]]}),
+            "detection.exact must be an object",
+        ),
+        (
+            _with("elements", [dict(GOOD["elements"][0], label={"x": 1})]),
+            "elements[0]: label must be a string",
+        ),
+        (
+            _with("elements", [dict(GOOD["elements"][0], label=None)]),
+            "elements[0]: label must be a string",
+        ),
     ],
     ids=[
         "eta-type",
@@ -228,6 +254,17 @@ def test_counts_must_be_integers_not_coerced(doc, tmp_path):
         "group-short",
         "group-not-pair",
         "overlapping-constraints",
+        "labels-number",
+        "labels-string",
+        "labels-object",
+        "elements-number",
+        "prep-number",
+        "prep-pairs",
+        "groups-number",
+        "group-modes-number",
+        "exact-pairs",
+        "element-label-object",
+        "element-label-null",
     ],
 )
 def test_file_shape_errors_say_what_and_where(doc, message):

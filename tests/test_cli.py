@@ -307,7 +307,7 @@ def test_sweep_csv_cells_are_plain_floats(tmp_path, gate, mode):
         header, *rows = list(csv.reader(fh))
     records = verify.sensitivity_sweep(
         gate, model="absolute", magnitude=0.03, mode=mode, samples=7, seed=4
-    ).records
+    )["records"]
     assert len(rows) == len(records)
     n_etas = header.index("error_HH")
     for row, record in zip(rows, records):

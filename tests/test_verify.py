@@ -307,40 +307,50 @@ def test_dual_path_consistency_sees_a_sign_error(monkeypatch):
 
 def test_sweep_zero_magnitude_has_zero_error():
     res = sensitivity_sweep("cnot", model="absolute", magnitude=0.0, mode="random", samples=4)
-    assert res.worst_error < 1e-13
-    assert res.mean_error < 1e-13
+    assert res["worst_error"] < 1e-13
+    assert res["mean_error"] < 1e-13
 
 
 def test_sweep_corner_count_and_regression_values():
     res = sensitivity_sweep("cnot", model="absolute", magnitude=0.02, mode="corners")
-    assert res.n_evaluations == 2**10
-    assert res.worst_error == pytest.approx(WORST_ERROR_ABS_CORNERS_002, abs=1e-12)
+    assert res["n_evaluations"] == 2**10
+    assert res["worst_error"] == pytest.approx(WORST_ERROR_ABS_CORNERS_002, abs=1e-12)
     rel = sensitivity_sweep("cnot", model="relative", magnitude=0.02, mode="corners")
-    assert rel.worst_error == pytest.approx(WORST_ERROR_REL_CORNERS_002, abs=1e-12)
-    assert rel.worst_error < 1e-2
+    assert rel["worst_error"] == pytest.approx(WORST_ERROR_REL_CORNERS_002, abs=1e-12)
+    assert rel["worst_error"] < 1e-2
+    # the sweep carries its verdict: at magnitude <= 0.02 the worst error
+    # must also be below 1e-2, which the absolute model misses
+    names = ["errors within [0, 1]", "worst logical error below 1e-2"]
+    assert [(c["name"], c["pass"]) for c in res["checks"]] == list(zip(names, [True, False]))
+    assert res["passed"] is False
+    assert [(c["name"], c["pass"]) for c in rel["checks"]] == list(zip(names, [True, True]))
+    assert rel["passed"] is True
 
 
 def test_sweep_random_mode_is_seeded_and_bounded():
     a = sensitivity_sweep("cnot", model="relative", magnitude=0.05, mode="random", samples=12, seed=5)
     b = sensitivity_sweep("cnot", model="relative", magnitude=0.05, mode="random", samples=12, seed=5)
     c = sensitivity_sweep("cnot", model="relative", magnitude=0.05, mode="random", samples=12, seed=6)
-    assert a.worst_error == b.worst_error
-    assert a.worst_error != c.worst_error
-    assert a.n_evaluations == 12
-    assert 0.0 <= a.mean_error <= a.worst_error <= 1.0
+    assert a["worst_error"] == b["worst_error"]
+    assert a["worst_error"] != c["worst_error"]
+    assert a["n_evaluations"] == 12
+    assert 0.0 <= a["mean_error"] <= a["worst_error"] <= 1.0
+    # above magnitude 0.02 only the range is checked
+    assert [c["name"] for c in a["checks"]] == ["errors within [0, 1]"]
+    assert a["passed"] is True
 
 
 def test_sweep_clamps_reflectivities_to_physical_range():
     res = sensitivity_sweep("cnot", model="absolute", magnitude=0.9, mode="random", samples=6, seed=1)
-    for record in res.records:
+    for record in res["records"]:
         for eta in record["etas"]:
             assert 0.0 <= eta <= 1.0
-    assert 0.0 <= res.worst_error <= 1.0
+    assert 0.0 <= res["worst_error"] <= 1.0
 
 
 def test_sweep_worst_error_is_monotone_in_magnitude():
     worst = [
-        sensitivity_sweep("cnot", model="absolute", magnitude=m, mode="random", samples=16, seed=11).worst_error
+        sensitivity_sweep("cnot", model="absolute", magnitude=m, mode="random", samples=16, seed=11)["worst_error"]
         for m in (1e-4, 1e-3, 1e-2)
     ]
     assert worst[0] <= worst[1] <= worst[2]
@@ -365,7 +375,7 @@ def test_sweep_records_match_sparse_evolution(gate, model, magnitude):
     base = gate_by_name(gate)
     res = sensitivity_sweep(gate, model=model, magnitude=magnitude, mode="random", samples=24, seed=1)
     zero_probability = 0
-    for record in res.records:
+    for record in res["records"]:
         circuit = dataclasses.replace(
             base,
             elements=tuple(
@@ -389,8 +399,8 @@ def test_sweep_records_match_sparse_evolution(gate, model, magnitude):
         assert record["worst_error"] == max(record["errors"].values())
     if magnitude == 0.9:
         assert zero_probability > 0
-        assert any(eta in (0.0, 1.0) for r in res.records for eta in r["etas"])
-        assert res.worst_error == 1.0
+        assert any(eta in (0.0, 1.0) for r in res["records"] for eta in r["etas"])
+        assert res["worst_error"] == 1.0
 
 
 def test_sweep_absolute_corner_ties_resolve_to_first_in_sweep_order():
@@ -398,15 +408,15 @@ def test_sweep_absolute_corner_ties_resolve_to_first_in_sweep_order():
     # order (B4 slowest, B1 fastest, - before +) is reported
     base = build_cnot_circuit()
     res = sensitivity_sweep("cnot", model="absolute", magnitude=0.02, mode="corners")
-    ties = [i for i, r in enumerate(res.records) if r["worst_error"] == res.worst_error]
+    ties = [i for i, r in enumerate(res["records"]) if r["worst_error"] == res["worst_error"]]
     assert ties == [86, 424, 599, 937]
-    assert res.worst_input == "VH"
+    assert res["worst_input"] == "VH"
     signs = "".join(
-        "+" if res.worst_assignment[el.label] > el.reflectivity else "-"
+        "+" if res["worst_assignment"][el.label] > el.reflectivity else "-"
         for el in base.elements
     )
     assert signs == "---+-+-++-"
-    assert res.records[86]["etas"] == list(res.worst_assignment.values())
+    assert res["records"][86]["etas"] == list(res["worst_assignment"].values())
 
 
 def test_sweep_rederives_each_distinct_tied_vector_once(monkeypatch):
@@ -421,10 +431,10 @@ def test_sweep_rederives_each_distinct_tied_vector_once(monkeypatch):
     monkeypatch.setattr(verify, "conditioned_logical_output", counting)
     res = sensitivity_sweep("cnot", model="absolute", magnitude=0.0, mode="corners")
     assert len(calls) == len(BASIS_INPUTS)
-    assert res.n_evaluations == 2**10
-    assert all(record == res.records[0] for record in res.records)
-    assert res.worst_error < 1e-13
-    assert res.worst_assignment == {
+    assert res["n_evaluations"] == 2**10
+    assert all(record == res["records"][0] for record in res["records"])
+    assert res["worst_error"] < 1e-13
+    assert res["worst_assignment"] == {
         el.label: el.reflectivity for el in build_cnot_circuit().elements
     }
 
@@ -457,4 +467,4 @@ def test_sweep_rejects_magnitude_whose_range_overflows():
             sensitivity_sweep("cnot", magnitude=1e308, mode=mode)
     largest = sys.float_info.max / 2.0
     result = sensitivity_sweep("cnot", magnitude=largest, mode="random", samples=2)
-    assert result.n_evaluations == 2
+    assert result["n_evaluations"] == 2
