@@ -7,7 +7,6 @@ from .elements import (
     Circuit,
     beamsplitter_matrix,
     compose_transfer_matrix,
-    validate_circuit,
 )
 from .evolve import AmplitudeQuery, apply_element, evolve, oracle_amplitude, permanent
 from .fock import (

@@ -28,6 +28,7 @@ import errno
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -271,11 +272,10 @@ def _cmd_solve_params(args) -> int:
 def _cmd_run_circuit(args) -> int:
     circuit = load_circuit(args.file)
     user_modes = [m for m in range(circuit.n_modes) if m not in circuit.ancilla_prep]
-    try:
-        counts = [int(tok) for tok in args.input.split(",")]
-    except ValueError:
-        raise ValueError(f"cannot parse --input {args.input!r}") from None
-    if len(counts) != len(user_modes) or any(c < 0 for c in counts):
+    if not re.fullmatch("[0-9]+(,[0-9]+)*", args.input):
+        raise ValueError(f"cannot parse --input {args.input!r}")
+    counts = [int(tok) for tok in args.input.split(",")]
+    if len(counts) != len(user_modes):
         raise ValueError(
             f"--input needs {len(user_modes)} non-negative counts "
             f"for modes {[circuit.labels[m] for m in user_modes]}"

@@ -25,14 +25,13 @@ neither, which keeps it an independent check on both.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fock import Occupation
-from .postselect import DetectionPattern
+from .postselect import DetectionPattern, _natural
 
 
 def beamsplitter_matrix(reflectivity, grey_port: int) -> np.ndarray:
@@ -61,9 +60,9 @@ class Beamsplitter:
     """A beamsplitter acting on two modes of a larger circuit.
 
     ``grey`` must equal ``mode_a`` or ``mode_b`` and names the mode whose
-    reflection is sign-flipped. Construction is permissive so that
-    circuits read from files can be inspected; ``validate_circuit``
-    reports violations and ``grey_port`` refuses them.
+    reflection is sign-flipped. Construction refuses negative or non-integer
+    modes, coinciding modes, another grey mode and a reflectivity outside
+    [0, 1]; the ``Circuit`` checks that the modes exist.
     """
 
     mode_a: int
@@ -72,19 +71,20 @@ class Beamsplitter:
     grey: int
     label: str = ""
 
-    def grey_port(self) -> int:
-        """0 or 1: which of the two modes is grey. Raises when the modes
-        coincide or the grey mode is neither of them."""
+    def __post_init__(self):
+        for mode in (self.mode_a, self.mode_b, self.grey):
+            if type(mode) is not int or mode < 0:  # a plain int skips the call
+                _natural(mode, "mode")
         if self.mode_a == self.mode_b:
-            raise ValueError(f"beamsplitter modes coincide: {self.mode_a}")
-        if self.grey == self.mode_a:
-            return 0
-        if self.grey == self.mode_b:
-            return 1
-        raise ValueError(
-            f"grey mode {self.grey} is neither mode {self.mode_a} nor "
-            f"mode {self.mode_b}"
-        )
+            raise ValueError(f"modes coincide ({self.mode_a})")
+        if self.grey not in (self.mode_a, self.mode_b):
+            raise ValueError(f"grey mode {self.grey} is not one of its modes")
+        if not 0.0 <= self.reflectivity <= 1.0:
+            raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
+
+    def grey_port(self) -> int:
+        """0 or 1: which of the two modes is grey."""
+        return 0 if self.grey == self.mode_a else 1
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,8 @@ class Circuit:
     entries mark vacuum ancillas that are still ancillas, not user
     inputs). ``detection`` is the heralding pattern for postselected
     gates. ``cuts`` names inspection points: ``cuts[name] = k`` means the
-    state after the first k elements.
+    state after the first k elements. Construction raises one ValueError
+    that lists every way the parts do not fit together, joined by "; ".
     """
 
     n_modes: int
@@ -104,6 +105,36 @@ class Circuit:
     ancilla_prep: dict[int, int] = field(default_factory=dict)
     detection: DetectionPattern | None = None
     cuts: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        issues: list[str] = []
+        n = self.n_modes
+        if n < 1:
+            issues.append(f"n_modes must be >= 1, got {n}")
+        if len(self.labels) != n:
+            issues.append(f"{len(self.labels)} labels for {n} modes")
+        if len(set(self.labels)) != len(self.labels):
+            issues.append("mode labels are not unique")
+        for i, el in enumerate(self.elements):
+            for m in (el.mode_a, el.mode_b):
+                if m >= n:
+                    where = f"element {i}" + (f" ({el.label})" if el.label else "")
+                    issues.append(f"{where}: mode {m} outside 0..{n - 1}")
+        for m, k in self.ancilla_prep.items():
+            if m < 0 or m >= n:
+                issues.append(f"ancilla prep mode {m} outside 0..{n - 1}")
+            if k < 0:
+                issues.append(f"ancilla prep count {k} on mode {m} is negative")
+        if self.detection is not None:
+            try:
+                self.detection.validate_for(n)
+            except ValueError as exc:
+                issues.append(str(exc))
+        for name, k in self.cuts.items():
+            if k < 0 or k > len(self.elements):
+                issues.append(f"cut {name!r} at {k} outside 0..{len(self.elements)}")
+        if issues:
+            raise ValueError("; ".join(issues))
 
     def mode_index(self, label: str) -> int:
         try:
@@ -129,49 +160,6 @@ class Circuit:
         if not 0 <= upto <= len(self.elements):
             raise ValueError(f"upto {upto} outside 0..{len(self.elements)}")
         return self.elements[:upto]
-
-
-def validate_circuit(circuit: Circuit) -> list[str]:
-    """Check structural consistency; returns the issues, none if valid."""
-    issues: list[str] = []
-    n = circuit.n_modes
-    if n < 1:
-        issues.append(f"n_modes must be >= 1, got {n}")
-    if len(circuit.labels) != n:
-        issues.append(
-            f"{len(circuit.labels)} labels for {n} modes"
-        )
-    if len(set(circuit.labels)) != len(circuit.labels):
-        issues.append("mode labels are not unique")
-    for i, el in enumerate(circuit.elements):
-        where = f"element {i}" + (f" ({el.label})" if el.label else "")
-        for m in (el.mode_a, el.mode_b):
-            if m < 0 or m >= n:
-                issues.append(f"{where}: mode {m} outside 0..{n - 1}")
-        if el.mode_a == el.mode_b:
-            issues.append(f"{where}: modes coincide ({el.mode_a})")
-        if el.grey not in (el.mode_a, el.mode_b):
-            issues.append(
-                f"{where}: grey mode {el.grey} is not one of its modes"
-            )
-        if not 0.0 <= el.reflectivity <= 1.0:
-            issues.append(
-                f"{where}: reflectivity {el.reflectivity} outside [0, 1]"
-            )
-    for m, k in circuit.ancilla_prep.items():
-        if m < 0 or m >= n:
-            issues.append(f"ancilla prep mode {m} outside 0..{n - 1}")
-        if k < 0:
-            issues.append(f"ancilla prep count {k} on mode {m} is negative")
-    if circuit.detection is not None:
-        try:
-            circuit.detection.validate_for(n)
-        except ValueError as exc:
-            issues.append(str(exc))
-    for name, k in circuit.cuts.items():
-        if k < 0 or k > len(circuit.elements):
-            issues.append(f"cut {name!r} at {k} outside 0..{len(circuit.elements)}")
-    return issues
 
 
 def transfer_matrices(circuit: Circuit, reflectivities) -> np.ndarray:
@@ -207,6 +195,6 @@ def compose_transfer_matrix(circuit: Circuit, upto: int | None = None) -> np.nda
     reflectivities. Returned complex even though every in-scope element
     is real.
     """
-    prefix = dataclasses.replace(circuit, elements=circuit.first_elements(upto))
+    prefix = Circuit(circuit.n_modes, circuit.labels, circuit.first_elements(upto))
     etas = [[el.reflectivity for el in prefix.elements]]
     return transfer_matrices(prefix, etas)[0].astype(complex)

@@ -93,10 +93,8 @@ def apply_element(state: FockStateVector, element) -> FockStateVector:
     """Apply one beamsplitter to a state, redistributing its two modes."""
     a, b = element.mode_a, element.mode_b
     for mode in (a, b):
-        if mode < 0 or mode >= state.n_modes:
-            raise ValueError(
-                f"element mode {mode} outside 0..{state.n_modes - 1}"
-            )
+        if mode >= state.n_modes:
+            raise ValueError(f"element mode {mode} outside 0..{state.n_modes - 1}")
     eta = element.reflectivity
     grey_port = element.grey_port()
     new_amps: dict[Occupation, complex] = {}

@@ -68,33 +68,30 @@ BASIS_INPUTS = ("HH", "HV", "VH", "VV")
 CNOT_IMAGE = {"HH": "HH", "HV": "HV", "VH": "VV", "VV": "VH"}
 
 
+class _Reflectivities:
+    """Base of the parameter sets, whose every field is a reflectivity."""
+
+    def __post_init__(self):
+        for name, v in vars(self).items():
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} = {v} outside [0, 1]")
+
+
 @dataclass(frozen=True)
-class NsParameters:
+class NsParameters(_Reflectivities):
     """Reflectivities (eta1, eta2, eta3) of the three NS-gate splitters."""
 
     eta1: float
     eta2: float
     eta3: float
 
-    def __post_init__(self):
-        for name in ("eta1", "eta2", "eta3"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
-
 
 @dataclass(frozen=True)
-class BiasedNsParameters:
+class BiasedNsParameters(_Reflectivities):
     """Biased NS gate: signal splitter eta2 plus rebalancing attenuator eta7."""
 
     eta2: float
     eta7: float
-
-    def __post_init__(self):
-        for name in ("eta2", "eta7"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} = {v} outside [0, 1]")
 
 
 def optimal_ns_parameters() -> NsParameters:

@@ -240,6 +240,34 @@ def test_counts_must_be_integers_not_coerced(doc, tmp_path):
             _with("elements", [dict(GOOD["elements"][0], label=None)]),
             "elements[0]: label must be a string",
         ),
+        # a misspelt key is refused, not dropped
+        (_with("cut", {"mid": 1}), "top level: unknown field 'cut'"),
+        (
+            _with("elements", [dict(GOOD["elements"][0], etta=0.5)]),
+            "elements[0]: unknown field 'etta'",
+        ),
+        (
+            _with("detection", {"exact": {"a": 1}, "group": []}),
+            "detection: unknown field 'group'",
+        ),
+        # the element's and the circuit's own rules, checked as they are built
+        (
+            _with("elements", [{"a": "s", "b": "s", "eta": 0.5, "grey": "s"}]),
+            "elements[0]: modes coincide (0)",
+        ),
+        (
+            _with("elements", [{"a": "s", "b": "a", "eta": 0.5, "grey": "v"}]),
+            "elements[0]: grey mode 2 is not one of its modes",
+        ),
+        (
+            _with("elements", [{"a": "s", "b": "a", "eta": 1.5, "grey": "s"}]),
+            "elements[0]: reflectivity 1.5 outside [0, 1]",
+        ),
+        (
+            _with("elements", [{"a": "s", "b": "a", "eta": float("nan"), "grey": "s"}]),
+            "elements[0]: reflectivity nan outside [0, 1]",
+        ),
+        (_with("cuts", {"mid": 4}), "cut 'mid' at 4 outside 0..3"),
     ],
     ids=[
         "eta-type",
@@ -265,6 +293,14 @@ def test_counts_must_be_integers_not_coerced(doc, tmp_path):
         "exact-pairs",
         "element-label-object",
         "element-label-null",
+        "unknown-top-level-key",
+        "unknown-element-key",
+        "unknown-detection-key",
+        "element-modes-coincide",
+        "element-grey",
+        "element-reflectivity",
+        "element-reflectivity-nan",
+        "cut-out-of-range",
     ],
 )
 def test_file_shape_errors_say_what_and_where(doc, message):

@@ -380,6 +380,11 @@ def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys, argv):
             "[Errno 2] No such file or directory: '{missing}'",
         ),
         (["run-circuit", "{ns}", "--input", "x"], "run-circuit: cannot parse --input 'x'"),
+        # int() would take the first three
+        (["run-circuit", "{ns}", "--input", "0_1"], "run-circuit: cannot parse --input '0_1'"),
+        (["run-circuit", "{ns}", "--input", " 1"], "run-circuit: cannot parse --input ' 1'"),
+        (["run-circuit", "{ns}", "--input", "+1"], "run-circuit: cannot parse --input '+1'"),
+        (["run-circuit", "{ns}", "--input", "1.0"], "run-circuit: cannot parse --input '1.0'"),
         (
             ["run-circuit", "{ns}", "--input", "1,2"],
             "run-circuit: --input needs 1 non-negative counts for modes ['s']",
@@ -404,6 +409,10 @@ def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys, argv):
         "unknown-cut",
         "missing-file",
         "unparseable-input",
+        "input-underscore",
+        "input-space",
+        "input-plus",
+        "input-float",
         "wrong-input-count",
         "photon-cap",
         "nan-magnitude",

@@ -14,7 +14,6 @@ from loqc.elements import (
     beamsplitter_matrix,
     compose_transfer_matrix,
     transfer_matrices,
-    validate_circuit,
 )
 from loqc.postselect import DetectionPattern
 
@@ -55,12 +54,10 @@ def test_element_grey_port_and_matrix():
     )
     el = Beamsplitter(2, 5, 0.3, grey=2)
     assert el.grey_port() == 0
-    bad = Beamsplitter(2, 5, 0.3, grey=4)
     with pytest.raises(ValueError):
-        bad.grey_port()
-    degenerate = Beamsplitter(2, 2, 0.3, grey=2)
+        Beamsplitter(2, 5, 0.3, grey=4)
     with pytest.raises(ValueError):
-        beamsplitter_matrix(degenerate.reflectivity, degenerate.grey_port())
+        Beamsplitter(2, 2, 0.3, grey=2)
 
 
 def test_circuit_mode_lookup():
@@ -70,38 +67,32 @@ def test_circuit_mode_lookup():
         c.mode_index("nope")
 
 
-def test_validate_circuit_reports_every_issue():
-    c = Circuit(
-        n_modes=2,
-        labels=("a", "a"),
-        elements=(
-            Beamsplitter(0, 3, 1.7, grey=2, label="bad"),
-            Beamsplitter(1, 1, 0.5, grey=1),
-        ),
-        ancilla_prep={5: -1},
-        detection=DetectionPattern(exact={9: 1}),
-        cuts={"q": 7},
-    )
-    issues = validate_circuit(c)
-    assert issues
-    text = "\n".join(issues)
+def test_construction_reports_every_issue():
+    # an element's own rules fail when it is built, before any circuit
+    with pytest.raises(ValueError, match="reflectivity 1.7"):
+        Beamsplitter(0, 3, 1.7, grey=3, label="bad")
+    with pytest.raises(ValueError, match="grey mode 2"):
+        Beamsplitter(0, 3, 0.5, grey=2, label="bad")
+    with pytest.raises(ValueError, match="modes coincide"):
+        Beamsplitter(1, 1, 0.5, grey=1)
+    with pytest.raises(ValueError) as err:
+        Circuit(
+            n_modes=2,
+            labels=("a", "a"),
+            elements=(Beamsplitter(0, 3, 0.5, grey=3, label="bad"),),
+            ancilla_prep={5: -1},
+            detection=DetectionPattern(exact={9: 1}),
+            cuts={"q": 7},
+        )
+    text = str(err.value)
     assert "labels are not unique" in text
     assert "mode 3 outside" in text
-    assert "reflectivity 1.7" in text
-    assert "grey mode 2" in text
-    assert "modes coincide" in text
     assert "ancilla prep mode 5" in text
     assert "outside 0..1" in text
     assert "cut 'q'" in text
-    assert validate_circuit(Circuit(0, ("a",), ())) == [
-        "n_modes must be >= 1, got 0",
-        "1 labels for 0 modes",
-    ]
-
-
-def test_validate_circuit_accepts_good_circuits():
-    for _ in range(10):
-        assert validate_circuit(random_circuit(RNG)) == []
+    with pytest.raises(ValueError) as err:
+        Circuit(0, ("a",), ())
+    assert str(err.value) == "n_modes must be >= 1, got 0; 1 labels for 0 modes"
 
 
 def test_compose_transfer_matrix_is_unitary():
@@ -162,14 +153,18 @@ def test_beamsplitter_matrix_on_an_array_stacks_the_scalar_calls():
 
 
 def test_compose_transfer_matrix_rejects_malformed_elements():
+    # the element or its circuit refuses to be built, so a mode of -1 can
+    # no longer reach the transfer matrix and mix in its last row
     good = Beamsplitter(0, 2, 0.3, grey=2)
     for bad, message in (
-        (Beamsplitter(1, 1, 0.5, grey=1), "coincide"),
-        (Beamsplitter(0, 1, 0.5, grey=2), "grey mode 2"),
-        (Beamsplitter(0, 1, 1.5, grey=1), "reflectivity 1.5"),
+        ((1, 1, 0.5, 1), "coincide"),
+        ((0, 1, 0.5, 2), "grey mode 2"),
+        ((0, 1, 1.5, 1), "reflectivity 1.5"),
+        ((0, -1, 0.3, -1), "mode must be a non-negative integer, got -1"),
+        ((0, 3, 0.3, 3), "element 1: mode 3 outside 0..2"),
     ):
-        c = Circuit(3, ("a", "b", "c"), (good, bad))
         with pytest.raises(ValueError, match=message):
+            c = Circuit(3, ("a", "b", "c"), (good, Beamsplitter(*bad)))
             compose_transfer_matrix(c)
 
 
