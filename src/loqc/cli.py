@@ -43,7 +43,7 @@ CNOT_GATES = ("cnot", "cnot-simplified")
 _OUTPUTS = ("json", "csv")  # parsed arguments that name output files
 # parsed arguments that are not inputs of the command's computation
 _NOT_INPUTS = ("command", "handler") + _OUTPUTS
-_NOT_RESULTS = ("checks", "passed", "records")  # records: the sweep's CSV rows
+_NOT_RESULTS = ("checks", "passed", "records")  # records: sweep arrays, for --csv
 
 
 def _jsonable(value):
@@ -203,18 +203,14 @@ def _cmd_sweep(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
-            tail = ("worst_error", "probability_min", "probability_max")
             writer.writerow(
                 report["element_labels"]
                 + [f"error_{k}" for k in gates.BASIS_INPUTS]
-                + list(tail)
+                + ["worst_error", "probability_min", "probability_max"]
             )
-            for rec in report["records"]:
-                writer.writerow(
-                    rec["etas"]
-                    + [rec["errors"][k] for k in gates.BASIS_INPUTS]
-                    + [rec[k] for k in tail]
-                )
+            arrays = (report["records"][k] for k in ("etas", "errors", "probabilities"))
+            for etas, errors, probs in zip(*(a.tolist() for a in arrays)):
+                writer.writerow(etas + errors + [max(errors), min(probs), max(probs)])
     print(
         f"sweep {args.gate} model={args.model} magnitude={_fmt(args.magnitude)} "
         f"mode={args.mode} evaluations={report['n_evaluations']}"

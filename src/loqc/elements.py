@@ -108,30 +108,42 @@ class Circuit:
 
     def __post_init__(self):
         issues: list[str] = []
+
+        def integer(value, what: str) -> bool:
+            # False, with an issue, for a bool or a float; a plain int skips the call
+            try:
+                if type(value) is not int:
+                    _natural(value, what)
+            except ValueError as exc:
+                issues.append(str(exc))
+                return False
+            return True
+
         n = self.n_modes
-        if n < 1:
+        sized = integer(n, "n_modes")  # the range checks need a mode count
+        if sized and n < 1:
             issues.append(f"n_modes must be >= 1, got {n}")
-        if len(self.labels) != n:
+        if sized and len(self.labels) != n:
             issues.append(f"{len(self.labels)} labels for {n} modes")
         if len(set(self.labels)) != len(self.labels):
             issues.append("mode labels are not unique")
         for i, el in enumerate(self.elements):
             for m in (el.mode_a, el.mode_b):
-                if m >= n:
+                if sized and m >= n:
                     where = f"element {i}" + (f" ({el.label})" if el.label else "")
                     issues.append(f"{where}: mode {m} outside 0..{n - 1}")
         for m, k in self.ancilla_prep.items():
-            if m < 0 or m >= n:
+            if integer(m, "ancilla prep mode") and sized and not 0 <= m < n:
                 issues.append(f"ancilla prep mode {m} outside 0..{n - 1}")
-            if k < 0:
+            if integer(k, f"ancilla prep count on mode {m!r}") and k < 0:
                 issues.append(f"ancilla prep count {k} on mode {m} is negative")
-        if self.detection is not None:
+        if sized and self.detection is not None:
             try:
                 self.detection.validate_for(n)
             except ValueError as exc:
                 issues.append(str(exc))
         for name, k in self.cuts.items():
-            if k < 0 or k > len(self.elements):
+            if integer(k, f"cut {name!r}") and not 0 <= k <= len(self.elements):
                 issues.append(f"cut {name!r} at {k} outside 0..{len(self.elements)}")
         if issues:
             raise ValueError("; ".join(issues))

@@ -53,7 +53,8 @@ def enumerate_basis(n_modes: int, total_photons: int) -> list[Occupation]:
 def _check_occupation(occ: Occupation, n_modes: int) -> None:
     if len(occ) != n_modes:
         raise ValueError(f"occupation {occ} has {len(occ)} modes, expected {n_modes}")
-    if any((not isinstance(k, int)) or k < 0 for k in occ):
+    # type, not isinstance: a bool is an int but not a photon count
+    if any(type(k) is not int or k < 0 for k in occ):
         raise ValueError(f"occupation {occ} must hold non-negative integers")
 
 

@@ -597,15 +597,14 @@ def _batched_logical_errors(
     return np.concatenate(errors), np.concatenate(probabilities)
 
 
-def _sparse_logical_errors(circuit: Circuit) -> tuple[dict[str, float], list[float]]:
-    """Per-input logical errors and heralding probabilities of one circuit
-    by sparse evolution, the check on ``_batched_logical_errors``."""
-    errors, probabilities = {}, []
-    for label in BASIS_INPUTS:
+def _sparse_logical_errors(circuit: Circuit) -> np.ndarray:
+    """Logical errors (row 0) and heralding probabilities (row 1) per input
+    in ``BASIS_INPUTS`` by sparse evolution, the check on the batched ones."""
+    values = np.empty((2, len(BASIS_INPUTS)))
+    for j, label in enumerate(BASIS_INPUTS):
         probability, state4 = conditioned_logical_output(circuit, logical_pair(label))
-        errors[label] = _decoded(label, state4)[2]
-        probabilities.append(probability)
-    return errors, probabilities
+        values[:, j] = _decoded(label, state4)[2], probability
+    return values
 
 
 def sensitivity_sweep(
@@ -636,7 +635,9 @@ def sensitivity_sweep(
     assignment are the first maximum in sweep order, which is always such
     a row.
 
-    Returns the report with one record per vector, its checks and passed.
+    Returns the report, its checks and passed. ``records`` holds one row
+    per vector in sweep order: ``etas`` (B, k), and ``errors`` and
+    ``probabilities`` (B, 4) with columns in ``BASIS_INPUTS`` order.
     The errors must lie in [0, 1]; at magnitude <= 0.02 the worst error
     must also be below 1e-2.
     """
@@ -667,30 +668,19 @@ def sensitivity_sweep(
     for i in np.flatnonzero(run_worst >= run_worst.max() - 1e-12).tolist():
         row = tuple(etas[i].tolist())
         if row not in sparse:
-            run_errors, run_probs = _sparse_logical_errors(_perturbed_circuit(base, row))
-            sparse[row] = np.array([*run_errors.values(), *run_probs])
-        deviation = np.abs(sparse[row] - np.r_[errors[i], probabilities[i]]).max()
+            sparse[row] = _sparse_logical_errors(_perturbed_circuit(base, row))
+        deviation = np.abs(sparse[row] - (errors[i], probabilities[i])).max()
         if deviation > 1e-12:
             raise RuntimeError(
                 f"batched and sparse evaluations of sweep vector {i} differ "
                 f"by {deviation:.3e}"
             )
-        errors[i], probabilities[i] = np.split(sparse[row], 2)
-    records = [
-        {
-            "etas": row_etas,
-            "errors": dict(zip(BASIS_INPUTS, row_errors)),
-            "worst_error": max(row_errors),
-            "probability_min": min(row_probs),
-            "probability_max": max(row_probs),
-        }
-        for row_etas, row_errors, row_probs in zip(
-            etas.tolist(), errors.tolist(), probabilities.tolist()
-        )
-    ]
-    worst = int(errors.max(axis=1).argmax())
-    worst_error = records[worst]["worst_error"]
-    mean_error = sum(r["worst_error"] for r in records) / len(records)
+        errors[i], probabilities[i] = sparse[row]
+    run_worst = errors.max(axis=1)
+    worst = int(run_worst.argmax())
+    worst_error = float(run_worst[worst])
+    # a Python sum in sweep order: numpy's pairwise sum rounds differently
+    mean_error = sum(run_worst.tolist()) / len(etas)
     # an error of exactly 1.0 is in range, so this verdict is not value < tolerance
     in_range = 0.0 <= mean_error <= worst_error <= 1.0
     checks = [check("errors within [0, 1]", worst_error, 1.0, in_range)]
@@ -701,15 +691,15 @@ def sensitivity_sweep(
         "model": model,
         "magnitude": magnitude,
         "mode": mode,
-        "n_evaluations": len(records),
+        "n_evaluations": len(etas),
         "worst_error": worst_error,
         "mean_error": mean_error,
         "worst_input": BASIS_INPUTS[int(errors[worst].argmax())],
-        "worst_assignment": dict(zip(labels, records[worst]["etas"])),
-        "probability_min": min(r["probability_min"] for r in records),
-        "probability_max": max(r["probability_max"] for r in records),
+        "worst_assignment": dict(zip(labels, etas[worst].tolist())),
+        "probability_min": float(probabilities.min()),
+        "probability_max": float(probabilities.max()),
         "element_labels": labels,
-        "records": records,
+        "records": {"etas": etas, "errors": errors, "probabilities": probabilities},
         "checks": checks,
         "passed": all(c["pass"] for c in checks),
     }

@@ -9,6 +9,7 @@ import pytest
 
 from loqc import verify
 from loqc.cli import _write_report, build_parser, main
+from loqc.gates import BASIS_INPUTS
 
 NS_FILE = {
     "n_modes": 3,
@@ -308,11 +309,18 @@ def test_sweep_csv_cells_are_plain_floats(tmp_path, gate, mode):
     records = verify.sensitivity_sweep(
         gate, model="absolute", magnitude=0.03, mode=mode, samples=7, seed=4
     )["records"]
-    assert len(rows) == len(records)
+    assert len(rows) == len(records["etas"])
     n_etas = header.index("error_HH")
-    for row, record in zip(rows, records):
+    assert header[n_etas:] == [f"error_{k}" for k in BASIS_INPUTS] + [
+        "worst_error", "probability_min", "probability_max"
+    ]
+    for i, row in enumerate(rows):
         values = [float(cell) for cell in row]
-        assert values[:n_etas] == record["etas"]
+        errors = records["errors"][i].tolist()
+        probabilities = records["probabilities"][i].tolist()
+        assert values[:n_etas] == records["etas"][i].tolist()
+        assert values[n_etas:-3] == errors
+        assert values[-3:] == [max(errors), min(probabilities), max(probabilities)]
 
 
 def test_report_with_nan_raises_and_writes_nothing(tmp_path):

@@ -95,6 +95,42 @@ def test_construction_reports_every_issue():
     assert str(err.value) == "n_modes must be >= 1, got 0; 1 labels for 0 modes"
 
 
+_SPLITTER = (Beamsplitter(0, 1, 0.5, grey=1),)
+
+
+@pytest.mark.parametrize(
+    "n_modes, labels, extra, message",
+    [
+        pytest.param(
+            2, ("s", "a"), {"ancilla_prep": {1: 1.5}},
+            "ancilla prep count on mode 1 must be a non-negative integer, got 1.5",
+            id="float-ancilla-count",
+        ),
+        pytest.param(
+            2, ("s", "a"), {"ancilla_prep": {True: 1}},
+            "ancilla prep mode must be a non-negative integer, got True",
+            id="bool-ancilla-mode",
+        ),
+        pytest.param(
+            2, ("s", "a"), {"cuts": {"m": 1.0}},
+            "cut 'm' must be a non-negative integer, got 1.0",
+            id="float-cut",
+        ),
+        pytest.param(
+            True, ("s",), {},
+            "n_modes must be a non-negative integer, got True",
+            id="bool-n-modes",
+        ),
+    ],
+)
+def test_construction_refuses_booleans_and_floats(n_modes, labels, extra, message):
+    # none is coerced: a float cut would otherwise fail only inside evolve
+    elements = _SPLITTER if n_modes == 2 else ()
+    with pytest.raises(ValueError) as err:
+        Circuit(n_modes, labels, elements, **extra)
+    assert str(err.value) == message
+
+
 def test_compose_transfer_matrix_is_unitary():
     for _ in range(10):
         c = random_circuit(RNG)

@@ -71,6 +71,8 @@ def test_make_state_rejects_sector_and_duplicate_violations():
         make_state(2, [])
     with pytest.raises(ValueError):
         basis_state(2, (1, -1))
+    with pytest.raises(ValueError, match="must hold non-negative integers"):
+        basis_state(2, (True, 0))
 
 
 def test_constructor_prunes_dust_amplitudes():

@@ -342,8 +342,8 @@ def test_sweep_random_mode_is_seeded_and_bounded():
 
 def test_sweep_clamps_reflectivities_to_physical_range():
     res = sensitivity_sweep("cnot", model="absolute", magnitude=0.9, mode="random", samples=6, seed=1)
-    for record in res["records"]:
-        for eta in record["etas"]:
+    for row in res["records"]["etas"].tolist():
+        for eta in row:
             assert 0.0 <= eta <= 1.0
     assert 0.0 <= res["worst_error"] <= 1.0
 
@@ -375,12 +375,17 @@ def test_sweep_records_match_sparse_evolution(gate, model, magnitude):
     base = gate_by_name(gate)
     res = sensitivity_sweep(gate, model=model, magnitude=magnitude, mode="random", samples=24, seed=1)
     zero_probability = 0
-    for record in res["records"]:
+    records = res["records"]
+    for etas, errors, probs in zip(
+        records["etas"].tolist(),
+        records["errors"].tolist(),
+        records["probabilities"].tolist(),
+    ):
         circuit = dataclasses.replace(
             base,
             elements=tuple(
                 dataclasses.replace(el, reflectivity=eta)
-                for el, eta in zip(base.elements, record["etas"], strict=True)
+                for el, eta in zip(base.elements, etas, strict=True)
             ),
         )
         probabilities = []
@@ -392,14 +397,14 @@ def test_sweep_records_match_sparse_evolution(gate, model, magnitude):
             else:
                 amps, _ = decode_logical(state4)
                 error = 1.0 - abs(amps[BASIS_INPUTS.index(CNOT_IMAGE[label])]) ** 2
-            assert record["errors"][label] == pytest.approx(error, abs=1e-12)
+            assert errors[BASIS_INPUTS.index(label)] == pytest.approx(error, abs=1e-12)
             probabilities.append(probability)
-        assert record["probability_min"] == pytest.approx(min(probabilities), abs=1e-12)
-        assert record["probability_max"] == pytest.approx(max(probabilities), abs=1e-12)
-        assert record["worst_error"] == max(record["errors"].values())
+        assert min(probs) == pytest.approx(min(probabilities), abs=1e-12)
+        assert max(probs) == pytest.approx(max(probabilities), abs=1e-12)
+    assert res["worst_error"] == records["errors"].max()
     if magnitude == 0.9:
         assert zero_probability > 0
-        assert any(eta in (0.0, 1.0) for r in res["records"] for eta in r["etas"])
+        assert np.isin(records["etas"], (0.0, 1.0)).any()
         assert res["worst_error"] == 1.0
 
 
@@ -408,7 +413,8 @@ def test_sweep_absolute_corner_ties_resolve_to_first_in_sweep_order():
     # order (B4 slowest, B1 fastest, - before +) is reported
     base = build_cnot_circuit()
     res = sensitivity_sweep("cnot", model="absolute", magnitude=0.02, mode="corners")
-    ties = [i for i, r in enumerate(res["records"]) if r["worst_error"] == res["worst_error"]]
+    run_worst = res["records"]["errors"].max(axis=1)
+    ties = np.flatnonzero(run_worst == res["worst_error"]).tolist()
     assert ties == [86, 424, 599, 937]
     assert res["worst_input"] == "VH"
     signs = "".join(
@@ -416,7 +422,7 @@ def test_sweep_absolute_corner_ties_resolve_to_first_in_sweep_order():
         for el in base.elements
     )
     assert signs == "---+-+-++-"
-    assert res["records"][86]["etas"] == list(res["worst_assignment"].values())
+    assert res["records"]["etas"][86].tolist() == list(res["worst_assignment"].values())
 
 
 def test_sweep_rederives_each_distinct_tied_vector_once(monkeypatch):
@@ -432,7 +438,7 @@ def test_sweep_rederives_each_distinct_tied_vector_once(monkeypatch):
     res = sensitivity_sweep("cnot", model="absolute", magnitude=0.0, mode="corners")
     assert len(calls) == len(BASIS_INPUTS)
     assert res["n_evaluations"] == 2**10
-    assert all(record == res["records"][0] for record in res["records"])
+    assert all((values == values[0]).all() for values in res["records"].values())
     assert res["worst_error"] < 1e-13
     assert res["worst_assignment"] == {
         el.label: el.reflectivity for el in build_cnot_circuit().elements
