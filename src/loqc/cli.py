@@ -209,6 +209,7 @@ def _cmd_sweep(args) -> int:
                 + ["worst_error", "probability_min", "probability_max"]
             )
             arrays = (report["records"][k] for k in ("etas", "errors", "probabilities"))
+            # per row, the reductions the sweep takes over the batch: too small to share
             for etas, errors, probs in zip(*(a.tolist() for a in arrays)):
                 writer.writerow(etas + errors + [max(errors), min(probs), max(probs)])
     print(

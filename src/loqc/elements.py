@@ -96,7 +96,8 @@ class Circuit:
     inputs). ``detection`` is the heralding pattern for postselected
     gates. ``cuts`` names inspection points: ``cuts[name] = k`` means the
     state after the first k elements. Construction raises one ValueError
-    that lists every way the parts do not fit together, joined by "; ".
+    that lists every way the parts do not fit together, joined by "; ",
+    after refusing alone a count, mode or cut that is not an integer.
     """
 
     n_modes: int
@@ -107,43 +108,41 @@ class Circuit:
     cuts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        issues: list[str] = []
-
-        def integer(value, what: str) -> bool:
-            # False, with an issue, for a bool or a float; a plain int skips the call
-            try:
-                if type(value) is not int:
-                    _natural(value, what)
-            except ValueError as exc:
-                issues.append(str(exc))
-                return False
-            return True
-
+        # as in Beamsplitter, a plain int skips the call and formats no message
         n = self.n_modes
-        sized = integer(n, "n_modes")  # the range checks need a mode count
-        if sized and n < 1:
+        if type(n) is not int:
+            _natural(n, "n_modes")
+        for m, k in self.ancilla_prep.items():
+            if type(m) is not int or type(k) is not int:
+                _natural(m, "ancilla prep mode")
+                _natural(k, f"ancilla prep count on mode {m!r}")
+        for name, k in self.cuts.items():
+            if type(k) is not int:
+                _natural(k, f"cut {name!r}")
+        issues: list[str] = []
+        if n < 1:
             issues.append(f"n_modes must be >= 1, got {n}")
-        if sized and len(self.labels) != n:
+        if len(self.labels) != n:
             issues.append(f"{len(self.labels)} labels for {n} modes")
         if len(set(self.labels)) != len(self.labels):
             issues.append("mode labels are not unique")
         for i, el in enumerate(self.elements):
             for m in (el.mode_a, el.mode_b):
-                if sized and m >= n:
+                if m >= n:
                     where = f"element {i}" + (f" ({el.label})" if el.label else "")
                     issues.append(f"{where}: mode {m} outside 0..{n - 1}")
         for m, k in self.ancilla_prep.items():
-            if integer(m, "ancilla prep mode") and sized and not 0 <= m < n:
+            if m < 0 or m >= n:
                 issues.append(f"ancilla prep mode {m} outside 0..{n - 1}")
-            if integer(k, f"ancilla prep count on mode {m!r}") and k < 0:
+            if k < 0:
                 issues.append(f"ancilla prep count {k} on mode {m} is negative")
-        if sized and self.detection is not None:
+        if self.detection is not None:
             try:
                 self.detection.validate_for(n)
             except ValueError as exc:
                 issues.append(str(exc))
         for name, k in self.cuts.items():
-            if integer(k, f"cut {name!r}") and not 0 <= k <= len(self.elements):
+            if k < 0 or k > len(self.elements):
                 issues.append(f"cut {name!r} at {k} outside 0..{len(self.elements)}")
         if issues:
             raise ValueError("; ".join(issues))
