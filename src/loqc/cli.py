@@ -239,15 +239,12 @@ def _cmd_solve_params(args) -> int:
     ]
     report = {
         "ns": {
-            "eta1": ns_params.eta1,
-            "eta2": ns_params.eta2,
-            "eta3": ns_params.eta3,
+            **dataclasses.asdict(ns_params),
             "amplitude": amplitude,
             "map": list(lams),
         },
         "biased": {
-            "eta2": biased.eta2,
-            "eta7": biased.eta7,
+            **dataclasses.asdict(biased),
             "map": list(blams),
             "success_probability": biased.eta2,
         },

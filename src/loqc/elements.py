@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fock import Occupation
-from .postselect import DetectionPattern, _natural
+from .postselect import DetectionPattern, _natural, _real
 
 
 def beamsplitter_matrix(reflectivity, grey_port: int) -> np.ndarray:
@@ -61,8 +61,9 @@ class Beamsplitter:
 
     ``grey`` must equal ``mode_a`` or ``mode_b`` and names the mode whose
     reflection is sign-flipped. Construction refuses negative or non-integer
-    modes, coinciding modes, another grey mode and a reflectivity outside
-    [0, 1]; the ``Circuit`` checks that the modes exist.
+    modes, coinciding modes, another grey mode, a reflectivity that is a
+    bool or not a real number, and one outside [0, 1]; the ``Circuit``
+    checks that the modes exist.
     """
 
     mode_a: int
@@ -79,6 +80,8 @@ class Beamsplitter:
             raise ValueError(f"modes coincide ({self.mode_a})")
         if self.grey not in (self.mode_a, self.mode_b):
             raise ValueError(f"grey mode {self.grey} is not one of its modes")
+        if type(self.reflectivity) is not float:
+            _real(self.reflectivity, "reflectivity")
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
 

@@ -63,6 +63,10 @@ ETA7_BIASED = 5.0 - 3.0 * _SQRT2  # about 0.7574
 
 BASIS_INPUTS = ("HH", "HV", "VH", "VV")
 
+# Mode labels of the four qubit rails, in the order ``decode_logical``
+# reads them.
+QUBIT_LABELS = ("c_H", "c_V", "t_H", "t_V")
+
 # Logical action in the computational basis: control H leaves the target
 # alone, control V swaps the target rails.
 CNOT_IMAGE = {"HH": "HH", "HV": "HV", "VH": "VV", "VV": "VH"}
@@ -102,18 +106,16 @@ def balanced_biased_parameters() -> BiasedNsParameters:
     return BiasedNsParameters(ETA2_BIASED, ETA7_BIASED)
 
 
-def ns_success_amplitude_vacuum(p: NsParameters) -> float:
-    """Amplitude l0 for a vacuum signal: the ancilla photon must reach the
-    "1" detector either straight through all three splitters or via the
-    vacuum mode and back."""
-    return math.sqrt(p.eta1 * p.eta2 * p.eta3) + math.sqrt(
+def ns_conditional_map(p: NsParameters) -> tuple[float, float, float]:
+    """Closed-form conditional amplitudes (l0, l1, l2) of the NS gate.
+
+    For a vacuum signal the ancilla photon must reach the "1" detector
+    either straight through all three splitters or via the vacuum mode
+    and back, which gives l0.
+    """
+    l0 = math.sqrt(p.eta1 * p.eta2 * p.eta3) + math.sqrt(
         (1.0 - p.eta1) * (1.0 - p.eta3)
     )
-
-
-def ns_conditional_map(p: NsParameters) -> tuple[float, float, float]:
-    """Closed-form conditional amplitudes (l0, l1, l2) of the NS gate."""
-    l0 = ns_success_amplitude_vacuum(p)
     l1 = math.sqrt(p.eta1 * p.eta3) * (1.0 - p.eta2) - l0 * math.sqrt(p.eta2)
     l2 = p.eta2 * l0 - 2.0 * math.sqrt(p.eta1 * p.eta2 * p.eta3) * (1.0 - p.eta2)
     return (l0, l1, l2)
@@ -150,7 +152,7 @@ def solve_optimal_ns() -> tuple[NsParameters, float]:
     balanced solution hides inside the parameter cube.
     """
     params = optimal_ns_parameters()
-    amplitude = ns_success_amplitude_vacuum(params)
+    amplitude = ns_conditional_map(params)[0]
     best = _numeric_ns_maximum()
     if best > amplitude + 1e-6:
         raise RuntimeError(
@@ -341,7 +343,7 @@ def build_biased_ns_circuit(p: BiasedNsParameters | None = None) -> Circuit:
     )
 
 
-def build_cnot_circuit(p: NsParameters | None = None) -> Circuit:
+def build_cnot_circuit() -> Circuit:
     """Dual-rail CNOT from two NS gates inside nested interferometers.
 
     The target rails are mixed on B4, the control V rail and the t' arm
@@ -352,8 +354,7 @@ def build_cnot_circuit(p: NsParameters | None = None) -> Circuit:
     NS gates. Heralding detects one photon on each NS "1" output and
     none on the vacuum outputs.
     """
-    if p is None:
-        p = optimal_ns_parameters()
+    p = optimal_ns_parameters()
     c_h, c_v, t_h, t_v, a1, a2, v1, v2 = range(8)
     elements = (
         Beamsplitter(t_h, t_v, 0.5, grey=t_v, label="B4"),
@@ -369,7 +370,7 @@ def build_cnot_circuit(p: NsParameters | None = None) -> Circuit:
     )
     return Circuit(
         n_modes=8,
-        labels=("c_H", "c_V", "t_H", "t_V", "a1", "a2", "v1", "v2"),
+        labels=QUBIT_LABELS + ("a1", "a2", "v1", "v2"),
         elements=elements,
         ancilla_prep={a1: 1, a2: 1, v1: 0, v2: 0},
         detection=DetectionPattern(exact={a1: 1, a2: 1, v1: 0, v2: 0}),
@@ -377,7 +378,7 @@ def build_cnot_circuit(p: NsParameters | None = None) -> Circuit:
     )
 
 
-def build_simplified_cnot(p: BiasedNsParameters | None = None) -> Circuit:
+def build_simplified_cnot() -> Circuit:
     """CNOT with biased NS gates: splitters B5/B6 at eta2 replace the NS
     gates, attenuators B7/B8 at eta7 on the c_V and t' beams rebalance.
 
@@ -385,8 +386,7 @@ def build_simplified_cnot(p: BiasedNsParameters | None = None) -> Circuit:
     recombination) is where the interior state is inspected. Heralding
     detects one photon at each of a1, a2 and none at v7, v8.
     """
-    if p is None:
-        p = balanced_biased_parameters()
+    p = balanced_biased_parameters()
     c_h, c_v, t_h, t_v, a1, a2, v7, v8 = range(8)
     elements = (
         Beamsplitter(t_h, t_v, 0.5, grey=t_v, label="B4"),
@@ -400,7 +400,7 @@ def build_simplified_cnot(p: BiasedNsParameters | None = None) -> Circuit:
     )
     return Circuit(
         n_modes=8,
-        labels=("c_H", "c_V", "t_H", "t_V", "a1", "a2", "v7", "v8"),
+        labels=QUBIT_LABELS + ("a1", "a2", "v7", "v8"),
         elements=elements,
         ancilla_prep={a1: 1, a2: 1, v7: 0, v8: 0},
         detection=DetectionPattern(exact={a1: 1, a2: 1, v7: 0, v8: 0}),
@@ -471,10 +471,7 @@ def logical_pair(label: str) -> LogicalQubitPair:
 def encode_logical(pair: LogicalQubitPair, circuit: Circuit) -> FockStateVector:
     """Dual-rail-encode a qubit pair into the circuit's input state,
     with ancilla photons placed per the circuit's preparation."""
-    c_h = circuit.mode_index("c_H")
-    c_v = circuit.mode_index("c_V")
-    t_h = circuit.mode_index("t_H")
-    t_v = circuit.mode_index("t_V")
+    c_h, c_v, t_h, t_v = (circuit.mode_index(l) for l in QUBIT_LABELS)
     entries = []
     for c_mode, c_amp in ((c_h, pair.control[0]), (c_v, pair.control[1])):
         for t_mode, t_amp in ((t_h, pair.target[0]), (t_v, pair.target[1])):
@@ -495,7 +492,7 @@ _RAIL_KETS = {
 
 
 def dual_rail_ket(label: str) -> Occupation:
-    """Occupation of a basis ket over (c_H, c_V, t_H, t_V)."""
+    """Occupation of a basis ket over the ``QUBIT_LABELS`` rails."""
     if label not in _RAIL_KETS:
         raise ValueError(f"unknown basis label {label!r}")
     return _RAIL_KETS[label]
@@ -504,8 +501,8 @@ def dual_rail_ket(label: str) -> Occupation:
 def decode_logical(
     state: FockStateVector,
 ) -> tuple[tuple[complex, complex, complex, complex], float]:
-    """Project a 4-mode (c_H, c_V, t_H, t_V) state onto the dual-rail
-    computational basis.
+    """Project a state over the four ``QUBIT_LABELS`` rails onto the
+    dual-rail computational basis.
 
     Returns the amplitudes on (HH, HV, VH, VV) and the leakage: the
     squared norm outside the encoded subspace (absolute, so it carries

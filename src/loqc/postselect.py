@@ -14,6 +14,7 @@ keeps the same modes as heralding does.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -26,6 +27,13 @@ def _natural(value, what: str) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__") or value < 0:
         raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
     return operator.index(value)
+
+
+def _real(value, what: str) -> None:
+    """Refuse a boolean or a value that is not a real number, which a range
+    check would read as 0 or 1 or fail on with a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -12,18 +12,13 @@ Each CNOT readout rule has one home: ``coincidence_pattern`` (heralding
 plus one photon per rail pair), ``_sector`` (the kets a pattern keeps)
 and ``_moment_deviations`` (the signal and cross moment checks).
 
-Truth tables, moments, Bell states and interior cuts evolve the sparse
-state element by element with ``evolve(..., keep=circuit.detection)``:
-a ket that misses a herald or lights a vacuum port is dropped once the
-last element touching that detector's mode has acted, instead of being
-carried to the end. Each report reads only heralded kets. A four-fold
-coincidence puts all four photons on a control rail, a target rail and
-the two heralds, so it leaves the vacuum ports dark; the moment tables
-and the dual-path check's 16 coincidence kets are therefore heralded
-too. No later element changes a settled count, so the reports come out
-bit for bit as from the full evolution (see ``loqc.evolve``).
-``loqc run-circuit`` prints the whole output state, so it evolves every
-ket.
+The qubit rails are ``gates.QUBIT_LABELS`` and the heralds are the
+modes where ``circuit.detection`` expects one photon. Truth tables,
+moments, Bell states and interior cuts read only heralded kets, so they
+evolve with ``evolve(..., keep=circuit.detection)``, whose keep rule
+``loqc.evolve`` states. A four-fold coincidence lights both heralds and
+no vacuum port, so the moment tables and the dual-path check's 16
+coincidence kets are heralded too.
 
 The sensitivity sweep instead evaluates all of its perturbations as one
 batch: ``elements.transfer_matrices`` for every perturbation at once,
@@ -61,6 +56,7 @@ from .gates import (
     BASIS_INPUTS,
     CNOT_IMAGE,
     ETA2_BIASED,
+    QUBIT_LABELS,
     BiasedNsParameters,
     NsParameters,
     balanced_biased_parameters,
@@ -78,12 +74,10 @@ from .gates import (
     ns_conditional_map,
     optimal_ns_parameters,
 )
-from .postselect import DetectionPattern, coincidence_probability, condition
+from .postselect import DetectionPattern, _real, coincidence_probability, condition
 
 CNOT_SUCCESS = 1.0 / 16.0
 SIMPLIFIED_SUCCESS = ETA2_BIASED**2
-
-_QUBIT_LABELS = ("c_H", "c_V", "t_H", "t_V")
 
 BELL_STATES = {
     "phi+": (1 / math.sqrt(2), 0.0, 0.0, 1 / math.sqrt(2)),
@@ -110,10 +104,9 @@ def coincidence_pattern(circuit: Circuit) -> DetectionPattern:
     """Four-fold coincidence: the circuit's heralding pattern (one photon
     at each NS herald, none at the vacuum outputs) plus one photon on the
     control rail pair and one on the target rail pair."""
-    c_pair = tuple(circuit.mode_index(l) for l in ("c_H", "c_V"))
-    t_pair = tuple(circuit.mode_index(l) for l in ("t_H", "t_V"))
+    rails = tuple(circuit.mode_index(l) for l in QUBIT_LABELS)
     return DetectionPattern(
-        exact=circuit.detection.exact, groups=((c_pair, 1), (t_pair, 1))
+        exact=circuit.detection.exact, groups=((rails[:2], 1), (rails[2:], 1))
     )
 
 
@@ -130,23 +123,23 @@ def _sector(
 
 
 def conditioned_logical_output(
-    circuit: Circuit, pair, conditioning: str = "heralded"
+    circuit: Circuit, pair
 ) -> tuple[float, FockStateVector | None]:
-    """Evolve an encoded qubit pair and condition on the detector outcome.
+    """Evolve an encoded qubit pair and condition on the heralding pattern.
 
     Returns the success probability and the normalized conditional state
-    over (c_H, c_V, t_H, t_V), or None when the probability vanishes.
+    over the ``QUBIT_LABELS`` rails, or None when the probability vanishes.
     """
     out = evolve(encode_logical(pair, circuit), circuit, keep=circuit.detection)
-    return _conditioned_qubits(circuit, out, conditioning)
+    return _conditioned_qubits(circuit, out, "heralded")
 
 
 def _conditioned_qubits(
     circuit: Circuit, out: FockStateVector, conditioning: str
 ) -> tuple[float, FockStateVector | None]:
-    """``conditioned_logical_output`` of an already evolved state. Both
-    patterns fix every mode but (c_H, c_V, t_H, t_V), so those are the
-    modes the conditioned state keeps."""
+    """``conditioned_logical_output`` of an already evolved state, under
+    either conditioning. Both patterns fix every mode but the
+    ``QUBIT_LABELS`` rails, so those are the modes the state keeps."""
     if circuit.detection is None:
         raise ValueError("circuit has no heralding detection pattern")
     if conditioning == "heralded":
@@ -186,7 +179,7 @@ def moment_table(gate: str, input_label: str) -> dict[str, float]:
     """Four-fold coincidence probabilities for one basis input.
 
     Keys name the (control rail, target rail) detector pair: "HV" is the
-    coincidence of c_H out, t_V out, a1 out and a2 out. Computed on the
+    coincidence of c_H out, t_V out and the two heralds. Computed on the
     evolved output with no conditioning; the evolution keeps only the
     heralded kets, which hold every four-fold coincidence.
     """
@@ -196,18 +189,15 @@ def moment_table(gate: str, input_label: str) -> dict[str, float]:
 
 
 def _moments(circuit: Circuit, out: FockStateVector) -> dict[str, float]:
-    """``moment_table`` of an already evolved state."""
-    a1 = circuit.mode_index("a1")
-    a2 = circuit.mode_index("a2")
+    """``moment_table`` of an already evolved state: each coincidence is on
+    the lit rails of a basis ket and the heralds, the modes where
+    ``circuit.detection`` expects one photon."""
+    rails = [circuit.mode_index(l) for l in QUBIT_LABELS]
+    heralds = tuple(m for m, k in circuit.detection.exact.items() if k == 1)
     table = {}
-    for c_rail, t_rail in itertools.product("HV", repeat=2):
-        quad = (
-            circuit.mode_index(f"c_{c_rail}"),
-            circuit.mode_index(f"t_{t_rail}"),
-            a1,
-            a2,
-        )
-        table[c_rail + t_rail] = coincidence_probability(out, quad)
+    for label in BASIS_INPUTS:
+        lit = tuple(m for m, k in zip(rails, dual_rail_ket(label)) if k)
+        table[label] = coincidence_probability(out, lit + heralds)
     return table
 
 
@@ -252,12 +242,8 @@ def truth_table(gate: str, conditioning: str = "heralded") -> dict:
     """
     circuit = gate_by_name(gate)
     expected_p, p_tol = _expected_success(gate)
-    rows = []
+    rows, deviations = [], []
     moments: dict[str, dict[str, float]] = {}
-    map_dev = 0.0
-    prob_dev = 0.0
-    moment_dev = 0.0
-    cross_max = 0.0
     for label in BASIS_INPUTS:
         image = CNOT_IMAGE[label]
         state = encode_logical(logical_pair(label), circuit)
@@ -266,11 +252,10 @@ def truth_table(gate: str, conditioning: str = "heralded") -> dict:
         amps, leakage, row_error = _decoded(label, state4)
         decoded = max(BASIS_INPUTS, key=lambda k: abs(amps[BASIS_INPUTS.index(k)]))
         moments[label] = _moments(circuit, out)
-        signal_dev, cross = _moment_deviations(label, moments[label], expected_p)
-        moment_dev = max(moment_dev, signal_dev)
-        cross_max = max(cross_max, cross)
-        map_dev = max(map_dev, row_error)
-        prob_dev = max(prob_dev, abs(probability - expected_p))
+        deviations.append(
+            (row_error, abs(probability - expected_p))
+            + _moment_deviations(label, moments[label], expected_p)
+        )
         rows.append(
             {
                 "input": label,
@@ -286,6 +271,9 @@ def truth_table(gate: str, conditioning: str = "heralded") -> dict:
                 },
             }
         )
+    map_dev, prob_dev, moment_dev, cross_max = (
+        max(0.0, *column) for column in zip(*deviations)
+    )
     checks = [
         check("logical map (1 - image weight)", map_dev, 1e-10),
         check("success probability deviation", prob_dev, p_tol),
@@ -316,9 +304,7 @@ def bell_test(gate: str = "cnot") -> dict:
     circuit = gate_by_name(gate)
     entries = []
     for label in ("+H", "-H", "+V", "-V"):
-        probability, state4 = conditioned_logical_output(
-            circuit, logical_pair(label), "heralded"
-        )
+        probability, state4 = conditioned_logical_output(circuit, logical_pair(label))
         amps, leakage = decode_logical(state4)
         fidelities = {
             name: abs(sum(b.conjugate() * a for b, a in zip(bell, amps))) ** 2
@@ -564,7 +550,7 @@ def _batched_logical_errors(
     sector = _sector(base, pattern, sum(inputs[0]))
     # the qubit modes hold every photon the pattern leaves free, so their
     # occupation picks out one sector ket
-    qubit_modes = [base.mode_index(l) for l in _QUBIT_LABELS]
+    qubit_modes = [base.mode_index(l) for l in QUBIT_LABELS]
     qubit_kets = [tuple(occ[m] for m in qubit_modes) for occ in sector]
     images = [
         qubit_kets.index(dual_rail_ket(CNOT_IMAGE[label])) for label in BASIS_INPUTS
@@ -641,6 +627,10 @@ def sensitivity_sweep(
     The errors must lie in [0, 1]; at magnitude <= 0.02 the worst error
     must also be below 1e-2.
     """
+    for name, value in (("samples", samples), ("seed", seed)):
+        if isinstance(value, bool) or not hasattr(value, "__index__"):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    _real(magnitude, "magnitude")
     base = gate_by_name(gate)
     # the random draw spans [-magnitude, magnitude], whose width must be finite
     if not math.isfinite(2.0 * magnitude) or magnitude < 0.0:
@@ -651,7 +641,7 @@ def sensitivity_sweep(
     if model not in ("absolute", "relative"):
         raise ValueError(f"unknown perturbation model {model!r}")
     k = len(base.elements)
-    labels = [el.label or f"element{j}" for j, el in enumerate(base.elements)]
+    labels = [el.label for el in base.elements]
     if mode == "corners":
         deltas = np.array(list(itertools.product((-magnitude, +magnitude), repeat=k)))
     elif mode == "random":

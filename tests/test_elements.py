@@ -131,6 +131,11 @@ def test_construction_refuses_booleans_and_floats(n_modes, labels, extra, messag
     assert str(err.value) == message
 
 
+def test_beamsplitter_accepts_python_and_numpy_reals():
+    for eta in (0, 1, 0.5, np.int64(1), np.float64(0.25), np.float32(0.5)):
+        assert Beamsplitter(0, 1, eta, grey=1).reflectivity == eta
+
+
 def test_compose_transfer_matrix_is_unitary():
     for _ in range(10):
         c = random_circuit(RNG)
@@ -196,6 +201,12 @@ def test_compose_transfer_matrix_rejects_malformed_elements():
         ((1, 1, 0.5, 1), "coincide"),
         ((0, 1, 0.5, 2), "grey mode 2"),
         ((0, 1, 1.5, 1), "reflectivity 1.5"),
+        # True would be read as 1.0; the others would fail the range check
+        # with a TypeError
+        ((0, 1, True, 1), "reflectivity must be a real number, got True"),
+        ((0, 1, "0.5", 1), "reflectivity must be a real number, got '0.5'"),
+        ((0, 1, 0.5 + 0j, 1), "reflectivity must be a real number"),
+        ((0, 1, None, 1), "reflectivity must be a real number, got None"),
         ((0, -1, 0.3, -1), "mode must be a non-negative integer, got -1"),
         ((0, 3, 0.3, 3), "element 1: mode 3 outside 0..2"),
     ):

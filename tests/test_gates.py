@@ -32,7 +32,6 @@ from loqc.gates import (
     gate_by_name,
     logical_pair,
     ns_conditional_map,
-    ns_success_amplitude_vacuum,
     optimal_ns_parameters,
     solve_biased_ns,
     solve_optimal_ns,
@@ -62,9 +61,6 @@ def test_optimal_map_is_half_half_minus_half():
     assert lams[0] == pytest.approx(0.5, abs=1e-14)
     assert lams[1] == pytest.approx(0.5, abs=1e-14)
     assert lams[2] == pytest.approx(-0.5, abs=1e-14)
-    assert ns_success_amplitude_vacuum(optimal_ns_parameters()) == pytest.approx(
-        0.5, abs=1e-14
-    )
 
 
 def test_ns_closed_form_matches_evolution_at_random_parameters():

@@ -118,6 +118,34 @@ def test_truth_table_evolves_only_kets_the_heralds_can_keep(monkeypatch):
     assert sum(kets_in) <= 300
 
 
+@pytest.mark.parametrize("gate", ["cnot", "cnot-simplified"])
+@pytest.mark.parametrize("conditioning", ["heralded", "coincidence"])
+def test_truth_table_checks_are_the_maxima_of_their_columns(gate, conditioning):
+    report = truth_table(gate, conditioning)
+    expected_p = report["rows"][0]["expected_probability"]
+    moments = report["moments"]
+    columns = {
+        "logical map (1 - image weight)": [r["row_error"] for r in report["rows"]],
+        "success probability deviation": [
+            abs(r["probability"] - expected_p) for r in report["rows"]
+        ],
+        "signal moment deviation": [
+            abs(moments[label][CNOT_IMAGE[label]] - expected_p)
+            for label in BASIS_INPUTS
+        ],
+        "cross moments": [
+            value
+            for label in BASIS_INPUTS
+            for key, value in moments[label].items()
+            if key != CNOT_IMAGE[label]
+        ],
+    }
+    assert [c["name"] for c in report["checks"]] == list(columns)
+    for c in report["checks"]:
+        assert c["value"] == max(columns[c["name"]])
+    assert report["max_deviation"] == max(c["value"] for c in report["checks"])
+
+
 def test_check_passes_strictly_below_tolerance_unless_overridden():
     assert verify.check("c", 0.5, 1.0) == {
         "name": "c",
@@ -133,12 +161,10 @@ def test_check_passes_strictly_below_tolerance_unless_overridden():
 def test_conditioning_modes_agree_on_ideal_inputs():
     for gate in (build_cnot_circuit(), build_simplified_cnot()):
         for label in BASIS_INPUTS:
-            p_h, s_h = conditioned_logical_output(
-                gate, logical_pair(label), "heralded"
-            )
-            p_c, s_c = conditioned_logical_output(
-                gate, logical_pair(label), "coincidence"
-            )
+            state = encode_logical(logical_pair(label), gate)
+            out = evolve(state, gate, keep=gate.detection)
+            p_h, s_h = verify._conditioned_qubits(gate, out, "heralded")
+            p_c, s_c = verify._conditioned_qubits(gate, out, "coincidence")
             assert p_h == pytest.approx(p_c, abs=1e-12)
             diff = s_h - s_c
             assert diff.norm_sq < 1e-24
@@ -209,6 +235,21 @@ def test_moment_tables_signal_and_cross():
             if combo != image:
                 assert value < 1e-12
         assert sum(table.values()) == pytest.approx(CNOT_SUCCESS, abs=1e-12)
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cnot-simplified"])
+def test_moments_read_the_heralds_from_the_detection_pattern(gate):
+    # the heralds are the modes where the pattern expects one photon,
+    # whatever they are called
+    circuit = gate_by_name(gate)
+    renamed = dataclasses.replace(
+        circuit,
+        labels=tuple({"a1": "h1", "a2": "h2"}.get(l, l) for l in circuit.labels),
+    )
+    for label in BASIS_INPUTS:
+        state = encode_logical(logical_pair(label), renamed)
+        out = evolve(state, renamed, keep=renamed.detection)
+        assert verify._moments(renamed, out) == moment_table(gate, label)
 
 
 def test_moment_tables_simplified_signal_level():
@@ -364,6 +405,16 @@ def test_sweep_rejects_bad_arguments():
         sensitivity_sweep("cnot", model="sideways", magnitude=0.1, mode="corners")
     with pytest.raises(ValueError):
         sensitivity_sweep("cnot", model="absolute", magnitude=0.1, mode="grid")
+    # refused before any work, not failed inside numpy or run with True as 1
+    for kwargs in (
+        {"mode": "random", "samples": True},
+        {"mode": "random", "samples": 2.5},
+        {"mode": "random", "seed": 1.5},
+        {"magnitude": "0.02"},
+        {"magnitude": True, "seed": True},
+    ):
+        with pytest.raises(ValueError, match="must be an integer|must be a real"):
+            sensitivity_sweep("cnot", **kwargs)
 
 
 @pytest.mark.parametrize("gate", ["cnot", "cnot-simplified"])
