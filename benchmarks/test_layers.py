@@ -21,13 +21,9 @@ from loqc.elements import compose_transfer_matrix, transfer_matrices
 from loqc.evolve import apply_element, evolve, permanent
 from loqc.gates import (
     BASIS_INPUTS,
-    ETA2_BIASED,
-    ETA7_BIASED,
     encode_logical,
     gate_by_name,
     logical_pair,
-    solve_biased_ns,
-    solve_optimal_ns,
 )
 from loqc.postselect import condition
 from loqc.verify import CNOT_SUCCESS, truth_table
@@ -71,17 +67,6 @@ def test_cli_ns_verify(benchmark):
             return cli.main(["ns-verify"])
 
     assert benchmark(ns_verify) == 0
-
-
-def test_solve_optimal_ns_with_numeric_check(benchmark):
-    _, amplitude = benchmark(solve_optimal_ns)
-    assert abs(amplitude - 0.5) < 1e-12
-
-
-def test_solve_biased_ns_with_numeric_check(benchmark):
-    p = benchmark(solve_biased_ns)
-    assert abs(p.eta2 - ETA2_BIASED) < 1e-12
-    assert abs(p.eta7 - ETA7_BIASED) < 1e-12
 
 
 def test_evolve_through_cnot(benchmark, cnot_input):

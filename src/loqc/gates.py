@@ -16,11 +16,10 @@ dual-rail CNOT that succeeds with probability 1/16. Replacing each NS
 gate by a single biased splitter plus a rebalancing attenuator gives the
 simplified CNOT with success probability ((3 - sqrt(2))/7)^2, about 1/20.
 
-Both operating points are closed forms. ``solve_optimal_ns`` and
-``solve_biased_ns`` confirm them numerically with one damped Newton
-solver on numpy (``_newton``): the NS check solves the balance and
-Lagrange conditions for the largest balanced l0 from four starting
-points, the biased check the two balance equations from (0.2, 0.8).
+Both operating points are closed forms, which ``solve_optimal_ns`` and
+``solve_biased_ns`` return. The test suite checks them by Newton solves:
+no balanced NS amplitude exceeds 1/2, and the biased balance equations
+solved from (0.2, 0.8) land on the biased point, not the degenerate root.
 
 Mode and sign conventions
 -------------------------
@@ -44,8 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .elements import Beamsplitter, Circuit
 from .evolve import evolve
@@ -142,157 +139,14 @@ def balance_residual(lams: tuple[float, float, float]) -> float:
 
 
 def solve_optimal_ns() -> tuple[NsParameters, float]:
-    """Best balanced NS operating point and its success amplitude (1/2).
-
-    The closed forms are authoritative. Each of four interior starting
-    points is run to a stationary point of l0 on the balanced curve
-    l0 = l1 = -l2 (a Newton solve of the balance and Lagrange
-    conditions, ``_ns_lagrange_root``). The best balanced
-    amplitude found must equal the closed form to 1e-6, so no better
-    balanced solution hides inside the parameter cube.
-    """
+    """Best balanced NS operating point and its success amplitude (1/2)."""
     params = optimal_ns_parameters()
-    amplitude = ns_conditional_map(params)[0]
-    best = _numeric_ns_maximum()
-    if best > amplitude + 1e-6:
-        raise RuntimeError(
-            f"numeric search found balanced amplitude {best}, above the "
-            f"closed form {amplitude}"
-        )
-    if abs(best - amplitude) > 1e-6:
-        raise RuntimeError(f"numeric search converged to {best}, far from {amplitude}")
-    return params, amplitude
-
-
-# Relative forward-difference step of the Newton Jacobian, and how many
-# steps and halvings of one step a start may take before it counts as failed.
-_FORWARD_STEP = math.sqrt(np.finfo(float).eps)
-_MAX_STEPS = 50
-_MAX_HALVINGS = 30
-
-
-def _newton(f, x0, tol: float) -> np.ndarray | None:
-    """Damped Newton root of the square system f(x) = 0 from x0.
-
-    The Jacobian is taken by forward differences from f(x), and each step
-    is halved until ||f|| decreases. Returns the first iterate with
-    ||f|| <= tol, or None when the start fails: a singular Jacobian, a
-    step that no halving makes decrease ||f||, or too many steps.
-    """
-    x = np.asarray(x0, dtype=float)
-    fx = np.asarray(f(x), dtype=float)
-    norm = np.linalg.norm(fx)
-    for _ in range(_MAX_STEPS):
-        if norm <= tol:
-            return x
-        jac = np.empty((fx.size, x.size))
-        for j in range(x.size):
-            h = _FORWARD_STEP * max(abs(x[j]), 1.0)
-            shifted = x.copy()
-            shifted[j] += h
-            jac[:, j] = (np.asarray(f(shifted), dtype=float) - fx) / h
-        try:
-            dx = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError:
-            return None
-        for halving in range(_MAX_HALVINGS):
-            trial = x + dx / 2.0**halving
-            f_trial = np.asarray(f(trial), dtype=float)
-            norm_trial = np.linalg.norm(f_trial)
-            if norm_trial < norm:
-                break
-        else:
-            return None
-        x, fx, norm = trial, f_trial, norm_trial
-    return x if norm <= tol else None
-
-
-# Starting reflectivities (eta1, eta2, eta3) of the NS cross-check.
-_NS_STARTS = (
-    (0.85, 0.17, 0.85),
-    (0.5, 0.3, 0.5),
-    (0.7, 0.2, 0.9),
-    (0.6, 0.4, 0.6),
-)
-_NS_GRADIENT_STEP = 1e-5
-
-
-def _ns_lagrange_root(eta0: tuple[float, float, float]) -> NsParameters | None:
-    """Stationary point of l0 on the balanced curve, by Newton from eta0.
-
-    The reflectivities are parametrised as eta = sin(theta)**2, so every
-    iterate lies inside the cube. The solve drives
-    F = [l0 - l1, l0 + l2, det(grad l0, grad(l0 - l1), grad(l0 + l2))]
-    to zero: the two balance conditions and the Lagrange condition. The
-    gradients are central differences of ``ns_conditional_map``. Returns
-    None when the start does not converge.
-    """
-
-    def params(theta):
-        return NsParameters(*(np.sin(theta) ** 2).tolist())
-
-    def lams(theta):
-        return np.array(ns_conditional_map(params(theta)))
-
-    def conditions(theta):
-        grads = np.empty((3, 3))
-        for j, step in enumerate(np.eye(3) * _NS_GRADIENT_STEP):
-            grads[:, j] = (lams(theta + step) - lams(theta - step)) / (
-                2.0 * _NS_GRADIENT_STEP
-            )
-        l0, l1, l2 = lams(theta)
-        g0, g1, g2 = grads
-        return [l0 - l1, l0 + l2, np.linalg.det(np.array([g0, g0 - g1, g0 + g2]))]
-
-    theta = _newton(conditions, np.arcsin(np.sqrt(eta0)), 1e-10)
-    return None if theta is None else params(theta)
-
-
-def _numeric_ns_maximum() -> float:
-    best = -np.inf
-    for eta0 in _NS_STARTS:
-        params = _ns_lagrange_root(eta0)
-        if params is None:
-            continue
-        triple = ns_conditional_map(params)
-        if any(abs(l) > 1.0 + 1e-9 for l in triple):
-            continue
-        if balance_residual(triple) < 1e-7:
-            best = max(best, triple[0])
-    if not np.isfinite(best):
-        raise RuntimeError("numeric NS verification failed to converge")
-    return float(best)
+    return params, ns_conditional_map(params)[0]
 
 
 def solve_biased_ns() -> BiasedNsParameters:
-    """Balanced biased operating point eta2 = (3 - sqrt(2))/7, eta7 = 5 - 3*sqrt(2).
-
-    The closed form is checked two ways: the balance residuals must
-    vanish, and a Newton solve of the two balance
-    equations (``_newton``) started from (0.2, 0.8) must land on the same
-    point to 1e-9 rather than on the degenerate eta2 = 1/2, eta7 = 1 root
-    where the one-photon amplitude vanishes.
-    """
-    params = balanced_biased_parameters()
-    lams = biased_ns_amplitudes(params)
-    if balance_residual(lams) > 1e-12:
-        raise RuntimeError(f"biased closed form unbalanced: {lams}")
-
-    def residuals(x):
-        e2 = min(max(x[0], 0.0), 1.0)
-        e7 = min(max(x[1], 0.0), 1.0)
-        a0, a1, a2 = biased_ns_amplitudes(BiasedNsParameters(e2, e7))
-        return [a0 - a1, a0 + a2]
-
-    root = _newton(residuals, (0.2, 0.8), 1e-13)
-    if root is None:
-        raise RuntimeError("numeric cross-check of biased solution failed")
-    e2, e7 = root
-    if abs(e2 - params.eta2) > 1e-9 or abs(e7 - params.eta7) > 1e-9:
-        raise RuntimeError(f"numeric root ({e2}, {e7}) disagrees with the closed form")
-    if abs(biased_ns_amplitudes(BiasedNsParameters(e2, e7))[1]) < 1e-6:
-        raise RuntimeError("root-find landed on the degenerate l1 = 0 point")
-    return params
+    """Balanced biased operating point eta2 = (3 - sqrt(2))/7, eta7 = 5 - 3*sqrt(2)."""
+    return balanced_biased_parameters()
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ consistency between sequential evolution and the permanent oracle, and
 beamsplitter-error sensitivity sweeps. Every report takes a gate name
 (``gates.gate_by_name``) and returns a dict with its ``checks`` and
 ``passed``; the sweep's checks are that its errors lie in [0, 1] and, at
-magnitude <= 0.02, that its worst error is below 1e-2.
+magnitude <= 0.02, that its worst error is below 1e-2. That check applies
+to both models, while acceptance criterion 8 holds the target to the
+relative model only, so the absolute 0.02 corner sweep exits 1 by design.
 
 Each CNOT readout rule has one home: ``coincidence_pattern`` (heralding
 plus one photon per rail pair), ``_sector`` (the kets a pattern keeps)
@@ -573,8 +575,9 @@ def _batched_logical_errors(
         sub = u[:, rows[None, :, :, None], cols[:, None, None, :]]
         amps = _glynn_permanents(sub) / norms
         amps[np.abs(amps) <= PRUNE_TOL] = 0.0
-        probability = (amps**2).sum(axis=-1)
-        image = amps[:, range(len(BASIS_INPUTS)), images] ** 2
+        weights = np.abs(amps) ** 2
+        probability = weights.sum(axis=-1)
+        image = weights[:, range(len(BASIS_INPUTS)), images]
         kept_weight = np.divide(
             image, probability, out=np.zeros_like(probability), where=probability > 0.0
         )

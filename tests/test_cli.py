@@ -262,13 +262,15 @@ def test_module_entry_point_runs():
 
 
 def test_cli_import_loads_no_scipy_and_preloads_numpy_random():
-    # a fresh interpreter: the suite's own process has scipy loaded by pytest plugins
+    # a fresh interpreter: the suite's own process has scipy loaded by
+    # pytest plugins; sympy and mpmath serve the tests, never the program
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
             "import sys, loqc.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'sympy', 'mpmath')))\n"
             "print('numpy.random' in sys.modules)",
         ],
         capture_output=True,

@@ -4,6 +4,7 @@ states, dual-path consistency, and the sensitivity sweep."""
 import cmath
 import dataclasses
 import importlib
+import itertools
 import math
 import sys
 
@@ -506,6 +507,23 @@ def test_sweep_raises_when_batched_and_sparse_paths_disagree(monkeypatch):
     monkeypatch.setattr(verify, "_batched_logical_errors", skewed)
     with pytest.raises(RuntimeError, match="differ by"):
         sensitivity_sweep("cnot-simplified", model="absolute", magnitude=0.02, mode="corners")
+
+
+def test_batched_errors_ignore_a_global_phase_of_the_transfer_matrices(monkeypatch):
+    # a global phase makes every heralded amplitude complex without
+    # changing any probability, so errors and probabilities must not move
+    base = build_cnot_circuit()
+    corners = np.array(list(itertools.product((-0.02, 0.02), repeat=len(base.elements))))
+    etas = verify._perturbed_etas(base, corners[:16], "absolute")
+    errors, probabilities = verify._batched_logical_errors(base, etas)
+    real_matrices = verify.transfer_matrices
+    monkeypatch.setattr(
+        verify, "transfer_matrices", lambda *args: real_matrices(*args) * np.exp(0.3j)
+    )
+    phased_errors, phased_probabilities = verify._batched_logical_errors(base, etas)
+    for phased, plain in ((phased_errors, errors), (phased_probabilities, probabilities)):
+        assert phased.dtype == np.float64
+        assert np.abs(phased - plain).max() <= 1e-12
 
 
 def test_sweep_rejects_non_finite_magnitude_and_empty_sweeps():
