@@ -168,9 +168,12 @@ class Circuit:
 
     def first_elements(self, upto: int | None) -> tuple[Beamsplitter, ...]:
         """The first ``upto`` elements, all of them for None. An ``upto``
-        outside 0..len(elements) raises rather than slicing from the end."""
+        outside 0..len(elements) raises rather than slicing from the end,
+        and a bool or float raises rather than slicing as 1 or failing."""
         if upto is None:
             return self.elements
+        if type(upto) is not int:
+            _natural(upto, "upto")
         if not 0 <= upto <= len(self.elements):
             raise ValueError(f"upto {upto} outside 0..{len(self.elements)}")
         return self.elements[:upto]

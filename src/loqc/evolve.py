@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .elements import Beamsplitter, Circuit, beamsplitter_matrix
-from .fock import FockStateVector, Occupation
+from .fock import FockStateVector, Occupation, _check_occupation
 from .postselect import DetectionPattern
 
 # Largest photon total the simulator accepts. The gates under study use
@@ -62,8 +62,9 @@ def _pair_transition(
     coefficient collects the binomial routing of each photon through the
     2x2 creation-operator substitution together with the bosonic
     sqrt(n!) normalization factors; forgetting those factors is the
-    classic error in multiphoton interference, so they live here in one
-    place.
+    classic error in multiphoton interference. ``oracle_amplitude`` and
+    ``verify._batched_logical_errors`` apply their own copies on purpose,
+    so that each stays an independent path to the same amplitudes.
     """
     mat = beamsplitter_matrix(reflectivity, grey_port)
     a_stay, a_cross = mat[0, 0], mat[1, 0]
@@ -215,6 +216,9 @@ def oracle_amplitude(query: AmplitudeQuery) -> complex:
         raise ValueError(
             f"occupations must have {n} modes, got {len(inp)} and {len(out)}"
         )
+    # the Fock constructor's rule: a bool, float or negative entry is refused
+    _check_occupation(inp, n)
+    _check_occupation(out, n)
     if sum(inp) != sum(out):
         raise ValueError(
             f"photon number not conserved: {sum(inp)} in, {sum(out)} out"

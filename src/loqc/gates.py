@@ -17,9 +17,10 @@ gate by a single biased splitter plus a rebalancing attenuator gives the
 simplified CNOT with success probability ((3 - sqrt(2))/7)^2, about 1/20.
 
 Both operating points are closed forms, which ``solve_optimal_ns`` and
-``solve_biased_ns`` return. The test suite checks them by Newton solves:
-no balanced NS amplitude exceeds 1/2, and the biased balance equations
-solved from (0.2, 0.8) land on the biased point, not the degenerate root.
+``solve_biased_ns`` return. ``tests/test_exact.py`` proves them exactly
+with sympy: no balanced NS amplitude exceeds 1/2 and only the closed form
+reaches it, and the biased balance equations have exactly one non-zero
+root in [0, 1]**2.
 
 Mode and sign conventions
 -------------------------

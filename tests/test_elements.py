@@ -157,9 +157,10 @@ def test_compose_transfer_matrix_order_and_prefix():
     assert np.allclose(compose_transfer_matrix(c, upto=2), u2 @ u1, atol=1e-15)
 
 
-@pytest.mark.parametrize("upto", [-1, -2, 3, 99])
+@pytest.mark.parametrize("upto", [-1, -2, 3, 99, True, 1.5])
 def test_compose_transfer_matrix_rejects_upto_outside_the_circuit(upto):
-    # a slice would read -1 as "all but the last" and 99 as "all"
+    # a slice would read -1 as "all but the last", 99 as "all" and True
+    # as 1; 1.5 would fail the slice with a TypeError
     elements = (Beamsplitter(0, 1, 0.3, grey=1), Beamsplitter(1, 2, 0.8, grey=1))
     c = Circuit(3, ("a", "b", "c"), elements)
     with pytest.raises(ValueError, match="upto"):

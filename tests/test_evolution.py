@@ -100,10 +100,11 @@ def test_pair_transition_cache_stays_bounded():
     assert info.currsize <= info.maxsize
 
 
-@pytest.mark.parametrize("upto", [-1, -11, 11, 99])
+@pytest.mark.parametrize("upto", [-1, -11, 11, 99, True, 1.5])
 def test_evolve_rejects_upto_outside_the_circuit(upto):
     # on the 10-element CNOT a slice would read -1 as "all but the last"
-    # (50 kets from input HH instead of 59) and 99 as "all"
+    # (50 kets from input HH instead of 59) and 99 as "all"; True would
+    # slice as 1, and 1.5 would fail the slice with a TypeError
     cnot = build_cnot_circuit()
     assert len(cnot.elements) == 10
     state = encode_logical(logical_pair("HH"), cnot)
@@ -138,8 +139,12 @@ def test_evolve_guards_sector_and_photon_cap():
             (0, MAX_PHOTONS + 1),
             f"{MAX_PHOTONS + 1} photons exceeds the supported maximum of {MAX_PHOTONS}",
         ),
+        ((1, True), (True, 1), "occupation (1, True) must hold non-negative integers"),
+        ((2, -1), (1, 0), "occupation (2, -1) must hold non-negative integers"),
+        ((1.0, 0), (1, 0), "occupation (1.0, 0) must hold non-negative integers"),
     ],
-    ids=["input-modes", "output-modes", "photon-conservation", "photon-cap"],
+    ids=["input-modes", "output-modes", "photon-conservation", "photon-cap",
+         "bool-entry", "negative-entry", "float-entry"],
 )
 def test_oracle_rejects_bad_queries(input_occ, output_occ, message):
     query = AmplitudeQuery(np.eye(2), input_occ, output_occ)
