@@ -69,6 +69,20 @@ def test_cli_ns_verify(benchmark):
     assert benchmark(ns_verify) == 0
 
 
+def test_sweep_csv_write(benchmark, tmp_path):
+    # the sweep-random operation: 1000 relative samples, one CSV row each
+    csv_path = tmp_path / "sweep.csv"
+    args = ["sweep", "--model", "relative", "--magnitude", "0.02", "--mode",
+            "random", "--samples", "1000", "--csv", str(csv_path)]
+
+    def sweep():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.main(args)
+
+    assert benchmark(sweep) == 0
+    assert csv_path.read_bytes().count(b"\r\n") == 1 + 1000
+
+
 def test_evolve_through_cnot(benchmark, cnot_input):
     out = benchmark(evolve, cnot_input, CNOT)
     assert abs(out.norm_sq - 1.0) < 1e-12

@@ -209,9 +209,15 @@ def _cmd_sweep(args) -> int:
                 + ["worst_error", "probability_min", "probability_max"]
             )
             arrays = (report["records"][k] for k in ("etas", "errors", "probabilities"))
-            # per row, the reductions the sweep takes over the batch: too small to share
-            for etas, errors, probs in zip(*(a.tolist() for a in arrays)):
-                writer.writerow(etas + errors + [max(errors), min(probs), max(probs)])
+            # The same bytes as writer.writerow: a float repr holds no comma,
+            # quote or line break, so the default dialect quotes none, and it
+            # ends each line with "\r\n". Python's max/min per row: numpy's could
+            # break a tie of signed zeros, or treat a NaN, differently.
+            fh.writelines(
+                ",".join(map(repr, etas + errors + [max(errors), min(ps), max(ps)]))
+                + "\r\n"
+                for etas, errors, ps in zip(*(a.tolist() for a in arrays))
+            )
     print(
         f"sweep {args.gate} model={args.model} magnitude={_fmt(args.magnitude)} "
         f"mode={args.mode} evaluations={report['n_evaluations']}"

@@ -541,8 +541,11 @@ def _batched_logical_errors(
     ``PRUNE_TOL`` are dropped, as the sparse evolution drops them, so a
     sector that only carries rounding dust has probability 0 and error
     1.0 on both paths.
-    The vectors are processed in blocks of ``_SWEEP_BLOCK`` to bound the
-    size of the intermediate arrays.
+    The transfer matrices of all B vectors are built in one call: each row
+    depends only on its own reflectivities, so this equals building them
+    block by block, bit for bit. The permanents are then taken in blocks of
+    ``_SWEEP_BLOCK`` vectors, which bounds the size of their intermediate
+    arrays.
     """
     pattern = base.detection
     inputs = [
@@ -569,9 +572,10 @@ def _batched_logical_errors(
             for inp in inputs
         ]
     )
+    transfers = transfer_matrices(base, etas)
     errors, probabilities = [], []
     for start in range(0, len(etas), _SWEEP_BLOCK):
-        u = transfer_matrices(base, etas[start : start + _SWEEP_BLOCK])
+        u = transfers[start : start + _SWEEP_BLOCK]
         sub = u[:, rows[None, :, :, None], cols[:, None, None, :]]
         amps = _glynn_permanents(sub) / norms
         amps[np.abs(amps) <= PRUNE_TOL] = 0.0

@@ -30,6 +30,7 @@ from loqc.fock import basis_state, enumerate_basis
 from loqc.gates import (
     BASIS_INPUTS,
     CNOT_IMAGE,
+    QUBIT_LABELS,
     biased_ns_amplitudes,
     build_cnot_circuit,
     build_ns_circuit,
@@ -221,7 +222,7 @@ def _oracle_logical_error(base, result) -> float:
     )
     transfer = compose_transfer_matrix(circuit)
     (input_occ,) = encode_logical(logical_pair(result["worst_input"]), circuit).amplitudes
-    qubit_modes = [circuit.mode_index(l) for l in ("c_H", "c_V", "t_H", "t_V")]
+    qubit_modes = [circuit.mode_index(l) for l in QUBIT_LABELS]
     amps = {}
     for ket in enumerate_basis(4, 2):
         out_occ = [0] * circuit.n_modes

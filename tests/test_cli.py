@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report documents, determinism."""
 
 import csv
+import io
 import json
 import subprocess
 import sys
@@ -323,6 +324,44 @@ def test_sweep_csv_cells_are_plain_floats(tmp_path, gate, mode):
         assert values[:n_etas] == records["etas"][i].tolist()
         assert values[n_etas:-3] == errors
         assert values[-3:] == [max(errors), min(probabilities), max(probabilities)]
+
+
+@pytest.mark.parametrize(
+    "gate, model, magnitude, mode",
+    [
+        ("cnot", "relative", 0.02, "random"),
+        # clamped reflectivities: rows with error 1.0, probability 0.0, e- exponents
+        ("cnot", "absolute", 0.9, "random"),
+        ("cnot-simplified", "absolute", 0.02, "corners"),
+    ],
+)
+def test_sweep_csv_bytes_are_the_csv_writers(tmp_path, gate, model, magnitude, mode):
+    csv_path = tmp_path / "s.csv"
+    flags = ["--model", model, "--magnitude", str(magnitude), "--mode", mode,
+             "--samples", "30", "--rng-seed", "2"]
+    assert run(["sweep", gate, *flags, "--csv", str(csv_path)]) in (0, 1)
+    report = verify.sensitivity_sweep(
+        gate, model=model, magnitude=magnitude, mode=mode, samples=30, seed=2
+    )
+    records = report["records"]
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(
+        report["element_labels"]
+        + [f"error_{k}" for k in BASIS_INPUTS]
+        + ["worst_error", "probability_min", "probability_max"]
+    )
+    for etas, errors, probs in zip(
+        records["etas"].tolist(),
+        records["errors"].tolist(),
+        records["probabilities"].tolist(),
+    ):
+        writer.writerow(etas + errors + [max(errors), min(probs), max(probs)])
+    assert csv_path.read_bytes() == expected.getvalue().encode()
+    if magnitude == 0.9:
+        assert (records["errors"] == 1.0).any()
+        assert (records["probabilities"] == 0.0).any()
+        assert b"e-" in csv_path.read_bytes()
 
 
 def test_report_with_nan_raises_and_writes_nothing(tmp_path):

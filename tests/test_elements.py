@@ -15,6 +15,7 @@ from loqc.elements import (
     compose_transfer_matrix,
     transfer_matrices,
 )
+from loqc.gates import gate_by_name
 from loqc.postselect import DetectionPattern
 
 RNG = np.random.default_rng(4031)
@@ -258,6 +259,17 @@ def test_transfer_matrices_rows_match_the_composer_and_the_block_product(seed, b
             )
             product = embedded @ product
         assert np.max(np.abs(product - matrix)) <= 1e-15
+
+
+def test_transfer_matrices_of_a_slice_are_that_slice_of_the_batch():
+    # each row is built from its own reflectivities alone, so the sweep can
+    # build one batch and cut it into blocks
+    circuit = gate_by_name("cnot")
+    etas = np.random.default_rng(18).uniform(size=(300, len(circuit.elements)))
+    whole = transfer_matrices(circuit, etas)
+    for i, j in ((37, 211), (0, 128), (257, 300)):
+        part = transfer_matrices(circuit, etas[i:j])
+        assert whole[i:j].tobytes() == part.tobytes()
 
 
 def test_prepared_occupation_adds_the_ancilla_preparation():
