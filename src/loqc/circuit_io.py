@@ -32,7 +32,8 @@ from pathlib import Path
 
 from . import gates
 from .elements import Beamsplitter, Circuit
-from .postselect import DetectionPattern, _natural
+from .fock import _natural
+from .postselect import DetectionPattern
 
 REFLECTIVITY_TOKENS = {
     "eta2_ns": gates.ETA2_NS,
@@ -93,7 +94,7 @@ def _mode_ref(value, labels: tuple[str, ...], where: str) -> int:
 
 def circuit_from_dict(doc: dict) -> Circuit:
     """The circuit a decoded JSON document describes; every error, those of
-    ``postselect._natural`` on counts included, is a CircuitFileError."""
+    ``fock._natural`` on counts included, is a CircuitFileError."""
     try:
         return _circuit(doc)
     except ValueError as exc:

@@ -30,22 +30,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import Occupation
-from .postselect import DetectionPattern, _natural, _real
+from .fock import Occupation, _natural, _real
+from .postselect import DetectionPattern
 
 
 def beamsplitter_matrix(reflectivity, grey_port: int) -> np.ndarray:
     """Real amplitude matrix of a beamsplitter, shape (..., 2, 2) for a
-    reflectivity of shape (...) (a scalar gives one 2x2 matrix).
+    reflectivity array of shape (...) (a real scalar gives one 2x2 matrix).
 
     ``grey_port`` is 0 or 1 and selects which diagonal entry carries
     -sqrt(reflectivity).
     """
+    if not isinstance(reflectivity, np.ndarray):
+        _real(reflectivity, "reflectivity")
     eta = np.asarray(reflectivity, dtype=float)
     inside = (eta >= 0.0) & (eta <= 1.0)
     if not inside.all():
         raise ValueError(f"reflectivity {eta[~inside][0]} outside [0, 1]")
-    if grey_port not in (0, 1):
+    if _natural(grey_port, "grey_port") not in (0, 1):
         raise ValueError(f"grey_port must be 0 or 1, got {grey_port}")
     r = np.sqrt(eta)
     t = np.sqrt(1.0 - eta)
@@ -60,9 +62,9 @@ class Beamsplitter:
     """A beamsplitter acting on two modes of a larger circuit.
 
     ``grey`` must equal ``mode_a`` or ``mode_b`` and names the mode whose
-    reflection is sign-flipped. Construction refuses negative or non-integer
-    modes, coinciding modes, another grey mode, a reflectivity that is a
-    bool or not a real number, and one outside [0, 1]; the ``Circuit``
+    reflection is sign-flipped. Construction refuses a mode that fails
+    ``fock._natural``, coinciding modes, another grey mode, a reflectivity
+    that fails ``fock._real``, and one outside [0, 1]; the ``Circuit``
     checks that the modes exist.
     """
 
@@ -74,14 +76,12 @@ class Beamsplitter:
 
     def __post_init__(self):
         for mode in (self.mode_a, self.mode_b, self.grey):
-            if type(mode) is not int or mode < 0:  # a plain int skips the call
-                _natural(mode, "mode")
+            _natural(mode, "mode")
         if self.mode_a == self.mode_b:
             raise ValueError(f"modes coincide ({self.mode_a})")
         if self.grey not in (self.mode_a, self.mode_b):
             raise ValueError(f"grey mode {self.grey} is not one of its modes")
-        if type(self.reflectivity) is not float:
-            _real(self.reflectivity, "reflectivity")
+        _real(self.reflectivity, "reflectivity")
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
 
@@ -111,7 +111,7 @@ class Circuit:
     cuts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        # as in Beamsplitter, a plain int skips the call and formats no message
+        # a plain int skips the call: a negative one is reported with the rest
         n = self.n_modes
         if type(n) is not int:
             _natural(n, "n_modes")

@@ -210,15 +210,13 @@ def oracle_amplitude(query: AmplitudeQuery) -> complex:
     """
     u = np.asarray(query.transfer)
     n = u.shape[0]
-    inp = tuple(query.input_occ)
-    out = tuple(query.output_occ)
+    inp, out = query.input_occ, query.output_occ
     if len(inp) != n or len(out) != n:
         raise ValueError(
             f"occupations must have {n} modes, got {len(inp)} and {len(out)}"
         )
     # the Fock constructor's rule: a bool, float or negative entry is refused
-    _check_occupation(inp, n)
-    _check_occupation(out, n)
+    inp, out = _check_occupation(inp, n), _check_occupation(out, n)
     if sum(inp) != sum(out):
         raise ValueError(
             f"photon number not conserved: {sum(inp)} in, {sum(out)} out"

@@ -11,12 +11,18 @@ Validation happens at the API boundary: the public constructor,
 Library operations that derive a state from an already-valid one
 (evolution, conditioning, normalization, addition) build it through the
 trusted ``FockStateVector._trusted``, which only prunes.
+
+This bottom module is also the one home of the two input rules: ``_natural``
+for every count (a numpy integer passes as an ``int``; a bool, float or
+negative number is refused) and ``_real`` for every real number.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 Occupation = tuple[int, ...]
@@ -27,6 +33,25 @@ Occupation = tuple[int, ...]
 PRUNE_TOL = 1e-14
 
 
+def _natural(value, what: str) -> int:
+    """A mode, count or total as an int, a numpy integer included; negative
+    numbers, floats and booleans are refused, not coerced."""
+    if type(value) is int and value >= 0:  # the common case
+        return value
+    if isinstance(value, bool) or not hasattr(value, "__index__") or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return operator.index(value)
+
+
+def _real(value, what: str) -> None:
+    """Refuse a boolean or a value that is not a real number, which a range
+    check would read as 0 or 1 or fail on with a TypeError."""
+    if type(value) is float:  # the common case
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
 def enumerate_basis(n_modes: int, total_photons: int) -> list[Occupation]:
     """All occupations of ``total_photons`` over ``n_modes`` modes.
 
@@ -34,10 +59,10 @@ def enumerate_basis(n_modes: int, total_photons: int) -> list[Occupation]:
     [(1, 0), (0, 1)]. The count is C(total_photons + n_modes - 1,
     n_modes - 1).
     """
+    n_modes = _natural(n_modes, "n_modes")
+    total_photons = _natural(total_photons, "total_photons")
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if total_photons < 0:
-        raise ValueError(f"total_photons must be >= 0, got {total_photons}")
     # ascending mode multisets are exactly the descending occupations
     out: list[Occupation] = []
     for photon_modes in itertools.combinations_with_replacement(
@@ -50,12 +75,15 @@ def enumerate_basis(n_modes: int, total_photons: int) -> list[Occupation]:
     return out
 
 
-def _check_occupation(occ: Occupation, n_modes: int) -> None:
+def _check_occupation(occ, n_modes: int) -> Occupation:
+    """``occ`` as a tuple of ``n_modes`` ints, each passing ``_natural``."""
+    occ = tuple(occ)
     if len(occ) != n_modes:
         raise ValueError(f"occupation {occ} has {len(occ)} modes, expected {n_modes}")
-    # type, not isinstance: a bool is an int but not a photon count
-    if any(type(k) is not int or k < 0 for k in occ):
-        raise ValueError(f"occupation {occ} must hold non-negative integers")
+    try:
+        return tuple([_natural(k, "photon count") for k in occ])
+    except ValueError:
+        raise ValueError(f"occupation {occ} must hold non-negative integers") from None
 
 
 @dataclass(frozen=True)
@@ -74,10 +102,11 @@ class FockStateVector:
     amplitudes: dict[Occupation, complex] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("n_modes", "total_photons"):
+            object.__setattr__(self, name, _natural(getattr(self, name), name))
         pruned: dict[Occupation, complex] = {}
         for occ, amp in self.amplitudes.items():
-            occ = tuple(occ)
-            _check_occupation(occ, self.n_modes)
+            occ = _check_occupation(occ, self.n_modes)
             if sum(occ) != self.total_photons:
                 raise ValueError(
                     f"occupation {occ} has {sum(occ)} photons, expected "
@@ -170,9 +199,7 @@ def make_state(
     """
     if not entries:
         raise ValueError("need at least one (occupation, amplitude) entry")
-    first = tuple(entries[0][0])
-    _check_occupation(first, n_modes)
-    total = sum(first)
+    total = sum(_check_occupation(entries[0][0], n_modes))
     amps: dict[Occupation, complex] = {}
     for occ, amp in entries:
         occ = tuple(occ)

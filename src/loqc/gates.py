@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .elements import Beamsplitter, Circuit
 from .evolve import evolve
-from .fock import FockStateVector, Occupation, basis_state, make_state
+from .fock import FockStateVector, Occupation, _real, basis_state, make_state
 from .postselect import DetectionPattern, condition
 
 _SQRT2 = math.sqrt(2.0)
@@ -75,6 +75,7 @@ class _Reflectivities:
 
     def __post_init__(self):
         for name, v in vars(self).items():
+            _real(v, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} = {v} outside [0, 1]")
 

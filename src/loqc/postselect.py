@@ -10,30 +10,16 @@ conditional state when the probability is nonzero. The CNOT's four-fold
 coincidence (``verify.coincidence_pattern``) is the heralding pattern's
 exact counts plus one group per qubit rail pair, so conditioning on it
 keeps the same modes as heralding does.
+
+Every mode, count and total here passes ``fock._natural``: a numpy integer
+is stored as an ``int``, and a bool, float or negative number is refused.
 """
 
 from __future__ import annotations
 
-import numbers
-import operator
 from dataclasses import dataclass, field
 
-from .fock import FockStateVector, Occupation
-
-
-def _natural(value, what: str) -> int:
-    """A mode, count or total as an int; negative numbers, floats and
-    booleans are rejected, not coerced."""
-    if isinstance(value, bool) or not hasattr(value, "__index__") or value < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
-    return operator.index(value)
-
-
-def _real(value, what: str) -> None:
-    """Refuse a boolean or a value that is not a real number, which a range
-    check would read as 0 or 1 or fail on with a TypeError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
+from .fock import FockStateVector, Occupation, _natural
 
 
 @dataclass(frozen=True)
@@ -136,9 +122,10 @@ def coincidence_probability(
     fourth-order number-operator moment across the four detectors, which
     is the regime of every gate output in this package.
     """
+    modes = tuple(_natural(m, "coincidence mode") for m in modes)
     if len(set(modes)) != len(modes):
         raise ValueError(f"coincidence modes {modes} must be distinct")
-    bad = [m for m in modes if m < 0 or m >= state.n_modes]
+    bad = [m for m in modes if m >= state.n_modes]
     if bad:
         raise ValueError(
             f"coincidence modes {sorted(bad)} outside 0..{state.n_modes - 1}"

@@ -50,6 +50,8 @@ from .fock import (
     PRUNE_TOL,
     FockStateVector,
     Occupation,
+    _natural,
+    _real,
     enumerate_basis,
     inner_product,
     make_state,
@@ -76,7 +78,7 @@ from .gates import (
     ns_conditional_map,
     optimal_ns_parameters,
 )
-from .postselect import DetectionPattern, _real, coincidence_probability, condition
+from .postselect import DetectionPattern, coincidence_probability, condition
 
 CNOT_SUCCESS = 1.0 / 16.0
 SIMPLIFIED_SUCCESS = ETA2_BIASED**2
@@ -634,9 +636,8 @@ def sensitivity_sweep(
     The errors must lie in [0, 1]; at magnitude <= 0.02 the worst error
     must also be below 1e-2.
     """
-    for name, value in (("samples", samples), ("seed", seed)):
-        if isinstance(value, bool) or not hasattr(value, "__index__"):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+    samples = _natural(samples, "samples")
+    seed = _natural(seed, "seed")
     _real(magnitude, "magnitude")
     base = gate_by_name(gate)
     # the random draw spans [-magnitude, magnitude], whose width must be finite
@@ -653,7 +654,7 @@ def sensitivity_sweep(
         deltas = np.array(list(itertools.product((-magnitude, +magnitude), repeat=k)))
     elif mode == "random":
         rng = default_rng(seed)
-        deltas = rng.uniform(-magnitude, magnitude, size=(max(samples, 0), k))
+        deltas = rng.uniform(-magnitude, magnitude, size=(samples, k))
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")
     if len(deltas) == 0:

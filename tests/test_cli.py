@@ -300,33 +300,6 @@ def test_sweep_without_samples_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "gate, mode", [("cnot", "random"), ("cnot-simplified", "corners")]
-)
-def test_sweep_csv_cells_are_plain_floats(tmp_path, gate, mode):
-    csv_path = tmp_path / "s.csv"
-    flags = ["--model", "absolute", "--magnitude", "0.03", "--mode", mode,
-             "--samples", "7", "--rng-seed", "4"]
-    assert run(["sweep", gate, *flags, "--csv", str(csv_path)]) in (0, 1)
-    with open(csv_path, newline="") as fh:
-        header, *rows = list(csv.reader(fh))
-    records = verify.sensitivity_sweep(
-        gate, model="absolute", magnitude=0.03, mode=mode, samples=7, seed=4
-    )["records"]
-    assert len(rows) == len(records["etas"])
-    n_etas = header.index("error_HH")
-    assert header[n_etas:] == [f"error_{k}" for k in BASIS_INPUTS] + [
-        "worst_error", "probability_min", "probability_max"
-    ]
-    for i, row in enumerate(rows):
-        values = [float(cell) for cell in row]
-        errors = records["errors"][i].tolist()
-        probabilities = records["probabilities"][i].tolist()
-        assert values[:n_etas] == records["etas"][i].tolist()
-        assert values[n_etas:-3] == errors
-        assert values[-3:] == [max(errors), min(probabilities), max(probabilities)]
-
-
-@pytest.mark.parametrize(
     "gate, model, magnitude, mode",
     [
         ("cnot", "relative", 0.02, "random"),

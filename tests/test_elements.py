@@ -45,6 +45,16 @@ def test_beamsplitter_matrix_rejects_bad_arguments():
         beamsplitter_matrix(1.1, 1)
     with pytest.raises(ValueError):
         beamsplitter_matrix(0.5, 2)
+    # a bool is neither port 1 nor reflectivity 1, nor a string a number
+    for args, message in (
+        ((0.5, True), "grey_port must be a non-negative integer, got True"),
+        ((0.5, 1.0), "grey_port must be a non-negative integer, got 1.0"),
+        ((True, 0), "reflectivity must be a real number, got True"),
+        (("0.5", 0), "reflectivity must be a real number, got '0.5'"),
+    ):
+        with pytest.raises(ValueError) as err:
+            beamsplitter_matrix(*args)
+        assert str(err.value) == message
 
 
 def test_element_grey_port_and_matrix():

@@ -142,9 +142,10 @@ def test_evolve_guards_sector_and_photon_cap():
         ((1, True), (True, 1), "occupation (1, True) must hold non-negative integers"),
         ((2, -1), (1, 0), "occupation (2, -1) must hold non-negative integers"),
         ((1.0, 0), (1, 0), "occupation (1.0, 0) must hold non-negative integers"),
+        ((1, 0), ("1", 0), "occupation ('1', 0) must hold non-negative integers"),
     ],
     ids=["input-modes", "output-modes", "photon-conservation", "photon-cap",
-         "bool-entry", "negative-entry", "float-entry"],
+         "bool-entry", "negative-entry", "float-entry", "string-entry"],
 )
 def test_oracle_rejects_bad_queries(input_occ, output_occ, message):
     query = AmplitudeQuery(np.eye(2), input_occ, output_occ)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import random_state
+from loqc.elements import Beamsplitter, beamsplitter_matrix
+from loqc.evolve import AmplitudeQuery, evolve, oracle_amplitude
 from loqc.fock import (
     FockStateVector,
     basis_state,
@@ -14,6 +16,9 @@ from loqc.fock import (
     inner_product,
     make_state,
 )
+from loqc.gates import build_cnot_circuit, encode_logical, logical_pair
+from loqc.postselect import coincidence_probability
+from loqc.verify import sensitivity_sweep
 
 RNG = np.random.default_rng(20260815)
 
@@ -49,6 +54,11 @@ def test_enumerate_basis_rejects_bad_arguments():
         enumerate_basis(0, 2)
     with pytest.raises(ValueError):
         enumerate_basis(3, -1)
+    # a bool is not a mode count nor a photon total, a float is not truncated
+    for args, name in (((True, 1), "n_modes"), ((2, True), "total_photons"),
+                       ((2.0, 1), "n_modes"), ((2, 1.0), "total_photons")):
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+            enumerate_basis(*args)
 
 
 def test_basis_state_and_amplitude_lookup():
@@ -73,6 +83,34 @@ def test_make_state_rejects_sector_and_duplicate_violations():
         basis_state(2, (1, -1))
     with pytest.raises(ValueError, match="must hold non-negative integers"):
         basis_state(2, (True, 0))
+    for sector, name in (((True, 1), "n_modes"), ((1, True), "total_photons"),
+                         ((1.0, 1), "n_modes"), ((1, -1), "total_photons")):
+        with pytest.raises(ValueError, match=f"{name} must be a non-negative integer"):
+            FockStateVector(*sector, {(1,): 1})
+
+
+def test_numpy_integers_pass_every_count_rule_and_are_stored_as_ints():
+    one, two = np.int64(1), np.uint8(2)
+    assert enumerate_basis(two, one) == enumerate_basis(2, 1)
+    for state in (
+        basis_state(two, (one, np.int32(0))),
+        make_state(two, [((one, 0), 0.6), ((np.int8(0), one), 0.8)]),
+        FockStateVector(two, one, {(one, np.int16(0)): 1.0}),
+    ):
+        assert type(state.n_modes) is int and type(state.total_photons) is int
+        assert all(type(k) is int for occ in state.amplitudes for k in occ)
+    query = AmplitudeQuery(np.eye(2), (one, one), (np.int64(1), np.int8(1)))
+    assert oracle_amplitude(query) == oracle_amplitude(AmplitudeQuery(np.eye(2), (1, 1), (1, 1)))
+    s = basis_state(4, (1, 1, 1, 1))
+    assert coincidence_probability(s, tuple(np.arange(4))) == 1.0
+    assert beamsplitter_matrix(0.3, one).tolist() == beamsplitter_matrix(0.3, 1).tolist()
+    assert Beamsplitter(np.int64(0), one, 0.3, grey=one).grey_port() == 1
+    cnot = build_cnot_circuit()
+    prepared = encode_logical(logical_pair("HV"), cnot)
+    assert evolve(prepared, cnot, upto=np.int64(2)) == evolve(prepared, cnot, upto=2)
+    numpy_sweep = sensitivity_sweep("cnot", mode="random", samples=np.int64(2), seed=np.uint8(3))
+    plain_sweep = sensitivity_sweep("cnot", mode="random", samples=2, seed=3)
+    assert numpy_sweep["worst_assignment"] == plain_sweep["worst_assignment"]
 
 
 def test_constructor_prunes_dust_amplitudes():

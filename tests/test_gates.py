@@ -31,7 +31,6 @@ from loqc.gates import (
     gate_by_name,
     logical_pair,
     ns_conditional_map,
-    optimal_ns_parameters,
     solve_biased_ns,
     solve_optimal_ns,
 )
@@ -41,25 +40,16 @@ RNG = np.random.default_rng(61803)
 SQRT2 = math.sqrt(2.0)
 
 
-def test_operating_point_constants_are_the_closed_forms():
-    assert ETA2_NS == pytest.approx(3.0 - 2.0 * SQRT2, abs=1e-15)
-    assert ETA13_NS == pytest.approx(1.0 / (4.0 - 2.0 * SQRT2), abs=1e-15)
-    assert ETA2_BIASED == pytest.approx((3.0 - SQRT2) / 7.0, abs=1e-15)
-    assert ETA7_BIASED == pytest.approx(5.0 - 3.0 * SQRT2, abs=1e-15)
-
-
 def test_parameter_containers_validate_range():
     with pytest.raises(ValueError):
         NsParameters(1.2, 0.2, 0.8)
     with pytest.raises(ValueError):
         BiasedNsParameters(-0.1, 0.5)
-
-
-def test_optimal_map_is_half_half_minus_half():
-    lams = ns_conditional_map(optimal_ns_parameters())
-    assert lams[0] == pytest.approx(0.5, abs=1e-14)
-    assert lams[1] == pytest.approx(0.5, abs=1e-14)
-    assert lams[2] == pytest.approx(-0.5, abs=1e-14)
+    # a bool is not read as reflectivity 1, nor a string compared with 0.0
+    with pytest.raises(ValueError, match="eta1 must be a real number, got True"):
+        NsParameters(True, 0.5, 0.5)
+    with pytest.raises(ValueError, match="eta2 must be a real number, got '0.5'"):
+        BiasedNsParameters("0.5", 0.5)
 
 
 def test_ns_closed_form_matches_evolution_at_random_parameters():

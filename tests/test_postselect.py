@@ -124,6 +124,10 @@ def test_coincidence_probability_counts_single_occupancy_kets():
         coincidence_probability(s, (0, 1, 2, 2))
     with pytest.raises(ValueError):
         coincidence_probability(s, (0, 1, 2, 9))
+    # a bool is not read as mode 1, nor a float as its integer part
+    for modes in ((True, 2, 3, 0), (0, 1, 2, 3.0), (0, 1, 2, -1)):
+        with pytest.raises(ValueError, match="coincidence mode must be a non-negative"):
+            coincidence_probability(s, modes)
 
 
 def test_matches_keeps_exactly_the_kets_condition_keeps():

@@ -414,8 +414,12 @@ def test_sweep_rejects_bad_arguments():
         {"magnitude": "0.02"},
         {"magnitude": True, "seed": True},
     ):
-        with pytest.raises(ValueError, match="must be an integer|must be a real"):
+        with pytest.raises(ValueError, match="must be a non-negative integer|must be a real number"):
             sensitivity_sweep("cnot", **kwargs)
+    # numpy would draw -1 samples as an empty sweep and refuse seed -1 itself
+    for name in ("samples", "seed"):
+        with pytest.raises(ValueError, match=f"^{name} must be a non-negative integer, got -1$"):
+            sensitivity_sweep("cnot", mode="random", **{name: -1})
 
 
 @pytest.mark.parametrize("gate", ["cnot", "cnot-simplified"])
@@ -524,6 +528,13 @@ def test_batched_errors_ignore_a_global_phase_of_the_transfer_matrices(monkeypat
     for phased, plain in ((phased_errors, errors), (phased_probabilities, probabilities)):
         assert phased.dtype == np.float64
         assert np.abs(phased - plain).max() <= 1e-12
+
+
+def test_conditioned_output_needs_a_heralding_pattern():
+    unheralded = dataclasses.replace(build_cnot_circuit(), detection=None)
+    with pytest.raises(ValueError) as err:
+        conditioned_logical_output(unheralded, logical_pair("HH"))
+    assert str(err.value) == "circuit has no heralding detection pattern"
 
 
 def test_sweep_rejects_non_finite_magnitude_and_empty_sweeps():
