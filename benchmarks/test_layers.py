@@ -30,14 +30,19 @@ from loqc.verify import CNOT_SUCCESS, truth_table
 
 CNOT = gate_by_name("cnot")
 # the first 128 sign corners of the CNOT's absolute sweep at magnitude 0.02
-CORNER_ETAS = verify._perturbed_etas(
+# all 1024 sign corners of the CNOT's absolute sweep at magnitude 0.02
+ALL_CORNER_ETAS = verify._perturbed_etas(
     CNOT,
-    np.array(list(itertools.product((-0.02, 0.02), repeat=len(CNOT.elements))))[:128],
+    np.array(list(itertools.product((-0.02, 0.02), repeat=len(CNOT.elements)))),
     "absolute",
 )
+# the first 128 of them
+CORNER_ETAS = ALL_CORNER_ETAS[:128]
 
 # sweep record 86, the absolute model's worst corner (error 3.04e-2 at VH)
 WORST_CORNER = verify._perturbed_circuit(CNOT, CORNER_ETAS[86].tolist())
+# the four corners that tie at that worst error
+TIED_CORNERS = (86, 424, 599, 937)
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +152,19 @@ def test_batched_logical_errors_b128(benchmark):
     sparse_errors, sparse_probabilities = verify._sparse_logical_errors(circuit)
     assert np.max(np.abs(errors[-1] - sparse_errors)) < 1e-12
     assert np.max(np.abs(probabilities[-1] - sparse_probabilities)) < 1e-12
+
+
+def test_batched_logical_errors_b1024(benchmark):
+    # the whole corner sweep, checked against sparse evolution on the four
+    # tied corners, which the batch must put within 1e-12 of its maximum
+    errors, probabilities = benchmark(
+        verify._batched_logical_errors, CNOT, ALL_CORNER_ETAS
+    )
+    assert errors.shape == probabilities.shape == (1024, 4)
+    run_worst = errors.max(axis=1)
+    assert (run_worst[list(TIED_CORNERS)] >= run_worst.max() - 1e-12).all()
+    for i in TIED_CORNERS:
+        circuit = verify._perturbed_circuit(CNOT, ALL_CORNER_ETAS[i].tolist())
+        sparse_errors, sparse_probabilities = verify._sparse_logical_errors(circuit)
+        assert np.max(np.abs(errors[i] - sparse_errors)) < 1e-12
+        assert np.max(np.abs(probabilities[i] - sparse_probabilities)) < 1e-12

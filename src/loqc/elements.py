@@ -15,11 +15,13 @@ Which port is grey matters: it decides which interference terms pick up a
 sign, and the gate constructions depend on those choices.
 
 ``beamsplitter_matrix`` is the only place that applies the grey-port
-sign; it takes one reflectivity or an array of them. ``transfer_matrices``
+sign; it takes one reflectivity or an array of real ones. ``transfer_matrices``
 is the only composer of single-photon transfer matrices: it applies those
 blocks as row updates for a whole batch of reflectivity vectors, the
-batched sensitivity sweep's path. ``compose_transfer_matrix`` is its
-one-row case, the permanent oracle's path. Sparse evolution shares
+batched sensitivity sweep's path. It composes in a rows-first (n, B, n)
+buffer, so that each row update writes contiguous memory, and returns
+the (B, n, n) view of it. ``compose_transfer_matrix`` is its one-row
+case, the permanent oracle's path. Sparse evolution shares
 neither, which keeps it an independent check on both.
 """
 
@@ -34,6 +36,15 @@ from .fock import Occupation, _natural, _real
 from .postselect import DetectionPattern
 
 
+def _real_array(reflectivities) -> np.ndarray:
+    """``reflectivities`` as a float array. An array of bools, complex
+    numbers, objects or strings is refused, not coerced to floats."""
+    eta = np.asarray(reflectivities)
+    if eta.dtype.kind not in "iuf":
+        raise ValueError(f"reflectivities must be real numbers, got dtype {eta.dtype}")
+    return eta.astype(float, copy=False)
+
+
 def beamsplitter_matrix(reflectivity, grey_port: int) -> np.ndarray:
     """Real amplitude matrix of a beamsplitter, shape (..., 2, 2) for a
     reflectivity array of shape (...) (a real scalar gives one 2x2 matrix).
@@ -43,7 +54,7 @@ def beamsplitter_matrix(reflectivity, grey_port: int) -> np.ndarray:
     """
     if not isinstance(reflectivity, np.ndarray):
         _real(reflectivity, "reflectivity")
-    eta = np.asarray(reflectivity, dtype=float)
+    eta = _real_array(reflectivity)
     inside = (eta >= 0.0) & (eta <= 1.0)
     if not inside.all():
         raise ValueError(f"reflectivity {eta[~inside][0]} outside [0, 1]")
@@ -186,23 +197,26 @@ def transfer_matrices(circuit: Circuit, reflectivities) -> np.ndarray:
 
     Rows index outputs and columns inputs, so for elements applied in
     circuit order c1 then c2 each matrix is U(c2) @ U(c1): every element's
-    block updates the two rows it mixes.
+    block updates the two rows it mixes. The matrices are composed in a
+    rows-first (n, B, n) buffer, where row a of all B matrices is one
+    contiguous (B, n) block, and the result is a (B, n, n) view of it.
     """
-    etas = np.asarray(reflectivities, dtype=float)
+    etas = _real_array(reflectivities)
     k = len(circuit.elements)
     if etas.ndim != 2 or etas.shape[1] != k:
         raise ValueError(f"need a (B, {k}) reflectivity array, got shape {etas.shape}")
     n = circuit.n_modes
-    u = np.broadcast_to(np.eye(n), (len(etas), n, n)).copy()
+    u = np.broadcast_to(np.eye(n)[:, None, :], (n, len(etas), n)).copy()
     # (B, k, 2, 2) blocks of every element for each grey port, built once
     blocks = [beamsplitter_matrix(etas, port)[..., None] for port in (0, 1)]
     for j, el in enumerate(circuit.elements):
         block = blocks[el.grey_port()][:, j]
         a, b = el.mode_a, el.mode_b
-        row_a, row_b = u[:, a].copy(), u[:, b].copy()
-        u[:, a] = block[:, 0, 0] * row_a + block[:, 0, 1] * row_b
-        u[:, b] = block[:, 1, 0] * row_a + block[:, 1, 1] * row_b
-    return u
+        u[a], u[b] = (
+            block[:, 0, 0] * u[a] + block[:, 0, 1] * u[b],
+            block[:, 1, 0] * u[a] + block[:, 1, 1] * u[b],
+        )
+    return u.transpose(1, 0, 2)
 
 
 def compose_transfer_matrix(circuit: Circuit, upto: int | None = None) -> np.ndarray:

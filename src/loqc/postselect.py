@@ -123,6 +123,8 @@ def coincidence_probability(
     is the regime of every gate output in this package.
     """
     modes = tuple(_natural(m, "coincidence mode") for m in modes)
+    if len(modes) != 4:
+        raise ValueError(f"coincidence needs four modes, got {len(modes)}")
     if len(set(modes)) != len(modes):
         raise ValueError(f"coincidence modes {modes} must be distinct")
     bad = [m for m in modes if m >= state.n_modes]

@@ -25,7 +25,11 @@ coincidence kets are heralded too.
 The sensitivity sweep instead evaluates all of its perturbations as one
 batch: ``elements.transfer_matrices`` for every perturbation at once,
 then Glynn permanents over the heralded output sector, the kets that
-``DetectionPattern.matches`` keeps. The sparse evolution re-derives
+``DetectionPattern.matches`` keeps. Glynn's sign vectors run over the
+four input photon columns, which every sector ket shares, so each block
+of perturbations takes its column sums for every output mode in one
+matrix product and each ket gathers its rows from them
+(``_glynn_permanents``). The sparse evolution re-derives
 every distinct perturbation within 1e-12 of the batch's worst error and
 must agree with it to 1e-12; its values replace the batched ones, so the
 sweep's worst case is a sparse one. ``heisenberg_consistency`` compares the
@@ -492,8 +496,11 @@ def heisenberg_consistency(gate: str) -> float:
 
 
 # Perturbation vectors evaluated together by the batched sweep; bounds the
-# (block, inputs, kets, photons, photons) arrays of permanent submatrices.
-_SWEEP_BLOCK = 128
+# (kets, block, inputs, sign vectors) arrays of Glynn row products. At 128
+# the CNOT's arrays (0.3 MB each) went back to the OS after every block and
+# were faulted in again, ~1,800 minor page faults per 1024-corner batch,
+# which doubled its time; at 64 the allocator keeps them.
+_SWEEP_BLOCK = 64
 
 
 def _perturbed_etas(base: Circuit, deltas: np.ndarray, model: str) -> np.ndarray:
@@ -519,42 +526,51 @@ def _perturbed_circuit(base: Circuit, etas: list[float]) -> Circuit:
     )
 
 
-def _glynn_permanents(sub: np.ndarray) -> np.ndarray:
-    """Permanents of a stack of n x n matrices by Glynn's formula,
-    per(M) = 2^(1-n) sum_d (prod_i d_i) prod_j sum_i d_i M_ij over the
-    sign vectors d with d_0 = +1 (Glynn, EJC 31, 2010)."""
-    n = sub.shape[-1]
+def _glynn_permanents(
+    u: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Permanents of the p x p submatrices u[b][rows[k]][:, cols[i]] of a
+    (B, n, n) stack, shape (B, I, K), for (K, p) row and (I, p) column
+    index arrays, by Glynn's formula over the columns,
+    per(M) = 2^(1-p) sum_d (prod_c d_c) prod_r sum_c d_c M_rc over the
+    sign vectors d with d_0 = +1 (Glynn, EJC 31, 2010).
+
+    The column sums v[m, b, i, d] = sum_c d_c u[b, m, cols[i, c]] are
+    taken once for every row m in one matrix product, and every
+    submatrix's row product gathers its rows from them.
+    """
+    p = cols.shape[1]
     deltas = np.array(
-        [(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=n - 1)]
+        [(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=p - 1)]
     )
-    row_sums = np.einsum("dr,...rc->...dc", deltas, sub)
-    return row_sums.prod(axis=-1) @ deltas.prod(axis=1) / 2.0 ** (n - 1)
+    picked = u.transpose(1, 0, 2)[:, :, cols]
+    v = (picked.reshape(-1, p) @ deltas.T).reshape(picked.shape[:-1] + (-1,))
+    products = v[rows[:, 0]]
+    for r in range(1, p):
+        products *= v[rows[:, r]]
+    # one 2-D product over the sign vectors: a stacked (..., 8) @ (8,) one
+    # made the whole kernel ~1.6x slower
+    permanents = products.reshape(-1, len(deltas)) @ deltas.prod(axis=1)
+    return np.moveaxis(permanents.reshape(products.shape[:-1]), 0, -1) / 2.0 ** (p - 1)
 
 
-def _batched_logical_errors(
-    base: Circuit, etas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-input logical errors and heralding probabilities, each (B, 4)
-    over ``BASIS_INPUTS``, for B reflectivity vectors.
+def _heralded_amplitudes(base: Circuit):
+    """The heralded sector of ``base``'s sweep and the batch's amplitudes
+    on it: (sector, images, amplitudes). ``sector`` lists the occupations
+    the detection pattern keeps, ``images[i]`` is the sector index of
+    basis input i's CNOT image, and ``amplitudes(u)`` maps a (B, n, n)
+    stack of transfer matrices to the (B, 4, K) amplitudes of the
+    ``BASIS_INPUTS`` on the K sector kets.
 
     Every heralded amplitude is per(U_sub)/sqrt(prod n!) of the transfer
-    matrix (Scheel, quant-ph/0406127). The heralded sector holds the
-    occupations the detection pattern keeps. Amplitudes below
-    ``PRUNE_TOL`` are dropped, as the sparse evolution drops them, so a
-    sector that only carries rounding dust has probability 0 and error
-    1.0 on both paths.
-    The transfer matrices of all B vectors are built in one call: each row
-    depends only on its own reflectivities, so this equals building them
-    block by block, bit for bit. The permanents are then taken in blocks of
-    ``_SWEEP_BLOCK`` vectors, which bounds the size of their intermediate
-    arrays.
+    matrix (Scheel, quant-ph/0406127), where U_sub repeats each output
+    mode's row and each input mode's column by its photon count.
     """
-    pattern = base.detection
     inputs = [
         next(iter(encode_logical(logical_pair(label), base).amplitudes))
         for label in BASIS_INPUTS
     ]
-    sector = _sector(base, pattern, sum(inputs[0]))
+    sector = _sector(base, base.detection, sum(inputs[0]))
     # the qubit modes hold every photon the pattern leaves free, so their
     # occupation picks out one sector ket
     qubit_modes = [base.mode_index(l) for l in QUBIT_LABELS]
@@ -574,12 +590,35 @@ def _batched_logical_errors(
             for inp in inputs
         ]
     )
+
+    def amplitudes(u: np.ndarray) -> np.ndarray:
+        return _glynn_permanents(u, rows, cols) / norms
+
+    return sector, images, amplitudes
+
+
+def _batched_logical_errors(
+    base: Circuit, etas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-input logical errors and heralding probabilities, each (B, 4)
+    over ``BASIS_INPUTS``, for B reflectivity vectors.
+
+    The amplitudes are ``_heralded_amplitudes``': Glynn permanents over
+    the four input photon columns, which every sector ket of one basis
+    input shares. Amplitudes below ``PRUNE_TOL`` are dropped, as the
+    sparse evolution drops them, so a sector that only carries rounding
+    dust has probability 0 and error 1.0 on both paths.
+    The transfer matrices of all B vectors are built in one call: each row
+    depends only on its own reflectivities, so this equals building them
+    block by block, bit for bit. The permanents are then taken in blocks of
+    ``_SWEEP_BLOCK`` vectors, which bounds the size of their intermediate
+    arrays.
+    """
+    _, images, amplitudes = _heralded_amplitudes(base)
     transfers = transfer_matrices(base, etas)
     errors, probabilities = [], []
     for start in range(0, len(etas), _SWEEP_BLOCK):
-        u = transfers[start : start + _SWEEP_BLOCK]
-        sub = u[:, rows[None, :, :, None], cols[:, None, None, :]]
-        amps = _glynn_permanents(sub) / norms
+        amps = amplitudes(transfers[start : start + _SWEEP_BLOCK])
         amps[np.abs(amps) <= PRUNE_TOL] = 0.0
         weights = np.abs(amps) ** 2
         probability = weights.sum(axis=-1)

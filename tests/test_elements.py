@@ -51,6 +51,11 @@ def test_beamsplitter_matrix_rejects_bad_arguments():
         ((0.5, 1.0), "grey_port must be a non-negative integer, got 1.0"),
         ((True, 0), "reflectivity must be a real number, got True"),
         (("0.5", 0), "reflectivity must be a real number, got '0.5'"),
+        # nor is an array of them read as reflectivities 1.0 and 0.5
+        ((np.array([True, False]), 0), "reflectivities must be real numbers, got dtype bool"),
+        ((np.array([0.5j]), 0), "reflectivities must be real numbers, got dtype complex128"),
+        ((np.array([0.5], dtype=object), 0), "reflectivities must be real numbers, got dtype object"),
+        ((np.array(["0.5"]), 0), "reflectivities must be real numbers, got dtype <U3"),
     ):
         with pytest.raises(ValueError) as err:
             beamsplitter_matrix(*args)
@@ -232,6 +237,17 @@ def test_transfer_matrices_reject_a_reflectivity_array_of_the_wrong_shape():
     for etas in ([0.5], [[0.5, 0.5]], np.zeros((2, 1, 1))):
         with pytest.raises(ValueError, match="reflectivity array"):
             transfer_matrices(c, etas)
+
+
+@pytest.mark.parametrize(
+    "etas",
+    [[[True]], [[0.5j]], np.array([[0.5]], dtype=object), [["0.5"]]],
+    ids=["bool", "complex", "object", "string"],
+)
+def test_transfer_matrices_reject_reflectivities_that_are_not_real_numbers(etas):
+    c = Circuit(2, ("a", "b"), (Beamsplitter(0, 1, 0.5, grey=1),))
+    with pytest.raises(ValueError, match="reflectivities must be real numbers, got dtype"):
+        transfer_matrices(c, etas)
 
 
 def _with_reflectivities(circuit: Circuit, etas) -> Circuit:

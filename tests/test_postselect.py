@@ -128,6 +128,10 @@ def test_coincidence_probability_counts_single_occupancy_kets():
     for modes in ((True, 2, 3, 0), (0, 1, 2, 3.0), (0, 1, 2, -1)):
         with pytest.raises(ValueError, match="coincidence mode must be a non-negative"):
             coincidence_probability(s, modes)
+    # a two- or three-fold coincidence is not a four-fold one
+    for modes in ((0, 1), (0, 1, 2)):
+        with pytest.raises(ValueError, match=f"^coincidence needs four modes, got {len(modes)}$"):
+            coincidence_probability(s, modes)
 
 
 def test_matches_keeps_exactly_the_kets_condition_keeps():

@@ -27,9 +27,11 @@ from loqc.gates import (
     CNOT_IMAGE,
     ETA2_BIASED,
     GATE_NAMES,
+    QUBIT_LABELS,
     build_cnot_circuit,
     build_simplified_cnot,
     decode_logical,
+    dual_rail_ket,
     encode_logical,
     gate_by_name,
     logical_pair,
@@ -205,26 +207,56 @@ def test_moment_report_checks_each_table_it_reports():
 
 
 @st.composite
-def _bunched_matrices(draw):
-    """A stack of k x k complex matrices with |m_ij| <= 1, k = 1..4, whose
-    columns may repeat as a bunched input's do."""
+def _bunched_submatrices(draw):
+    """A (B, n, n) stack of complex matrices with |u_ij| <= 1, and (K, k)
+    row and (I, k) column index arrays, k = 1..4, whose rows and columns
+    may repeat as a bunched output's and a bunched input's do."""
     k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
     entry = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
-    stack = []
-    for _ in range(draw(st.integers(1, 3))):
-        base = [[draw(entry) for _ in range(k)] for _ in range(k)]
-        cols = draw(st.lists(st.integers(0, k - 1), min_size=k, max_size=k))
-        stack.append([[row[c] for c in cols] for row in base])
-    return np.array(stack, dtype=complex)
+    index = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
+    stack = [
+        [[draw(entry) for _ in range(n)] for _ in range(n)]
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    rows = draw(st.lists(index, min_size=1, max_size=3))
+    cols = draw(st.lists(index, min_size=1, max_size=3))
+    return np.array(stack, dtype=complex), np.array(rows), np.array(cols)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_bunched_matrices())
-def test_glynn_permanents_match_the_permutation_expansion(stack):
-    glynn = verify._glynn_permanents(stack)
-    assert glynn.shape == stack.shape[:1]
-    for value, matrix in zip(glynn, stack):
-        assert abs(value - permanent(matrix)) < 1e-12
+@given(_bunched_submatrices())
+def test_glynn_permanents_match_the_permutation_expansion(drawn):
+    stack, rows, cols = drawn
+    glynn = verify._glynn_permanents(stack, rows, cols)
+    assert glynn.shape == (len(stack), len(cols), len(rows))
+    for u, per_input in zip(stack, glynn):
+        for c, per_ket in zip(cols, per_input):
+            for r, value in zip(rows, per_ket):
+                assert abs(value - permanent(u[np.ix_(r, c)])) < 1e-12
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cnot-simplified"])
+def test_batched_amplitudes_match_the_oracle_over_the_heralded_sector(gate):
+    # complex amplitudes, phases included: the global phase makes every
+    # one of them complex, and the bunched sector kets carry the norms
+    base = gate_by_name(gate)
+    corners = np.array(list(itertools.product((-0.02, 0.02), repeat=len(base.elements))))
+    etas = verify._perturbed_etas(base, corners[:: len(corners) // 8], "absolute")
+    transfers = verify.transfer_matrices(base, etas) * np.exp(0.3j)
+    sector, images, amplitudes = verify._heralded_amplitudes(base)
+    assert sector == verify._sector(base, base.detection, 4)
+    amps = amplitudes(transfers)
+    assert amps.shape == (8, len(BASIS_INPUTS), len(sector))
+    rails = [base.mode_index(l) for l in QUBIT_LABELS]
+    for i, label in enumerate(BASIS_INPUTS):
+        image = sector[images[i]]
+        assert dual_rail_ket(CNOT_IMAGE[label]) == tuple(image[m] for m in rails)
+        input_occ = next(iter(encode_logical(logical_pair(label), base).amplitudes))
+        for u, batch in zip(transfers, amps[:, i]):
+            for out_occ, amp in zip(sector, batch):
+                oracle = oracle_amplitude(AmplitudeQuery(u, input_occ, out_occ))
+                assert abs(amp - oracle) < 1e-12
 
 
 def test_moment_tables_signal_and_cross():
