@@ -11,7 +11,6 @@ its result, so a fast wrong answer fails.
 
 import contextlib
 import io
-import itertools
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ import pytest
 from loqc import cli, verify
 from loqc.elements import compose_transfer_matrix, transfer_matrices
 from loqc.evolve import apply_element, evolve, permanent
+from loqc.fock import enumerate_basis
 from loqc.gates import (
     BASIS_INPUTS,
     encode_logical,
@@ -29,12 +29,9 @@ from loqc.postselect import condition
 from loqc.verify import CNOT_SUCCESS, truth_table
 
 CNOT = gate_by_name("cnot")
-# the first 128 sign corners of the CNOT's absolute sweep at magnitude 0.02
 # all 1024 sign corners of the CNOT's absolute sweep at magnitude 0.02
 ALL_CORNER_ETAS = verify._perturbed_etas(
-    CNOT,
-    np.array(list(itertools.product((-0.02, 0.02), repeat=len(CNOT.elements)))),
-    "absolute",
+    CNOT, verify._corner_deltas(0.02, len(CNOT.elements)), "absolute"
 )
 # the first 128 of them
 CORNER_ETAS = ALL_CORNER_ETAS[:128]
@@ -142,6 +139,26 @@ def test_transfer_matrices_b128(benchmark):
     assert u.shape == (128, CNOT.n_modes, CNOT.n_modes)
     gram = np.einsum("bij,bkj->bik", u, u)
     assert np.max(np.abs(gram - np.eye(CNOT.n_modes))) < 1e-12
+
+
+def test_sweep_setup_cnot(benchmark):
+    # what a corner sweep builds before its arithmetic: the corner deltas,
+    # and the heralded sector with the inputs' Glynn rows, columns and norms
+    def setup():
+        deltas = verify._corner_deltas(0.02, len(CNOT.elements))
+        return deltas, verify._heralded_amplitudes(CNOT)
+
+    deltas, (sector, images, amplitudes) = benchmark(setup)
+    # corner i holds +0.02 on as many splitters as i has set bits
+    assert (np.abs(deltas) == 0.02).all()
+    assert (deltas > 0).sum(axis=1).tolist() == [i.bit_count() for i in range(1024)]
+    assert sector == [
+        occ for occ in enumerate_basis(CNOT.n_modes, 4) if CNOT.detection.matches(occ)
+    ]
+    # at the nominal point every input lands on its image with weight 1/16
+    amps = amplitudes(compose_transfer_matrix(CNOT)[np.newaxis])
+    weights = np.abs(amps[0, range(len(BASIS_INPUTS)), images]) ** 2
+    assert np.max(np.abs(weights - CNOT_SUCCESS)) < 1e-12
 
 
 def test_batched_logical_errors_b128(benchmark):

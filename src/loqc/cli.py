@@ -308,24 +308,36 @@ def _cmd_run_circuit(args) -> int:
 # parser
 
 
-# Built once per process: main() only parses with it, and every parse
-# returns a fresh namespace.
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="loqc",
-        description="Simulate and verify postselected linear-optical gates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser. ``add_arguments(parser)`` adds the command's
+    arguments the first time the parser parses or is completed, so a
+    process builds the arguments of the commands it runs and no others."""
 
-    p = sub.add_parser("ns-verify", help="verify the NS conditional map")
+    def __init__(self, *args, add_arguments, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def complete(self) -> None:
+        if self._add_arguments is not None:
+            add_arguments, self._add_arguments = self._add_arguments, None
+            add_arguments(self)
+
+    # argparse's subparsers action parses a command's arguments through
+    # this method, and parse_args calls it too
+    def parse_known_args(self, args=None, namespace=None):
+        self.complete()
+        return super().parse_known_args(args, namespace)
+
+
+def _ns_verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--biased", action="store_true")
     for name in ("eta1", "eta2", "eta3", "eta7"):
         p.add_argument(f"--{name}", type=float, default=None)
     p.add_argument("--json")
     p.set_defaults(handler=_cmd_ns_verify)
 
-    p = sub.add_parser("truth-table", help="basis-input truth table")
+
+def _truth_table_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("gate", choices=CNOT_GATES)
     p.add_argument(
         "--conditioning", choices=("heralded", "coincidence"), default="heralded"
@@ -333,25 +345,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json")
     p.set_defaults(handler=_cmd_truth_table)
 
-    p = sub.add_parser("moments", help="four-fold coincidence moments")
+
+def _moments_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("gate", choices=CNOT_GATES)
     p.add_argument("--input", choices=gates.BASIS_INPUTS, default=None)
     p.add_argument("--json")
     p.set_defaults(handler=_cmd_moments)
 
-    p = sub.add_parser("bell-test", help="Bell states from superposition inputs")
+
+def _bell_test_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("gate", nargs="?", choices=CNOT_GATES, default="cnot")
     p.add_argument("--json")
     p.set_defaults(handler=_cmd_bell_test)
 
-    p = sub.add_parser("intermediate", help="interior state vs closed form")
+
+def _intermediate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("gate", choices=CNOT_GATES)
     p.add_argument("--input", choices=gates.BASIS_INPUTS, required=True)
     p.add_argument("--cut", required=True)
     p.add_argument("--json")
     p.set_defaults(handler=_cmd_intermediate)
 
-    p = sub.add_parser("sweep", help="beamsplitter-error sensitivity sweep")
+
+def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("gate", nargs="?", choices=CNOT_GATES, default="cnot")
     p.add_argument("--model", choices=("absolute", "relative"), default="absolute")
     p.add_argument("--magnitude", type=float, default=0.02)
@@ -362,21 +378,69 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv")
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("solve-params", help="solve and check operating points")
+
+def _solve_params_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json")
     p.set_defaults(handler=_cmd_solve_params)
 
-    p = sub.add_parser("run-circuit", help="evolve an input through a circuit file")
+
+def _run_circuit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--input", required=True, help="comma-separated photon counts")
     p.add_argument("--json")
     p.set_defaults(handler=_cmd_run_circuit)
 
+
+# (name, help line, the function that adds the command's arguments)
+_COMMANDS = (
+    ("ns-verify", "verify the NS conditional map", _ns_verify_arguments),
+    ("truth-table", "basis-input truth table", _truth_table_arguments),
+    ("moments", "four-fold coincidence moments", _moments_arguments),
+    ("bell-test", "Bell states from superposition inputs", _bell_test_arguments),
+    ("intermediate", "interior state vs closed form", _intermediate_arguments),
+    ("sweep", "beamsplitter-error sensitivity sweep", _sweep_arguments),
+    ("solve-params", "solve and check operating points", _solve_params_arguments),
+    ("run-circuit", "evolve an input through a circuit file", _run_circuit_arguments),
+)
+
+
+# Built once per process: main() only parses with it, and every parse
+# returns a fresh namespace.
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, tuple[_CommandParser, ...]]:
+    """The top-level parser and its command parsers, whose arguments are
+    added when each first parses."""
+    parser = argparse.ArgumentParser(
+        prog="loqc",
+        description="Simulate and verify postselected linear-optical gates.",
+    )
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_CommandParser
+    )
+    commands = tuple(
+        sub.add_parser(name, help=summary, add_arguments=add_arguments)
+        for name, summary, add_arguments in _COMMANDS
+    )
+    return parser, commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with every command's arguments added.
+
+    It is the one parser ``main`` parses with, so every call returns the
+    same object. ``main`` adds a command's arguments only when it first
+    parses that command, which spares a one-command process the other
+    commands' arguments; the help, usage and errors are the same either
+    way.
+    """
+    parser, commands = _parsers()
+    for command in commands:
+        command.complete()
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parsers()[0].parse_args(argv)
     try:
         # refuse an output path with the error its write would raise, up front
         for path in (getattr(args, k, None) for k in _OUTPUTS):

@@ -67,10 +67,14 @@ def _pair_transition(
     classic error in multiphoton interference. ``oracle_amplitude`` and
     ``verify._batched_logical_errors`` apply their own copies on purpose,
     so that each stays an independent path to the same amplitudes.
+
+    The 2x2 block is unpacked to Python floats, so the sum runs on plain
+    floats rather than numpy scalars: the same doubles through the same
+    libm ``pow`` and ``sqrt``, so the same coefficients, bit for bit.
     """
-    mat = beamsplitter_matrix(reflectivity, grey_port)
-    a_stay, a_cross = mat[0, 0], mat[1, 0]
-    b_cross, b_stay = mat[0, 1], mat[1, 1]
+    (a_stay, b_cross), (a_cross, b_stay) = beamsplitter_matrix(
+        reflectivity, grey_port
+    ).tolist()
     total = n + m
     sums: dict[int, float] = {}
     for p in range(n + 1):

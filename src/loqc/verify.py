@@ -122,12 +122,29 @@ def _sector(
     circuit: Circuit, pattern: DetectionPattern, photons: int
 ) -> list[Occupation]:
     """The ``photons``-photon basis kets of ``circuit`` that ``pattern``
-    keeps, in ``enumerate_basis`` order."""
-    return [
-        occ
-        for occ in enumerate_basis(circuit.n_modes, photons)
-        if pattern.matches(occ)
-    ]
+    keeps, in ``enumerate_basis`` order.
+
+    Only the photons that the exact counts leave over are enumerated, over
+    the modes those counts do not fix, and ``pattern.matches`` keeps the
+    kets that meet the group totals. Every ket agrees on the fixed modes,
+    so they leave ``enumerate_basis``' descending order as it is: the CNOT's
+    heralded sector takes 10 kets, not all 330 of 8 modes.
+    """
+    photons = _natural(photons, "total_photons")
+    pattern.validate_for(circuit.n_modes)
+    free = [m for m in range(circuit.n_modes) if m not in pattern.exact]
+    left = photons - sum(pattern.exact.values())
+    ket = [pattern.exact.get(m, 0) for m in range(circuit.n_modes)]
+    if left < 0 or not free:
+        return [tuple(ket)] if left == 0 else []
+    sector = []
+    for counts in enumerate_basis(len(free), left):
+        for m, k in zip(free, counts):
+            ket[m] = k
+        occ = tuple(ket)
+        if pattern.matches(occ):
+            sector.append(occ)
+    return sector
 
 
 def conditioned_logical_output(
@@ -503,6 +520,20 @@ def heisenberg_consistency(gate: str) -> float:
 _SWEEP_BLOCK = 64
 
 
+def _corner_deltas(magnitude: float, k: int) -> np.ndarray:
+    """The (2**k, k) sign corners of +/-``magnitude`` over k splitters, bit
+    for bit ``np.array(list(itertools.product((-magnitude, magnitude),
+    repeat=k)))``: row i holds +magnitude where bit k-1-j of i is set and
+    -magnitude (-0.0 at magnitude 0) where it is not. Built column by
+    column, so no (2**k, k) integer array is ever made."""
+    signs = np.array([-magnitude, magnitude])
+    rows = np.arange(2**k)
+    deltas = np.empty((2**k, k), signs.dtype)
+    for j in range(k):
+        deltas[:, j] = signs[(rows >> (k - 1 - j)) & 1]
+    return deltas
+
+
 def _perturbed_etas(base: Circuit, deltas: np.ndarray, model: str) -> np.ndarray:
     """(B, k) reflectivities for B perturbation vectors: eta + delta
     ("absolute") or eta * (1 + delta) ("relative"), clamped to [0, 1]."""
@@ -690,7 +721,7 @@ def sensitivity_sweep(
     k = len(base.elements)
     labels = [el.label for el in base.elements]
     if mode == "corners":
-        deltas = np.array(list(itertools.product((-magnitude, +magnitude), repeat=k)))
+        deltas = _corner_deltas(magnitude, k)
     elif mode == "random":
         rng = default_rng(seed)
         deltas = rng.uniform(-magnitude, magnitude, size=(samples, k))

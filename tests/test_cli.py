@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from loqc import verify
+import loqc
+from loqc import cli, verify
 from loqc.cli import _write_report, build_parser, main
 from loqc.gates import BASIS_INPUTS
 
@@ -342,6 +345,60 @@ def test_report_with_nan_raises_and_writes_nothing(tmp_path):
     with pytest.raises(ValueError):
         _write_report({"value": float("nan")}, str(path))
     assert not path.exists()
+
+
+# Runs each argv line of argv[2] (JSON) through loqc's main in a fresh
+# interpreter, each on a new parser, as a new process would; "full" first
+# builds the whole parser, "lazy" leaves each command's arguments to be
+# added when it is parsed. Prints [stdout, stderr, exit code] per line.
+_MAIN_ON_NEW_PARSERS = """
+import contextlib, io, json, sys
+from loqc import cli
+results = []
+for argv in json.loads(sys.argv[2]):
+    cli._parsers.cache_clear()
+    if sys.argv[1] == "full":
+        cli.build_parser()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps(results))
+"""
+
+
+def test_help_and_usage_errors_do_not_depend_on_the_full_parser():
+    lines = [
+        ["--help"],
+        *([name, "--help"] for name, _, _ in cli._COMMANDS),
+        ["bogus"],
+        ["truth-table", "toffoli"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(loqc.__file__).parents[1])}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _MAIN_ON_NEW_PARSERS, mode, json.dumps(lines)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        for mode in ("lazy", "full")
+    ]
+    outputs = [p.communicate() for p in procs]
+    for p, (_, stderr) in zip(procs, outputs):
+        assert p.returncode == 0, stderr.decode()
+    lazy, full = (json.loads(stdout) for stdout, _ in outputs)
+    assert len(lazy) == len(lines)
+    for argv, got, expected in zip(lines, lazy, full):
+        assert got == expected, argv
+        stdout, stderr, code = got
+        if argv[-1] == "--help":
+            assert (code, stderr) == (0, "") and stdout.startswith("usage: loqc"), argv
+        else:
+            assert (code, stdout) == (2, "") and "invalid choice" in stderr, argv
 
 
 def test_parser_is_built_once():

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_circuit, random_occupation, random_state
-from loqc.elements import Beamsplitter, Circuit, compose_transfer_matrix
+from loqc.elements import (
+    Beamsplitter,
+    Circuit,
+    beamsplitter_matrix,
+    compose_transfer_matrix,
+)
 from loqc.evolve import (
     MAX_PHOTONS,
     AmplitudeQuery,
@@ -98,6 +103,44 @@ def test_pair_transition_cache_stays_bounded():
         apply_element(state, Beamsplitter(0, 1, float(eta), grey=1))
     info = _pair_transition.cache_info()
     assert info.currsize <= info.maxsize
+
+
+def _pair_transition_on_numpy_scalars(reflectivity, grey_port, n, m):
+    # the sum as it ran on the numpy scalars of beamsplitter_matrix's block
+    mat = beamsplitter_matrix(reflectivity, grey_port)
+    sums = {}
+    for p in range(n + 1):
+        for q in range(m + 1):
+            w = (
+                math.comb(n, p)
+                * math.comb(m, q)
+                * mat[0, 0] ** p
+                * mat[1, 0] ** (n - p)
+                * mat[0, 1] ** q
+                * mat[1, 1] ** (m - q)
+            )
+            sums[p + q] = sums.get(p + q, 0.0) + w
+    norm = math.factorial(n) * math.factorial(m)
+    return tuple(
+        sorted(
+            (k, w * math.sqrt(math.factorial(k) * math.factorial(n + m - k) / norm))
+            for k, w in sums.items()
+        )
+    )
+
+
+def test_pair_transition_on_floats_keeps_every_bit():
+    etas = [0.0, 1.0, 0.5, *RNG.uniform(0.0, 1.0, 40).tolist()]
+    for eta in etas:
+        for grey_port in (0, 1):
+            for n in range(MAX_PHOTONS + 1):
+                for m in range(MAX_PHOTONS + 1 - n):
+                    got = _pair_transition(eta, grey_port, n, m)
+                    expected = _pair_transition_on_numpy_scalars(eta, grey_port, n, m)
+                    assert all(type(c) is float for _, c in got)
+                    assert repr(got) == repr(
+                        tuple((k, float(c)) for k, c in expected)
+                    )
 
 
 @pytest.mark.parametrize("upto", [-1, -11, 11, 99, True, 1.5])

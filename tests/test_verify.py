@@ -19,7 +19,7 @@ from conftest import (
     WORST_ERROR_REL_CORNERS_002,
 )
 from loqc import verify
-from loqc.elements import compose_transfer_matrix
+from loqc.elements import Circuit, compose_transfer_matrix
 from loqc.evolve import AmplitudeQuery, evolve, oracle_amplitude, permanent
 from loqc.fock import basis_state, enumerate_basis
 from loqc.gates import (
@@ -36,6 +36,7 @@ from loqc.gates import (
     gate_by_name,
     logical_pair,
 )
+from loqc.postselect import DetectionPattern
 from loqc.verify import (
     CNOT_SUCCESS,
     SIMPLIFIED_SUCCESS,
@@ -241,7 +242,7 @@ def test_batched_amplitudes_match_the_oracle_over_the_heralded_sector(gate):
     # complex amplitudes, phases included: the global phase makes every
     # one of them complex, and the bunched sector kets carry the norms
     base = gate_by_name(gate)
-    corners = np.array(list(itertools.product((-0.02, 0.02), repeat=len(base.elements))))
+    corners = verify._corner_deltas(0.02, len(base.elements))
     etas = verify._perturbed_etas(base, corners[:: len(corners) // 8], "absolute")
     transfers = verify.transfer_matrices(base, etas) * np.exp(0.3j)
     sector, images, amplitudes = verify._heralded_amplitudes(base)
@@ -343,6 +344,53 @@ def test_interior_state_check_rejects_unknown_cut_and_input():
         reference_interior_state("ns", "x", "HH")
 
 
+def _filtered_sector(circuit, pattern, photons):
+    # the rule _sector implements: the keep rule over the whole sector
+    return [
+        occ
+        for occ in enumerate_basis(circuit.n_modes, photons)
+        if pattern.matches(occ)
+    ]
+
+
+@pytest.mark.parametrize("gate", GATE_NAMES)
+def test_sector_is_the_keep_rule_over_the_whole_sector(gate):
+    circuit = gate_by_name(gate)
+    patterns = [circuit.detection]
+    if gate in ("cnot", "cnot-simplified"):
+        patterns.append(coincidence_pattern(circuit))
+    for pattern in patterns:
+        for photons in range(6):
+            # lists, so the order counts too
+            expected = _filtered_sector(circuit, pattern, photons)
+            assert verify._sector(circuit, pattern, photons) == expected
+
+
+@st.composite
+def _patterns_on_few_modes(draw):
+    """A mode count of at most 6 and a pattern on it: random exact counts
+    and groups, over disjoint modes."""
+    n = draw(st.integers(1, 6))
+    modes = draw(st.permutations(range(n)))
+    n_exact = draw(st.integers(0, n))
+    exact = {m: draw(st.integers(0, 3)) for m in modes[:n_exact]}
+    groups, rest = [], modes[n_exact:]
+    while rest and draw(st.booleans()):
+        size = draw(st.integers(1, len(rest)))
+        groups.append((tuple(rest[:size]), draw(st.integers(0, 4))))
+        rest = rest[size:]
+    return n, DetectionPattern(exact=exact, groups=tuple(groups))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_patterns_on_few_modes(), st.integers(0, 5))
+def test_sector_is_the_keep_rule_for_random_patterns(drawn, photons):
+    n, pattern = drawn
+    circuit = Circuit(n, tuple(f"m{i}" for i in range(n)), ())
+    expected = _filtered_sector(circuit, pattern, photons)
+    assert verify._sector(circuit, pattern, photons) == expected
+
+
 def test_dual_path_consistency_all_gates():
     assert heisenberg_consistency("ns") < 1e-12
     assert heisenberg_consistency("ns-biased") < 1e-12
@@ -383,6 +431,16 @@ def test_sweep_zero_magnitude_has_zero_error():
     res = sensitivity_sweep("cnot", model="absolute", magnitude=0.0, mode="random", samples=4)
     assert res["worst_error"] < 1e-13
     assert res["mean_error"] < 1e-13
+
+
+@pytest.mark.parametrize("magnitude", [0.0, 0.02, 5e-324])
+def test_corner_deltas_are_the_sign_product_bit_for_bit(magnitude):
+    # compared as bytes, so that magnitude 0's -0.0 entries count
+    for k in range(1, 11):
+        expected = np.array(list(itertools.product((-magnitude, magnitude), repeat=k)))
+        deltas = verify._corner_deltas(magnitude, k)
+        assert (deltas.dtype, deltas.shape) == (expected.dtype, expected.shape)
+        assert deltas.tobytes() == expected.tobytes()
 
 
 def test_sweep_corner_count_and_regression_values():
@@ -549,7 +607,7 @@ def test_batched_errors_ignore_a_global_phase_of_the_transfer_matrices(monkeypat
     # a global phase makes every heralded amplitude complex without
     # changing any probability, so errors and probabilities must not move
     base = build_cnot_circuit()
-    corners = np.array(list(itertools.product((-0.02, 0.02), repeat=len(base.elements))))
+    corners = verify._corner_deltas(0.02, len(base.elements))
     etas = verify._perturbed_etas(base, corners[:16], "absolute")
     errors, probabilities = verify._batched_logical_errors(base, etas)
     real_matrices = verify.transfer_matrices
