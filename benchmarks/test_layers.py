@@ -164,16 +164,18 @@ def test_sweep_setup_cnot(benchmark):
 def test_batched_logical_errors_b128(benchmark):
     errors, probabilities = benchmark(verify._batched_logical_errors, CNOT, CORNER_ETAS)
     assert errors.shape == probabilities.shape == (128, 4)
-    # the last corner, checked against sparse evolution
+    # the last corner, checked against sparse evolution on every input
     circuit = verify._perturbed_circuit(CNOT, CORNER_ETAS[-1].tolist())
-    sparse_errors, sparse_probabilities = verify._sparse_logical_errors(circuit)
-    assert np.max(np.abs(errors[-1] - sparse_errors)) < 1e-12
-    assert np.max(np.abs(probabilities[-1] - sparse_probabilities)) < 1e-12
+    for j, label in enumerate(BASIS_INPUTS):
+        error, probability = verify._sparse_logical_error(circuit, label)
+        assert abs(errors[-1, j] - error) < 1e-12
+        assert abs(probabilities[-1, j] - probability) < 1e-12
 
 
 def test_batched_logical_errors_b1024(benchmark):
-    # the whole corner sweep, checked against sparse evolution on the four
-    # tied corners, which the batch must put within 1e-12 of its maximum
+    # the whole corner sweep, checked against sparse evolution on every
+    # input of the four tied corners, which the batch must put within
+    # 1e-12 of its maximum
     errors, probabilities = benchmark(
         verify._batched_logical_errors, CNOT, ALL_CORNER_ETAS
     )
@@ -182,6 +184,36 @@ def test_batched_logical_errors_b1024(benchmark):
     assert (run_worst[list(TIED_CORNERS)] >= run_worst.max() - 1e-12).all()
     for i in TIED_CORNERS:
         circuit = verify._perturbed_circuit(CNOT, ALL_CORNER_ETAS[i].tolist())
-        sparse_errors, sparse_probabilities = verify._sparse_logical_errors(circuit)
-        assert np.max(np.abs(errors[i] - sparse_errors)) < 1e-12
-        assert np.max(np.abs(probabilities[i] - sparse_probabilities)) < 1e-12
+        for j, label in enumerate(BASIS_INPUTS):
+            error, probability = verify._sparse_logical_error(circuit, label)
+            assert abs(errors[i, j] - error) < 1e-12
+            assert abs(probabilities[i, j] - probability) < 1e-12
+
+
+def test_sweep_tie_heavy_random_absolute_0_9(benchmark, monkeypatch):
+    # 1000 absolute random samples at magnitude 0.9 clamp many splitters to
+    # 0 or 1: 543 vectors tie at error 1.0, on 1,251 (vector, input) pairs,
+    # each evolved again by the sparse check
+    pairs, vectors = [], []
+    sparse_error = verify._sparse_logical_error
+    perturbed_circuit = verify._perturbed_circuit
+
+    def counted_pair(circuit, label):
+        pairs.append(label)
+        return sparse_error(circuit, label)
+
+    def counted_vector(base, etas):
+        vectors.append(etas)
+        return perturbed_circuit(base, etas)
+
+    monkeypatch.setattr(verify, "_sparse_logical_error", counted_pair)
+    monkeypatch.setattr(verify, "_perturbed_circuit", counted_vector)
+
+    def sweep():
+        pairs.clear()
+        vectors.clear()
+        return verify.sensitivity_sweep("cnot", "absolute", 0.9, "random", 1000, 0)
+
+    report = benchmark(sweep)
+    assert report["worst_error"] == 1.0
+    assert (len(pairs), len(vectors)) == (1251, 543)

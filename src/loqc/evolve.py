@@ -11,7 +11,7 @@ cuts. The sensitivity sweep in ``loqc.verify`` evaluates every
 perturbation by Glynn permanents of ``elements.transfer_matrices``, with
 the sign vectors over the input photon columns
 (``verify._glynn_permanents``), and calls ``evolve`` only to check the
-perturbations at its worst error.
+(perturbation, input) pairs at its worst error.
 ``permanent`` and ``oracle_amplitude`` are on neither path: they are the
 reference that ``verify.heisenberg_consistency`` and the tests compare
 both against.

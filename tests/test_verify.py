@@ -591,6 +591,67 @@ def test_sweep_rederives_each_distinct_tied_vector_once(monkeypatch):
     }
 
 
+def test_sweep_rederives_only_the_tied_vector_input_pairs(monkeypatch):
+    # each of the four tied corners carries the worst error on one input,
+    # and only those four cells are evolved again. The batch is lifted by
+    # 1e-13, inside the 1e-12 check, so any cell the sweep did not replace
+    # keeps the lifted value and every replaced one must be the sparse value
+    base = build_cnot_circuit()
+    batched = verify._batched_logical_errors
+
+    def lifted(base, etas):
+        errors, probabilities = batched(base, etas)
+        return errors + 1e-13, probabilities + 1e-13
+
+    calls = []
+    conditioned = verify.conditioned_logical_output
+
+    def counting(circuit, pair):
+        calls.append((circuit, pair))
+        return conditioned(circuit, pair)
+
+    monkeypatch.setattr(verify, "_batched_logical_errors", lifted)
+    monkeypatch.setattr(verify, "conditioned_logical_output", counting)
+    res = sensitivity_sweep("cnot", model="absolute", magnitude=0.02, mode="corners")
+    monkeypatch.undo()
+    records = res["records"]
+    rows = records["etas"].tolist()
+    label_of = {logical_pair(label): label for label in BASIS_INPUTS}
+    pairs = [
+        (rows.index([el.reflectivity for el in circuit.elements]), label_of[pair])
+        for circuit, pair in calls
+    ]
+    assert pairs == [(86, "VH"), (424, "VH"), (599, "VV"), (937, "VV")]
+    errors, probabilities = lifted(base, records["etas"])
+    for i, label in pairs:
+        circuit = verify._perturbed_circuit(base, rows[i])
+        j = BASIS_INPUTS.index(label)
+        errors[i, j], probabilities[i, j] = verify._sparse_logical_error(circuit, label)
+    assert np.array_equal(records["errors"], errors)
+    assert np.array_equal(records["probabilities"], probabilities)
+    assert res["worst_error"] == errors[86, BASIS_INPUTS.index("VH")]
+    assert res["worst_input"] == "VH"
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cnot-simplified"])
+@pytest.mark.parametrize("model", ["absolute", "relative"])
+def test_every_input_of_every_tied_corner_matches_sparse_evolution(gate, model):
+    # the sweep re-derives only the tied (vector, input) pairs; the other
+    # inputs of a tied vector keep their batched values, which must still
+    # agree with sparse evolution
+    base = gate_by_name(gate)
+    res = sensitivity_sweep(gate, model=model, magnitude=0.02, mode="corners")
+    records = res["records"]
+    run_worst = records["errors"].max(axis=1)
+    tied = np.flatnonzero(run_worst >= run_worst.max() - 1e-12).tolist()
+    for i in tied:
+        circuit = verify._perturbed_circuit(base, records["etas"][i].tolist())
+        for j, label in enumerate(BASIS_INPUTS):
+            error, probability = verify._sparse_logical_error(circuit, label)
+            assert abs(records["errors"][i, j] - error) <= 1e-12
+            assert abs(records["probabilities"][i, j] - probability) <= 1e-12
+
+
 def test_sweep_raises_when_batched_and_sparse_paths_disagree(monkeypatch):
     batched = verify._batched_logical_errors
 
@@ -599,7 +660,7 @@ def test_sweep_raises_when_batched_and_sparse_paths_disagree(monkeypatch):
         return errors + 1e-9, probabilities
 
     monkeypatch.setattr(verify, "_batched_logical_errors", skewed)
-    with pytest.raises(RuntimeError, match="differ by"):
+    with pytest.raises(RuntimeError, match=r"vector \d+ at input (HH|HV|VH|VV) differ by"):
         sensitivity_sweep("cnot-simplified", model="absolute", magnitude=0.02, mode="corners")
 
 
