@@ -42,7 +42,7 @@ CNOT_GATES = ("cnot", "cnot-simplified")
 
 _OUTPUTS = ("json", "csv")  # parsed arguments that name output files
 # parsed arguments that are not inputs of the command's computation
-_NOT_INPUTS = ("command", "handler") + _OUTPUTS
+_NOT_INPUTS = ("command",) + _OUTPUTS
 _NOT_RESULTS = ("checks", "passed", "records")  # records: sweep arrays, for --csv
 
 
@@ -308,33 +308,11 @@ def _cmd_run_circuit(args) -> int:
 # parser
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser. ``add_arguments(parser)`` adds the command's
-    arguments the first time the parser parses or is completed, so a
-    process builds the arguments of the commands it runs and no others."""
-
-    def __init__(self, *args, add_arguments, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._add_arguments = add_arguments
-
-    def complete(self) -> None:
-        if self._add_arguments is not None:
-            add_arguments, self._add_arguments = self._add_arguments, None
-            add_arguments(self)
-
-    # argparse's subparsers action parses a command's arguments through
-    # this method, and parse_args calls it too
-    def parse_known_args(self, args=None, namespace=None):
-        self.complete()
-        return super().parse_known_args(args, namespace)
-
-
 def _ns_verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--biased", action="store_true")
     for name in ("eta1", "eta2", "eta3", "eta7"):
         p.add_argument(f"--{name}", type=float, default=None)
     p.add_argument("--json")
-    p.set_defaults(handler=_cmd_ns_verify)
 
 
 def _truth_table_arguments(p: argparse.ArgumentParser) -> None:
@@ -343,20 +321,17 @@ def _truth_table_arguments(p: argparse.ArgumentParser) -> None:
         "--conditioning", choices=("heralded", "coincidence"), default="heralded"
     )
     p.add_argument("--json")
-    p.set_defaults(handler=_cmd_truth_table)
 
 
 def _moments_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("gate", choices=CNOT_GATES)
     p.add_argument("--input", choices=gates.BASIS_INPUTS, default=None)
     p.add_argument("--json")
-    p.set_defaults(handler=_cmd_moments)
 
 
 def _bell_test_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("gate", nargs="?", choices=CNOT_GATES, default="cnot")
     p.add_argument("--json")
-    p.set_defaults(handler=_cmd_bell_test)
 
 
 def _intermediate_arguments(p: argparse.ArgumentParser) -> None:
@@ -364,7 +339,6 @@ def _intermediate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", choices=gates.BASIS_INPUTS, required=True)
     p.add_argument("--cut", required=True)
     p.add_argument("--json")
-    p.set_defaults(handler=_cmd_intermediate)
 
 
 def _sweep_arguments(p: argparse.ArgumentParser) -> None:
@@ -376,71 +350,77 @@ def _sweep_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--json")
     p.add_argument("--csv")
-    p.set_defaults(handler=_cmd_sweep)
 
 
 def _solve_params_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json")
-    p.set_defaults(handler=_cmd_solve_params)
 
 
 def _run_circuit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--input", required=True, help="comma-separated photon counts")
     p.add_argument("--json")
-    p.set_defaults(handler=_cmd_run_circuit)
 
 
-# (name, help line, the function that adds the command's arguments)
-_COMMANDS = (
-    ("ns-verify", "verify the NS conditional map", _ns_verify_arguments),
-    ("truth-table", "basis-input truth table", _truth_table_arguments),
-    ("moments", "four-fold coincidence moments", _moments_arguments),
-    ("bell-test", "Bell states from superposition inputs", _bell_test_arguments),
-    ("intermediate", "interior state vs closed form", _intermediate_arguments),
-    ("sweep", "beamsplitter-error sensitivity sweep", _sweep_arguments),
-    ("solve-params", "solve and check operating points", _solve_params_arguments),
-    ("run-circuit", "evolve an input through a circuit file", _run_circuit_arguments),
-)
+# name -> (help line, the function that adds the command's arguments, handler)
+_COMMANDS = {
+    "ns-verify": (
+        "verify the NS conditional map", _ns_verify_arguments, _cmd_ns_verify
+    ),
+    "truth-table": (
+        "basis-input truth table", _truth_table_arguments, _cmd_truth_table
+    ),
+    "moments": ("four-fold coincidence moments", _moments_arguments, _cmd_moments),
+    "bell-test": (
+        "Bell states from superposition inputs", _bell_test_arguments, _cmd_bell_test
+    ),
+    "intermediate": (
+        "interior state vs closed form", _intermediate_arguments, _cmd_intermediate
+    ),
+    "sweep": ("beamsplitter-error sensitivity sweep", _sweep_arguments, _cmd_sweep),
+    "solve-params": (
+        "solve and check operating points", _solve_params_arguments, _cmd_solve_params
+    ),
+    "run-circuit": (
+        "evolve an input through a circuit file",
+        _run_circuit_arguments,
+        _cmd_run_circuit,
+    ),
+}
 
 
-# Built once per process: main() only parses with it, and every parse
-# returns a fresh namespace.
+# Each parser is built once per process; every parse returns a fresh namespace.
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, tuple[_CommandParser, ...]]:
-    """The top-level parser and its command parsers, whose arguments are
-    added when each first parses."""
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command, as a subcommand of ``loqc``."""
     parser = argparse.ArgumentParser(
         prog="loqc",
         description="Simulate and verify postselected linear-optical gates.",
     )
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=_CommandParser
-    )
-    commands = tuple(
-        sub.add_parser(name, help=summary, add_arguments=add_arguments)
-        for name, summary, add_arguments in _COMMANDS
-    )
-    return parser, commands
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments, _) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=summary))
+    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full parser, with every command's arguments added.
-
-    It is the one parser ``main`` parses with, so every call returns the
-    same object. ``main`` adds a command's arguments only when it first
-    parses that command, which spares a one-command process the other
-    commands' arguments; the help, usage and errors are the same either
-    way.
-    """
-    parser, commands = _parsers()
-    for command in commands:
-        command.complete()
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser, the same as its subparser in ``build_parser``."""
+    parser = argparse.ArgumentParser(prog=f"loqc {name}")
+    _COMMANDS[name][1](parser)
+    parser.set_defaults(command=name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parsers()[0].parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = rest = None
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or rest:
+        # no command, or arguments its command does not take: the full
+        # parser prints the help or the usage error, as argparse words it
+        args = build_parser().parse_args(argv)
     try:
         # refuse an output path with the error its write would raise, up front
         for path in (getattr(args, k, None) for k in _OUTPUTS):
@@ -449,7 +429,7 @@ def main(argv: list[str] | None = None) -> int:
             if Path(path).is_dir() or not Path(path).parent.is_dir():
                 code = errno.EISDIR if Path(path).is_dir() else errno.ENOENT
                 raise OSError(code, os.strerror(code), path)
-        return args.handler(args)
+        return _COMMANDS[args.command][2](args)
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -76,7 +76,8 @@ class Beamsplitter:
     reflection is sign-flipped. Construction refuses a mode that fails
     ``fock._natural``, coinciding modes, another grey mode, a reflectivity
     that fails ``fock._real``, and one outside [0, 1]; the ``Circuit``
-    checks that the modes exist.
+    checks that the modes exist. The modes are stored as ``int`` and the
+    reflectivity as ``float``, so a numpy number given is not kept.
     """
 
     mode_a: int
@@ -86,8 +87,8 @@ class Beamsplitter:
     label: str = ""
 
     def __post_init__(self):
-        for mode in (self.mode_a, self.mode_b, self.grey):
-            _natural(mode, "mode")
+        for name in ("mode_a", "mode_b", "grey"):
+            object.__setattr__(self, name, _natural(getattr(self, name), "mode"))
         if self.mode_a == self.mode_b:
             raise ValueError(f"modes coincide ({self.mode_a})")
         if self.grey not in (self.mode_a, self.mode_b):
@@ -95,6 +96,7 @@ class Beamsplitter:
         _real(self.reflectivity, "reflectivity")
         if not 0.0 <= self.reflectivity <= 1.0:
             raise ValueError(f"reflectivity {self.reflectivity} outside [0, 1]")
+        object.__setattr__(self, "reflectivity", float(self.reflectivity))
 
     def grey_port(self) -> int:
         """0 or 1: which of the two modes is grey."""
@@ -112,6 +114,7 @@ class Circuit:
     state after the first k elements. Construction raises one ValueError
     that lists every way the parts do not fit together, joined by "; ",
     after refusing alone a count, mode or cut that is not an integer.
+    ``n_modes`` and the ancilla and cut numbers are stored as ``int``.
     """
 
     n_modes: int
@@ -123,16 +126,18 @@ class Circuit:
 
     def __post_init__(self):
         # a plain int skips the call: a negative one is reported with the rest
-        n = self.n_modes
-        if type(n) is not int:
-            _natural(n, "n_modes")
-        for m, k in self.ancilla_prep.items():
-            if type(m) is not int or type(k) is not int:
-                _natural(m, "ancilla prep mode")
-                _natural(k, f"ancilla prep count on mode {m!r}")
-        for name, k in self.cuts.items():
-            if type(k) is not int:
-                _natural(k, f"cut {name!r}")
+        def count(value, what: str) -> int:
+            return value if type(value) is int else _natural(value, what)
+
+        n = count(self.n_modes, "n_modes")
+        prep = {
+            count(m, "ancilla prep mode"): count(k, f"ancilla prep count on mode {m!r}")
+            for m, k in self.ancilla_prep.items()
+        }
+        cuts = {name: count(k, f"cut {name!r}") for name, k in self.cuts.items()}
+        object.__setattr__(self, "n_modes", n)
+        object.__setattr__(self, "ancilla_prep", prep)
+        object.__setattr__(self, "cuts", cuts)
         issues: list[str] = []
         if n < 1:
             issues.append(f"n_modes must be >= 1, got {n}")

@@ -347,58 +347,87 @@ def test_report_with_nan_raises_and_writes_nothing(tmp_path):
     assert not path.exists()
 
 
-# Runs each argv line of argv[2] (JSON) through loqc's main in a fresh
-# interpreter, each on a new parser, as a new process would; "full" first
-# builds the whole parser, "lazy" leaves each command's arguments to be
-# added when it is parsed. Prints [stdout, stderr, exit code] per line.
-_MAIN_ON_NEW_PARSERS = """
+# Runs each argv line of argv[1] (JSON) twice in a fresh interpreter, each
+# time on new parsers, as a new process would: through loqc's main and
+# through the full parser's parse_args. Prints, per line, the two
+# [stdout, stderr, exit code] results; the exit code is None for an argv
+# that parses.
+_MAIN_AND_FULL_PARSER = """
 import contextlib, io, json, sys
 from loqc import cli
-results = []
-for argv in json.loads(sys.argv[2]):
-    cli._parsers.cache_clear()
-    if sys.argv[1] == "full":
-        cli.build_parser()
+
+def captured(parse, argv):
+    cli.build_parser.cache_clear()
+    cli._command_parser.cache_clear()
     out, err = io.StringIO(), io.StringIO()
+    code = None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            parse(argv)
         except SystemExit as exc:
             code = exc.code
-    results.append([out.getvalue(), err.getvalue(), code])
+    return [out.getvalue(), err.getvalue(), code]
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    results.append([
+        captured(cli.main, argv),
+        captured(lambda a: cli.build_parser().parse_args(a), argv),
+    ])
 print(json.dumps(results))
 """
+
+
+def _run_script(script, *args):
+    env = {**os.environ, "PYTHONPATH": str(Path(loqc.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode()
 
 
 def test_help_and_usage_errors_do_not_depend_on_the_full_parser():
     lines = [
         ["--help"],
-        *([name, "--help"] for name, _, _ in cli._COMMANDS),
+        *([name, "--help"] for name in cli._COMMANDS),
+        ["truth-table", "-h", "cnot"],
+        [],
         ["bogus"],
+        ["truth-table"],
         ["truth-table", "toffoli"],
+        ["truth-table", "cnot", "--bogus"],
+        ["sweep", "--samples", "x"],
     ]
-    env = {**os.environ, "PYTHONPATH": str(Path(loqc.__file__).parents[1])}
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-c", _MAIN_ON_NEW_PARSERS, mode, json.dumps(lines)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
-        for mode in ("lazy", "full")
-    ]
-    outputs = [p.communicate() for p in procs]
-    for p, (_, stderr) in zip(procs, outputs):
-        assert p.returncode == 0, stderr.decode()
-    lazy, full = (json.loads(stdout) for stdout, _ in outputs)
-    assert len(lazy) == len(lines)
-    for argv, got, expected in zip(lines, lazy, full):
+    results = json.loads(_run_script(_MAIN_AND_FULL_PARSER, json.dumps(lines)))
+    assert len(results) == len(lines)
+    for argv, (got, expected) in zip(lines, results):
         assert got == expected, argv
         stdout, stderr, code = got
-        if argv[-1] == "--help":
+        if "--help" in argv or "-h" in argv:
             assert (code, stderr) == (0, "") and stdout.startswith("usage: loqc"), argv
         else:
-            assert (code, stdout) == (2, "") and "invalid choice" in stderr, argv
+            assert (code, stdout) == (2, "") and stderr.startswith("usage: loqc"), argv
+
+
+# Counts the ArgumentParser objects a process builds while main runs the
+# command named on its command line; prints the count last.
+_COUNT_PARSERS = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from loqc.cli import main
+assert main() == 0
+print(len(built))
+"""
+
+
+def test_a_one_command_process_builds_one_parser():
+    assert _run_script(_COUNT_PARSERS, "solve-params").splitlines()[-1] == "1"
 
 
 def test_parser_is_built_once():

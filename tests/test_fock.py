@@ -1,13 +1,15 @@
 """Sparse Fock-sector state container."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import random_state
-from loqc.elements import Beamsplitter, beamsplitter_matrix
+from loqc.circuit_io import circuit_from_dict, circuit_to_dict
+from loqc.elements import Beamsplitter, Circuit, beamsplitter_matrix
 from loqc.evolve import AmplitudeQuery, evolve, oracle_amplitude
 from loqc.fock import (
     FockStateVector,
@@ -17,7 +19,7 @@ from loqc.fock import (
     make_state,
 )
 from loqc.gates import build_cnot_circuit, encode_logical, logical_pair
-from loqc.postselect import coincidence_probability
+from loqc.postselect import DetectionPattern, coincidence_probability
 from loqc.verify import sensitivity_sweep
 
 RNG = np.random.default_rng(20260815)
@@ -104,7 +106,22 @@ def test_numpy_integers_pass_every_count_rule_and_are_stored_as_ints():
     s = basis_state(4, (1, 1, 1, 1))
     assert coincidence_probability(s, tuple(np.arange(4))) == 1.0
     assert beamsplitter_matrix(0.3, one).tolist() == beamsplitter_matrix(0.3, 1).tolist()
-    assert Beamsplitter(np.int64(0), one, 0.3, grey=one).grey_port() == 1
+    splitter = Beamsplitter(np.int64(0), one, np.float32(0.25), grey=one)
+    assert splitter.grey_port() == 1
+    modes = (splitter.mode_a, splitter.mode_b, splitter.grey)
+    assert [type(m) for m in modes] == [int, int, int]
+    assert type(splitter.reflectivity) is float and splitter.reflectivity == 0.25
+    circuit = Circuit(
+        two,
+        ("a", "b"),
+        (splitter,),
+        ancilla_prep={one: np.uint8(0)},
+        detection=DetectionPattern({one: np.int8(0)}),
+        cuts={"all": np.int16(1)},
+    )
+    assert type(circuit.n_modes) is int and type(circuit.cuts["all"]) is int
+    assert all(type(k) is int for item in circuit.ancilla_prep.items() for k in item)
+    assert circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit)))) == circuit
     cnot = build_cnot_circuit()
     prepared = encode_logical(logical_pair("HV"), cnot)
     assert evolve(prepared, cnot, upto=np.int64(2)) == evolve(prepared, cnot, upto=2)

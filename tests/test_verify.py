@@ -90,6 +90,27 @@ def test_truth_table_rejects_unknown_conditioning_and_gate():
         truth_table("ns")
 
 
+@pytest.mark.parametrize("gate", ["ns", "ns-biased"])
+@pytest.mark.parametrize(
+    "report",
+    [
+        truth_table,
+        moment_report,
+        lambda gate: moment_table(gate, "HH"),
+        bell_test,
+        sensitivity_sweep,
+    ],
+    ids=["truth_table", "moment_report", "moment_table", "bell_test", "sweep"],
+)
+def test_cnot_reports_refuse_a_gate_that_is_not_a_cnot(report, gate):
+    message = (
+        f"no truth table defined for gate '{gate}'; "
+        "CNOT gates: cnot, cnot-simplified"
+    )
+    with pytest.raises(ValueError, match=message):
+        report(gate)
+
+
 def test_truth_table_evolves_each_input_once(monkeypatch):
     calls = []
     real_evolve = verify.evolve
