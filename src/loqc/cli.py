@@ -38,8 +38,6 @@ from .evolve import evolve
 from .fock import basis_state
 from .postselect import condition
 
-CNOT_GATES = ("cnot", "cnot-simplified")
-
 _OUTPUTS = ("json", "csv")  # parsed arguments that name output files
 # parsed arguments that are not inputs of the command's computation
 _NOT_INPUTS = ("command",) + _OUTPUTS
@@ -316,7 +314,7 @@ def _ns_verify_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _truth_table_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("gate", choices=CNOT_GATES)
+    p.add_argument("gate", choices=tuple(verify.CNOTS))
     p.add_argument(
         "--conditioning", choices=("heralded", "coincidence"), default="heralded"
     )
@@ -324,25 +322,25 @@ def _truth_table_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _moments_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("gate", choices=CNOT_GATES)
+    p.add_argument("gate", choices=tuple(verify.CNOTS))
     p.add_argument("--input", choices=gates.BASIS_INPUTS, default=None)
     p.add_argument("--json")
 
 
 def _bell_test_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("gate", nargs="?", choices=CNOT_GATES, default="cnot")
+    p.add_argument("gate", nargs="?", choices=tuple(verify.CNOTS), default="cnot")
     p.add_argument("--json")
 
 
 def _intermediate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("gate", choices=CNOT_GATES)
+    p.add_argument("gate", choices=tuple(verify.CNOTS))
     p.add_argument("--input", choices=gates.BASIS_INPUTS, required=True)
     p.add_argument("--cut", required=True)
     p.add_argument("--json")
 
 
 def _sweep_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("gate", nargs="?", choices=CNOT_GATES, default="cnot")
+    p.add_argument("gate", nargs="?", choices=tuple(verify.CNOTS), default="cnot")
     p.add_argument("--model", choices=("absolute", "relative"), default="absolute")
     p.add_argument("--magnitude", type=float, default=0.02)
     p.add_argument("--mode", choices=("corners", "random"), default="corners")

@@ -65,7 +65,7 @@ def _pair_transition(
     2x2 creation-operator substitution together with the bosonic
     sqrt(n!) normalization factors; forgetting those factors is the
     classic error in multiphoton interference. ``oracle_amplitude`` and
-    ``verify._batched_logical_errors`` apply their own copies on purpose,
+    ``verify._heralded_amplitudes`` apply their own copies on purpose,
     so that each stays an independent path to the same amplitudes.
 
     The 2x2 block is unpacked to Python floats, so the sum runs on plain

@@ -5,15 +5,18 @@ interior-state comparisons against the closed-form kets, dual-path
 consistency between sequential evolution and the permanent oracle, and
 beamsplitter-error sensitivity sweeps. Every report takes a gate name
 (``gates.gate_by_name``) and returns a dict with its ``checks`` and
-``passed``; the sweep's checks are that its errors lie in [0, 1] and, at
+``passed``; ``heisenberg_consistency`` returns its largest deviation, a
+float. The sweep's checks are that its errors lie in [0, 1] and, at
 magnitude <= 0.02, that its worst error is below 1e-2. That check applies
 to both models, while acceptance criterion 8 holds the target to the
 relative model only, so the absolute 0.02 corner sweep exits 1 by design.
 
-Each CNOT readout rule has one home: ``coincidence_pattern`` (heralding
-plus one photon per rail pair), ``_sector`` (the kets a pattern keeps)
-and ``_moment_deviations`` (the signal and cross moment checks). ``_cnot``
-is the one refusal of a gate that has no CNOT truth table.
+``NS_MAPS`` and ``CNOTS`` hold each gate's checked facts. Each CNOT
+readout rule has one home: ``coincidence_pattern`` (heralding plus one
+photon per rail pair), ``_sector`` (the kets a pattern keeps) and
+``_moment_deviations`` (the signal and cross moment checks). ``_cnot``
+refuses a gate with no CNOT truth table, ``gates.dual_rail_ket`` an input
+label that is not a basis input.
 
 The qubit rails are ``gates.QUBIT_LABELS`` and the heralds are the
 modes where ``circuit.detection`` expects one photon. Truth tables,
@@ -66,14 +69,8 @@ from .gates import (
     CNOT_IMAGE,
     ETA2_BIASED,
     QUBIT_LABELS,
-    BiasedNsParameters,
-    NsParameters,
     balanced_biased_parameters,
     biased_ns_amplitudes,
-    build_biased_ns_circuit,
-    build_cnot_circuit,
-    build_ns_circuit,
-    build_simplified_cnot,
     conditional_map_by_evolution,
     decode_logical,
     dual_rail_ket,
@@ -87,6 +84,23 @@ from .postselect import DetectionPattern, coincidence_probability, condition
 
 CNOT_SUCCESS = 1.0 / 16.0
 SIMPLIFIED_SUCCESS = ETA2_BIASED**2
+
+# The closed-form conditional map (l0, l1, l2) of each NS gate at its
+# operating point.
+NS_MAPS = {
+    "ns": ns_conditional_map(optimal_ns_parameters()),
+    "ns-biased": biased_ns_amplitudes(balanced_biased_parameters()),
+}
+
+# Each CNOT, as the CNOT reports and the CLI accept it: (expected per-input
+# success probability, its tolerance, {interior cut: the NS map that cut's
+# closed-form state carries, or None before the NS gates}).
+CNOTS = {
+    "cnot": (CNOT_SUCCESS, 1e-10, {"x": None, "y": NS_MAPS["ns"]}),
+    "cnot-simplified": (
+        SIMPLIFIED_SUCCESS, 1e-7, {"y": NS_MAPS["ns-biased"], "z": NS_MAPS["ns-biased"]}
+    ),
+}
 
 BELL_STATES = {
     "phi+": (1 / math.sqrt(2), 0.0, 0.0, 1 / math.sqrt(2)),
@@ -192,20 +206,13 @@ def _decoded(label: str, state4: FockStateVector | None):
 # truth table and moments
 
 
-# (expected per-input success probability, tolerance) of each CNOT gate
-_EXPECTED_SUCCESS = {
-    "cnot": (CNOT_SUCCESS, 1e-10),
-    "cnot-simplified": (SIMPLIFIED_SUCCESS, 1e-7),
-}
-
-
 def _cnot(gate: str) -> str:
     """``gate``, if it is a CNOT: the one refusal of the reports that read
     the CNOT truth table off the qubit rails of the gate's circuit."""
-    if gate not in _EXPECTED_SUCCESS:
+    if gate not in CNOTS:
         raise ValueError(
             f"no truth table defined for gate {gate!r}; "
-            f"CNOT gates: {', '.join(_EXPECTED_SUCCESS)}"
+            f"CNOT gates: {', '.join(CNOTS)}"
         )
     return gate
 
@@ -250,7 +257,9 @@ def moment_report(gate: str, input_label: str | None = None) -> dict:
     """Moment tables of one basis input, or of all four, each checked for
     its signal moment (the expected success probability) and its cross
     moments (zero)."""
-    expected_p, p_tol = _EXPECTED_SUCCESS[_cnot(gate)]
+    expected_p, p_tol, _ = CNOTS[_cnot(gate)]
+    if input_label is not None:
+        dual_rail_ket(input_label)  # refuses a label that is not a basis input
     labels = BASIS_INPUTS if input_label is None else (input_label,)
     tables, checks = {}, []
     for label in labels:
@@ -276,7 +285,7 @@ def truth_table(gate: str, conditioning: str = "heralded") -> dict:
     image basis state (the sign of its amplitude is not observable).
     """
     circuit = gate_by_name(_cnot(gate))
-    expected_p, p_tol = _EXPECTED_SUCCESS[gate]
+    expected_p, p_tol, _ = CNOTS[gate]
     rows, deviations = [], []
     moments: dict[str, dict[str, float]] = {}
     for label in BASIS_INPUTS:
@@ -383,7 +392,7 @@ def bell_test(gate: str = "cnot") -> dict:
 # interior states
 
 
-def _reference_input_split(control: str, target_sign: float) -> FockStateVector:
+def _reference_input_split(control_h: bool, target_sign: float) -> FockStateVector:
     """Closed-form interior state after the input splitters, over
     (c_H, arm-1, arm-2, t''').
 
@@ -392,7 +401,7 @@ def _reference_input_split(control: str, target_sign: float) -> FockStateVector:
     s = +1 for target H, -1 for target V.
     """
     s = target_sign
-    if control == "H":
+    if control_h:
         return make_state(
             4,
             [
@@ -415,24 +424,19 @@ def _reference_input_split(control: str, target_sign: float) -> FockStateVector:
 def reference_interior_state(
     gate: str, cut: str, input_label: str
 ) -> FockStateVector:
-    """Closed-form conditioned interior ket for a basis input at a cut."""
-    control, target = input_label[0], input_label[1]
-    sign = 1.0 if target == "H" else -1.0
-    base = _reference_input_split(control, sign)
-    if gate == "cnot":
-        if cut == "x":
-            return base
-        if cut == "y":
-            lams = ns_conditional_map(optimal_ns_parameters())
-        else:
-            raise ValueError(f"no closed-form state at cut {cut!r} for {gate}")
-    elif gate == "cnot-simplified":
-        if cut in ("y", "z"):
-            lams = biased_ns_amplitudes(balanced_biased_parameters())
-        else:
-            raise ValueError(f"no closed-form state at cut {cut!r} for {gate}")
-    else:
+    """Closed-form conditioned interior ket for a basis input at a cut: the
+    state after the input splitters, each arm scaled by the NS map that
+    ``CNOTS`` gives the cut."""
+    c_h, _, t_h, _ = dual_rail_ket(input_label)
+    if gate not in CNOTS:
         raise ValueError(f"no interior states defined for gate {gate!r}")
+    maps = CNOTS[gate][2]
+    if cut not in maps:
+        raise ValueError(f"no closed-form state at cut {cut!r} for {gate}")
+    base = _reference_input_split(bool(c_h), 1.0 if t_h else -1.0)
+    lams = maps[cut]
+    if lams is None:
+        return base
     amps = {
         occ: amp * lams[occ[1]] * lams[occ[2]]
         for occ, amp in base.amplitudes.items()
@@ -449,18 +453,17 @@ def intermediate_state_check(gate: str, input_label: str, cut: str) -> dict:
     closed-form kets are written phase-free, so the comparison aligns
     the global phase first and reports it; it is always +1 or -1 here.
     """
-    if input_label not in BASIS_INPUTS:
-        raise ValueError(f"interior states are defined for {BASIS_INPUTS}")
     circuit = gate_by_name(gate)
     if cut not in circuit.cuts:
         raise ValueError(
             f"gate {gate!r} has no cut {cut!r}; available: "
             f"{sorted(circuit.cuts)}"
         )
+    # refuses an input that is not a basis ket before anything is evolved
+    reference = reference_interior_state(gate, cut, input_label)
     state = encode_logical(logical_pair(input_label), circuit)
     evolved = evolve(state, circuit, upto=circuit.cuts[cut], keep=circuit.detection)
     outcome = condition(evolved, circuit.detection)
-    reference = reference_interior_state(gate, cut, input_label)
     overlap = inner_product(reference, outcome.reduced)
     phase = overlap.conjugate() / abs(overlap) if abs(overlap) > 1e-12 else 1.0
     aligned = phase * outcome.reduced
@@ -490,17 +493,14 @@ def heisenberg_consistency(gate: str) -> float:
     oracle over every amplitude the gate's verification relies on.
 
     For the NS gates both are compared with the closed-form conditional
-    map; for the CNOTs the complex amplitudes of each basis input on the
+    map of ``NS_MAPS``; for the CNOTs the complex amplitudes of each basis input on the
     16 four-fold coincidence kets are compared, phases included.
     """
     circuit = gate_by_name(gate)
     transfer = compose_transfer_matrix(circuit)
     dev = 0.0
-    if gate in ("ns", "ns-biased"):
-        if gate == "ns":
-            closed = ns_conditional_map(optimal_ns_parameters())
-        else:
-            closed = biased_ns_amplitudes(balanced_biased_parameters())
+    if gate in NS_MAPS:
+        closed = NS_MAPS[gate]
         evolved = conditional_map_by_evolution(circuit)
         for n in range(3):
             occ = circuit.prepared_occupation({0: n})

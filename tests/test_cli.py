@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import loqc
-from loqc import cli, verify
+from loqc import cli, gates, verify
 from loqc.cli import _write_report, build_parser, main
 from loqc.gates import BASIS_INPUTS
 
@@ -432,6 +432,41 @@ def test_a_one_command_process_builds_one_parser():
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["truth-table", "{gate}"],
+        ["moments", "{gate}", "--input", "VH"],
+        ["bell-test", "{gate}"],
+        ["intermediate", "{gate}", "--input", "VH", "--cut", "y"],
+        ["sweep", "{gate}", "--model", "relative"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_cnot_added_to_the_table_is_a_gate_of_every_cnot_command(
+    tmp_path, monkeypatch, argv
+):
+    # verify.CNOTS beside the builder is the whole record of a CNOT
+    docs = {}
+    cli.build_parser.cache_clear()
+    cli._command_parser.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setitem(verify.CNOTS, "cnot-copy", verify.CNOTS["cnot"])
+            m.setitem(gates._GATE_BUILDERS, "cnot-copy", gates._GATE_BUILDERS["cnot"])
+            for gate in ("cnot", "cnot-copy"):
+                out = tmp_path / f"{gate}.json"
+                command = [a.format(gate=gate) for a in argv]
+                assert main(command + ["--json", str(out)]) == 0
+                docs[gate] = read_doc(out)
+    finally:
+        # these parsers offer the copy; no later test may see them
+        cli.build_parser.cache_clear()
+        cli._command_parser.cache_clear()
+    copy = json.loads(json.dumps(docs["cnot-copy"]).replace("cnot-copy", "cnot"))
+    assert copy == docs["cnot"]
 
 
 def test_successive_calls_do_not_share_parsed_values(tmp_path):

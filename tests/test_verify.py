@@ -6,6 +6,7 @@ import dataclasses
 import importlib
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
@@ -363,6 +364,30 @@ def test_interior_state_check_rejects_unknown_cut_and_input():
         reference_interior_state("cnot-simplified", "x", "HH")
     with pytest.raises(ValueError, match="no interior states defined for gate 'ns'"):
         reference_interior_state("ns", "x", "HH")
+
+
+@pytest.mark.parametrize("label", ["+H", "XY", "H", "HHH"])
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda label: moment_report("cnot", label),
+        lambda label: reference_interior_state("cnot", "x", label),
+        lambda label: intermediate_state_check("cnot", label, "x"),
+    ],
+    ids=["moment_report", "reference_interior_state", "intermediate_state_check"],
+)
+def test_reports_refuse_a_label_that_is_not_a_basis_input(report, label):
+    # one refusal, dual_rail_ket's, rather than a KeyError, an IndexError
+    # or the control-V closed form
+    with pytest.raises(ValueError, match=re.escape(f"unknown basis label {label!r}")):
+        report(label)
+
+
+def test_every_gate_has_its_checked_facts_in_one_table():
+    assert sorted([*verify.NS_MAPS, *verify.CNOTS]) == sorted(GATE_NAMES)
+    # the builders' cuts and the table are the two statements of the cut names
+    for gate, (_, _, maps) in verify.CNOTS.items():
+        assert sorted(maps) == sorted(gate_by_name(gate).cuts)
 
 
 def _filtered_sector(circuit, pattern, photons):
