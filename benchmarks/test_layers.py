@@ -217,3 +217,14 @@ def test_sweep_tie_heavy_random_absolute_0_9(benchmark, monkeypatch):
     report = benchmark(sweep)
     assert report["worst_error"] == 1.0
     assert (len(pairs), len(vectors)) == (1251, 543)
+
+
+def test_sweep_random_relative_20000(benchmark):
+    # a long random sweep: 20 chunks of composed transfer matrices, the
+    # working memory of one
+    report = benchmark(
+        verify.sensitivity_sweep, "cnot", "relative", 0.02, "random", 20000, 0
+    )
+    assert report["n_evaluations"] == 20000
+    assert report["records"]["errors"].shape == (20000, 4)
+    assert 0.0 < report["worst_error"] < 1e-2

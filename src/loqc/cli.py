@@ -42,6 +42,7 @@ _OUTPUTS = ("json", "csv")  # parsed arguments that name output files
 # parsed arguments that are not inputs of the command's computation
 _NOT_INPUTS = ("command",) + _OUTPUTS
 _NOT_RESULTS = ("checks", "passed", "records")  # records: sweep arrays, for --csv
+_CSV_BLOCK = 64  # sweep records converted to Python floats at a time for --csv
 
 
 def _jsonable(value):
@@ -206,16 +207,20 @@ def _cmd_sweep(args) -> int:
                 + [f"error_{k}" for k in gates.BASIS_INPUTS]
                 + ["worst_error", "probability_min", "probability_max"]
             )
-            arrays = (report["records"][k] for k in ("etas", "errors", "probabilities"))
+            arrays = [report["records"][k] for k in ("etas", "errors", "probabilities")]
             # The same bytes as writer.writerow: a float repr holds no comma,
             # quote or line break, so the default dialect quotes none, and it
             # ends each line with "\r\n". Python's max/min per row: numpy's could
-            # break a tie of signed zeros, or treat a NaN, differently.
-            fh.writelines(
-                ",".join(map(repr, etas + errors + [max(errors), min(ps), max(ps)]))
-                + "\r\n"
-                for etas, errors, ps in zip(*(a.tolist() for a in arrays))
-            )
+            # break a tie of signed zeros, or treat a NaN, differently. Rows
+            # become Python floats one block at a time, so a long sweep never
+            # holds all of its rows as lists.
+            for start in range(0, len(arrays[0]), _CSV_BLOCK):
+                block = (a[start : start + _CSV_BLOCK].tolist() for a in arrays)
+                fh.writelines(
+                    ",".join(map(repr, etas + errors + [max(errors), min(ps), max(ps)]))
+                    + "\r\n"
+                    for etas, errors, ps in zip(*block)
+                )
     print(
         f"sweep {args.gate} model={args.model} magnitude={_fmt(args.magnitude)} "
         f"mode={args.mode} evaluations={report['n_evaluations']}"

@@ -27,8 +27,9 @@ no vacuum port, so the moment tables and the dual-path check's 16
 coincidence kets are heralded too.
 
 The sensitivity sweep instead evaluates all of its perturbations as one
-batch: ``elements.transfer_matrices`` for every perturbation at once,
-then Glynn permanents over the heralded output sector, the kets that
+batch: ``elements.transfer_matrices`` for 1,024 perturbations at a time,
+so a long sweep's working memory stays that of one chunk, then Glynn
+permanents over the heralded output sector, the kets that
 ``DetectionPattern.matches`` keeps. Glynn's sign vectors run over the
 four input photon columns, which every sector ket shares, so each block
 of perturbations takes its column sums for every output mode in one
@@ -52,6 +53,7 @@ import numpy as np
 # numpy.random inside its run.
 from numpy.random import default_rng
 
+from . import gates
 from .elements import Circuit, compose_transfer_matrix, transfer_matrices
 from .evolve import AmplitudeQuery, evolve, oracle_amplitude
 from .fock import (
@@ -69,16 +71,12 @@ from .gates import (
     CNOT_IMAGE,
     ETA2_BIASED,
     QUBIT_LABELS,
-    balanced_biased_parameters,
-    biased_ns_amplitudes,
     conditional_map_by_evolution,
     decode_logical,
     dual_rail_ket,
     encode_logical,
     gate_by_name,
     logical_pair,
-    ns_conditional_map,
-    optimal_ns_parameters,
 )
 from .postselect import DetectionPattern, coincidence_probability, condition
 
@@ -86,10 +84,12 @@ CNOT_SUCCESS = 1.0 / 16.0
 SIMPLIFIED_SUCCESS = ETA2_BIASED**2
 
 # The closed-form conditional map (l0, l1, l2) of each NS gate at its
-# operating point.
+# operating point. The four functions are called through ``gates``: nothing
+# else in this module calls them, and a name bound here but called only at
+# import is a site that perfbench's tracer wraps and never sees fire.
 NS_MAPS = {
-    "ns": ns_conditional_map(optimal_ns_parameters()),
-    "ns-biased": biased_ns_amplitudes(balanced_biased_parameters()),
+    "ns": gates.ns_conditional_map(gates.optimal_ns_parameters()),
+    "ns-biased": gates.biased_ns_amplitudes(gates.balanced_biased_parameters()),
 }
 
 # Each CNOT, as the CNOT reports and the CLI accept it: (expected per-input
@@ -528,6 +528,16 @@ def heisenberg_consistency(gate: str) -> float:
 # were faulted in again, ~1,800 minor page faults per 1024-corner batch,
 # which doubled its time; at 64 the allocator keeps them.
 _SWEEP_BLOCK = 64
+# Vectors whose transfer matrices are composed in one call (16 blocks), so
+# a sweep's working memory is one chunk's, whatever its length: a
+# 100,000-sample ``loqc sweep --csv`` peaked at 62 MB of RSS, against 192 MB
+# composed whole. Both benchmark sweeps (1000 and 1024 vectors) still
+# compose in one call. Smaller chunks meet glibc's 128 KiB mmap threshold:
+# no large free raises its dynamic threshold first, so the Glynn kernel's
+# 160 KiB per-block temporaries are mapped afresh for every block. In a
+# fresh process the 1024-corner sweep took ~1,340 minor page faults and
+# 13-20 ms at 256 or 128 vectors a chunk, against ~400 and 11-13 ms.
+_COMPOSE_CHUNK = 16 * _SWEEP_BLOCK
 
 
 def _corner_deltas(magnitude: float, k: int) -> np.ndarray:
@@ -547,12 +557,17 @@ def _corner_deltas(magnitude: float, k: int) -> np.ndarray:
 def _perturbed_etas(base: Circuit, deltas: np.ndarray, model: str) -> np.ndarray:
     """(B, k) reflectivities for B perturbation vectors: eta + delta
     ("absolute") or eta * (1 + delta) ("relative"), clamped to [0, 1]."""
-    etas = np.array([el.reflectivity for el in base.elements])
+    nominal = np.array([el.reflectivity for el in base.elements])
+    # one new (B, k) array, clamped in place; IEEE addition and
+    # multiplication commute, so delta + eta and (delta + 1) * eta are the
+    # bits of eta + delta and eta * (1 + delta)
     if model == "absolute":
-        etas = etas + deltas
+        etas = deltas + nominal
     else:
-        etas = etas * (1.0 + deltas)
-    return np.minimum(np.maximum(etas, 0.0), 1.0)
+        etas = deltas + 1.0
+        etas *= nominal
+    np.maximum(etas, 0.0, out=etas)
+    return np.minimum(etas, 1.0, out=etas)
 
 
 def _perturbed_circuit(base: Circuit, etas: list[float]) -> Circuit:
@@ -649,27 +664,33 @@ def _batched_logical_errors(
     input shares. Amplitudes below ``PRUNE_TOL`` are dropped, as the
     sparse evolution drops them, so a sector that only carries rounding
     dust has probability 0 and error 1.0 on both paths.
-    The transfer matrices of all B vectors are built in one call: each row
-    depends only on its own reflectivities, so this equals building them
-    block by block, bit for bit. The permanents are then taken in blocks of
+    The transfer matrices are built ``_COMPOSE_CHUNK`` vectors at a time,
+    so the working memory is one chunk's whatever B is: each row depends
+    only on its own reflectivities, so this equals building them all at
+    once, bit for bit. The permanents are then taken in blocks of
     ``_SWEEP_BLOCK`` vectors, which bounds the size of their intermediate
-    arrays.
+    arrays, and written into the two (B, 4) results.
     """
     _, images, amplitudes = _heralded_amplitudes(base)
-    transfers = transfer_matrices(base, etas)
-    errors, probabilities = [], []
-    for start in range(0, len(etas), _SWEEP_BLOCK):
-        amps = amplitudes(transfers[start : start + _SWEEP_BLOCK])
-        amps[np.abs(amps) <= PRUNE_TOL] = 0.0
-        weights = np.abs(amps) ** 2
-        probability = weights.sum(axis=-1)
-        image = weights[:, range(len(BASIS_INPUTS)), images]
-        kept_weight = np.divide(
-            image, probability, out=np.zeros_like(probability), where=probability > 0.0
-        )
-        errors.append(1.0 - kept_weight)
-        probabilities.append(probability)
-    return np.concatenate(errors), np.concatenate(probabilities)
+    errors = np.empty((len(etas), len(BASIS_INPUTS)))
+    probabilities = np.empty_like(errors)
+    for chunk in range(0, len(etas), _COMPOSE_CHUNK):
+        transfers = transfer_matrices(base, etas[chunk : chunk + _COMPOSE_CHUNK])
+        for start in range(0, len(transfers), _SWEEP_BLOCK):
+            amps = amplitudes(transfers[start : start + _SWEEP_BLOCK])
+            amps[np.abs(amps) <= PRUNE_TOL] = 0.0
+            weights = np.abs(amps) ** 2
+            probability = weights.sum(axis=-1)
+            image = weights[:, range(len(BASIS_INPUTS)), images]
+            kept_weight = np.divide(
+                image,
+                probability,
+                out=np.zeros_like(probability),
+                where=probability > 0.0,
+            )
+            rows = slice(chunk + start, chunk + start + len(amps))
+            errors[rows], probabilities[rows] = 1.0 - kept_weight, probability
+    return errors, probabilities
 
 
 def _sparse_logical_error(circuit: Circuit, label: str) -> tuple[float, float]:
@@ -697,8 +718,8 @@ def sensitivity_sweep(
     counted as gate error. The worst case is taken over the four basis
     inputs and all perturbations.
 
-    All perturbations are evaluated at once from their transfer matrices
-    and matrix permanents (``_batched_logical_errors``). Every distinct
+    All perturbations are evaluated as one batch from their transfer
+    matrices and matrix permanents (``_batched_logical_errors``). Every distinct
     (reflectivity vector, input) pair whose batched error is within 1e-12
     of the batched worst is then evaluated again, once, by sparse
     evolution (``_perturbed_circuit`` once per distinct vector, then

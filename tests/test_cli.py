@@ -303,21 +303,33 @@ def test_sweep_without_samples_is_a_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "gate, model, magnitude, mode",
+    "gate, model, magnitude, mode, samples",
     [
-        ("cnot", "relative", 0.02, "random"),
+        pytest.param(
+            "cnot", "relative", 0.02, "random", 30, id="cnot-relative-0.02-random"
+        ),
         # clamped reflectivities: rows with error 1.0, probability 0.0, e- exponents
-        ("cnot", "absolute", 0.9, "random"),
-        ("cnot-simplified", "absolute", 0.02, "corners"),
+        pytest.param(
+            "cnot", "absolute", 0.9, "random", 30, id="cnot-absolute-0.9-random"
+        ),
+        pytest.param(
+            "cnot-simplified", "absolute", 0.02, "corners", 30,
+            id="cnot-simplified-absolute-0.02-corners",
+        ),
+        # 130 rows are written in blocks of 64, 64 and 2
+        ("cnot", "relative", 0.02, "random", 130),
+        ("cnot", "absolute", 0.9, "random", 130),
     ],
 )
-def test_sweep_csv_bytes_are_the_csv_writers(tmp_path, gate, model, magnitude, mode):
+def test_sweep_csv_bytes_are_the_csv_writers(
+    tmp_path, gate, model, magnitude, mode, samples
+):
     csv_path = tmp_path / "s.csv"
     flags = ["--model", model, "--magnitude", str(magnitude), "--mode", mode,
-             "--samples", "30", "--rng-seed", "2"]
+             "--samples", str(samples), "--rng-seed", "2"]
     assert run(["sweep", gate, *flags, "--csv", str(csv_path)]) in (0, 1)
     report = verify.sensitivity_sweep(
-        gate, model=model, magnitude=magnitude, mode=mode, samples=30, seed=2
+        gate, model=model, magnitude=magnitude, mode=mode, samples=samples, seed=2
     )
     records = report["records"]
     expected = io.StringIO(newline="")

@@ -8,6 +8,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -725,6 +726,61 @@ def test_batched_errors_ignore_a_global_phase_of_the_transfer_matrices(monkeypat
     for phased, plain in ((phased_errors, errors), (phased_probabilities, probabilities)):
         assert phased.dtype == np.float64
         assert np.abs(phased - plain).max() <= 1e-12
+
+
+def test_batched_errors_compose_the_transfer_matrices_by_chunk(monkeypatch):
+    # 2,500 vectors compose in chunks of 1,024, 1,024 and 452, and give the
+    # records of a run that composes all 2,500 at once, bit for bit
+    sizes = []
+    real_matrices = verify.transfer_matrices
+
+    def spy(base, etas):
+        sizes.append(len(etas))
+        return real_matrices(base, etas)
+
+    monkeypatch.setattr(verify, "transfer_matrices", spy)
+    chunked = sensitivity_sweep("cnot", "relative", 0.02, "random", 2500, 4)
+    assert sizes == [1024, 1024, 452]
+    sizes.clear()
+    monkeypatch.setattr(verify, "_COMPOSE_CHUNK", 4096)
+    whole = sensitivity_sweep("cnot", "relative", 0.02, "random", 2500, 4)
+    assert sizes == [2500]
+    for key, records in chunked["records"].items():
+        assert records.tobytes() == whole["records"][key].tobytes()
+    assert {k: v for k, v in chunked.items() if k != "records"} == {
+        k: v for k, v in whole.items() if k != "records"
+    }
+
+
+def test_perturbed_etas_leave_the_deltas_unchanged():
+    base = build_cnot_circuit()
+    deltas = np.random.default_rng(5).uniform(-0.9, 0.9, (40, len(base.elements)))
+    drawn = deltas.copy()
+    nominal = np.array([el.reflectivity for el in base.elements])
+    for model, expected in (
+        ("absolute", nominal + deltas),
+        ("relative", nominal * (1.0 + deltas)),
+    ):
+        etas = verify._perturbed_etas(base, deltas, model)
+        assert etas.tobytes() == np.minimum(np.maximum(expected, 0.0), 1.0).tobytes()
+        assert deltas.tobytes() == drawn.tobytes()
+
+
+def test_sweep_memory_is_its_records_plus_a_fixed_allowance():
+    # the working memory is one chunk of vectors, whatever the sample count:
+    # the peak is the records (18 doubles a vector), the drawn deltas (one
+    # more (B, k) array) and a fixed allowance; composing all 20,000
+    # vectors at once peaked at ~31 MB
+    sensitivity_sweep("cnot", "relative", 0.02, "random", 10, 0)  # warm caches
+    tracemalloc.start()
+    try:
+        report = sensitivity_sweep("cnot", "relative", 0.02, "random", 20000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    records = report["records"]
+    held = sum(a.nbytes for a in records.values()) + records["etas"].nbytes
+    assert peak < held + 3e6
 
 
 def test_conditioned_output_needs_a_heralding_pattern():
