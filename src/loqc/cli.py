@@ -45,21 +45,18 @@ _NOT_RESULTS = ("checks", "passed", "records")  # records: sweep arrays, for --c
 _CSV_BLOCK = 64  # sweep records converted to Python floats at a time for --csv
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _real_imag(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_report(doc: dict, path: str | None) -> None:
     if path is None:
         return
-    # NaN and Infinity are not JSON: raise before anything is written
-    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True, allow_nan=False)
+    # a complex number goes through the hook as [real, imag]; NaN and
+    # Infinity are not JSON: raise before anything is written
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False, default=_real_imag)
     Path(path).write_text(text + "\n")
 
 

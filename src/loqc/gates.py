@@ -361,14 +361,15 @@ def decode_logical(
     dual-rail computational basis.
 
     Returns the amplitudes on (HH, HV, VH, VV) and the leakage: the
-    squared norm outside the encoded subspace (absolute, so it carries
-    the input's own normalization).
+    weight of the kets outside the encoded subspace, summed directly
+    (absolute, so it carries the input's own normalization).
     """
     if state.n_modes != 4:
         raise ValueError(f"decode expects a 4-mode state, got {state.n_modes}")
     amps = tuple(state.amplitude(_RAIL_KETS[k]) for k in BASIS_INPUTS)
-    leakage = state.norm_sq - sum(abs(a) ** 2 for a in amps)
-    return amps, max(leakage, 0.0)
+    code = _RAIL_KETS.values()
+    leaked = (abs(a) ** 2 for occ, a in state.amplitudes.items() if occ not in code)
+    return amps, sum(leaked, 0.0)
 
 
 _GATE_BUILDERS = {

@@ -466,10 +466,10 @@ def intermediate_state_check(gate: str, input_label: str, cut: str) -> dict:
     outcome = condition(evolved, circuit.detection)
     overlap = inner_product(reference, outcome.reduced)
     phase = overlap.conjugate() / abs(overlap) if abs(overlap) > 1e-12 else 1.0
-    aligned = phase * outcome.reduced
-    keys = set(aligned.amplitudes) | set(reference.amplitudes)
+    keys = set(outcome.reduced.amplitudes) | set(reference.amplitudes)
     deviation = max(
-        abs(aligned.amplitude(k) - reference.amplitude(k)) for k in keys
+        abs(phase * outcome.reduced.amplitude(k) - reference.amplitude(k))
+        for k in keys
     )
     checks = [check("amplitude deviation from closed form", deviation, 1e-10)]
     return {
@@ -753,13 +753,13 @@ def sensitivity_sweep(
     if mode == "corners":
         deltas = _corner_deltas(magnitude, k)
     elif mode == "random":
-        rng = default_rng(seed)
-        deltas = rng.uniform(-magnitude, magnitude, size=(samples, k))
+        deltas = default_rng(seed).uniform(-magnitude, magnitude, size=(samples, k))
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")
     if len(deltas) == 0:
         raise ValueError("sweep evaluated no perturbations")
     etas = _perturbed_etas(base, deltas, model)
+    del deltas  # the records hold etas; a long sweep's peak need not hold both
     errors, probabilities = _batched_logical_errors(base, etas)
     rows, cols = np.nonzero(errors >= errors.max() - 1e-12)
     circuits: dict[tuple[float, ...], Circuit] = {}

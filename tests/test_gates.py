@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from loqc.elements import compose_transfer_matrix
-from loqc.fock import basis_state
+from loqc.fock import basis_state, make_state
 from loqc.gates import (
     BASIS_INPUTS,
     CNOT_IMAGE,
@@ -153,6 +153,30 @@ def test_encode_decode_roundtrip():
     assert leakage == pytest.approx(0.0)
     with pytest.raises(ValueError):
         dual_rail_ket("QQ")
+
+
+def test_decode_leakage_of_a_code_space_state_is_exactly_zero():
+    # in this insertion order norm_sq minus the four code weights rounds to
+    # -2.2e-16; the weight outside the code space, summed directly, is 0.0
+    amps = {
+        "HH": 0.1724665861844694,
+        "HV": 0.7126509306345017,
+        "VH": 0.6795969869666515,
+        "VV": 0.023062155612663844,
+    }
+    state4 = make_state(
+        4, [(dual_rail_ket(k), amps[k]) for k in ("VH", "VV", "HV", "HH")]
+    )
+    decoded, leakage = decode_logical(state4)
+    assert decoded == tuple(complex(amps[k]) for k in BASIS_INPUTS)
+    assert leakage == 0.0
+
+
+def test_decode_leakage_is_the_weight_outside_the_code_space():
+    state4 = make_state(4, [((2, 0, 0, 0), 0.6), (dual_rail_ket("HH"), 0.8)])
+    decoded, leakage = decode_logical(state4)
+    assert decoded == (0.8, 0.0, 0.0, 0.0)
+    assert leakage == 0.6**2
 
 
 def test_decode_rejects_a_state_that_is_not_four_modes():
