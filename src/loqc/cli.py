@@ -308,85 +308,59 @@ def _cmd_run_circuit(args) -> int:
 # parser
 
 
-def _ns_verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--biased", action="store_true")
-    for name in ("eta1", "eta2", "eta3", "eta7"):
-        p.add_argument(f"--{name}", type=float, default=None)
-    p.add_argument("--json")
+# The CNOT positional of the commands that read the CNOT truth table. Its
+# choices are ``verify.CNOTS`` itself, which argparse reads as the table's
+# keys whenever it checks a value or prints a usage line.
+_GATE = {"choices": verify.CNOTS}
+_GATE_OR_CNOT = {**_GATE, "nargs": "?", "default": "cnot"}
 
-
-def _truth_table_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("gate", choices=tuple(verify.CNOTS))
-    p.add_argument(
-        "--conditioning", choices=("heralded", "coincidence"), default="heralded"
-    )
-    p.add_argument("--json")
-
-
-def _moments_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("gate", choices=tuple(verify.CNOTS))
-    p.add_argument("--input", choices=gates.BASIS_INPUTS, default=None)
-    p.add_argument("--json")
-
-
-def _bell_test_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("gate", nargs="?", choices=tuple(verify.CNOTS), default="cnot")
-    p.add_argument("--json")
-
-
-def _intermediate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("gate", choices=tuple(verify.CNOTS))
-    p.add_argument("--input", choices=gates.BASIS_INPUTS, required=True)
-    p.add_argument("--cut", required=True)
-    p.add_argument("--json")
-
-
-def _sweep_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("gate", nargs="?", choices=tuple(verify.CNOTS), default="cnot")
-    p.add_argument("--model", choices=("absolute", "relative"), default="absolute")
-    p.add_argument("--magnitude", type=float, default=0.02)
-    p.add_argument("--mode", choices=("corners", "random"), default="corners")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--json")
-    p.add_argument("--csv")
-
-
-def _solve_params_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json")
-
-
-def _run_circuit_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("--input", required=True, help="comma-separated photon counts")
-    p.add_argument("--json")
-
-
-# name -> (help line, the function that adds the command's arguments, handler)
+# name -> (help line, handler, its arguments as (name, add_argument keywords)
+# pairs); ``_add_arguments`` adds the --json every command takes
 _COMMANDS = {
-    "ns-verify": (
-        "verify the NS conditional map", _ns_verify_arguments, _cmd_ns_verify
-    ),
-    "truth-table": (
-        "basis-input truth table", _truth_table_arguments, _cmd_truth_table
-    ),
-    "moments": ("four-fold coincidence moments", _moments_arguments, _cmd_moments),
-    "bell-test": (
-        "Bell states from superposition inputs", _bell_test_arguments, _cmd_bell_test
-    ),
-    "intermediate": (
-        "interior state vs closed form", _intermediate_arguments, _cmd_intermediate
-    ),
-    "sweep": ("beamsplitter-error sensitivity sweep", _sweep_arguments, _cmd_sweep),
-    "solve-params": (
-        "solve and check operating points", _solve_params_arguments, _cmd_solve_params
-    ),
-    "run-circuit": (
-        "evolve an input through a circuit file",
-        _run_circuit_arguments,
-        _cmd_run_circuit,
-    ),
+    "ns-verify": ("verify the NS conditional map", _cmd_ns_verify, (
+        ("--biased", {"action": "store_true"}),
+        *((f"--{eta}", {"type": float}) for eta in ("eta1", "eta2", "eta3", "eta7")),
+    )),
+    "truth-table": ("basis-input truth table", _cmd_truth_table, (
+        ("gate", _GATE),
+        (
+            "--conditioning",
+            {"choices": ("heralded", "coincidence"), "default": "heralded"},
+        ),
+    )),
+    "moments": ("four-fold coincidence moments", _cmd_moments, (
+        ("gate", _GATE),
+        ("--input", {"choices": gates.BASIS_INPUTS}),
+    )),
+    "bell-test": ("Bell states from superposition inputs", _cmd_bell_test, (
+        ("gate", _GATE_OR_CNOT),
+    )),
+    "intermediate": ("interior state vs closed form", _cmd_intermediate, (
+        ("gate", _GATE),
+        ("--input", {"choices": gates.BASIS_INPUTS, "required": True}),
+        ("--cut", {"required": True}),
+    )),
+    "sweep": ("beamsplitter-error sensitivity sweep", _cmd_sweep, (
+        ("gate", _GATE_OR_CNOT),
+        ("--model", {"choices": ("absolute", "relative"), "default": "absolute"}),
+        ("--magnitude", {"type": float, "default": 0.02}),
+        ("--mode", {"choices": ("corners", "random"), "default": "corners"}),
+        ("--samples", {"type": int, "default": 100}),
+        ("--rng-seed", {"type": int, "default": 0}),
+        ("--csv", {}),
+    )),
+    "solve-params": ("solve and check operating points", _cmd_solve_params, ()),
+    "run-circuit": ("evolve an input through a circuit file", _cmd_run_circuit, (
+        ("file", {}),
+        ("--input", {"required": True, "help": "comma-separated photon counts"}),
+    )),
 }
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> None:
+    for argument, keywords in _COMMANDS[name][2]:
+        parser.add_argument(argument, **keywords)
+    parser.add_argument("--json")
 
 
 # Each parser is built once per process; every parse returns a fresh namespace.
@@ -398,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and verify postselected linear-optical gates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, add_arguments, _) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=summary))
+    for name, (summary, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary), name)
     return parser
 
 
@@ -407,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _command_parser(name: str) -> argparse.ArgumentParser:
     """One command's parser, the same as its subparser in ``build_parser``."""
     parser = argparse.ArgumentParser(prog=f"loqc {name}")
-    _COMMANDS[name][1](parser)
+    _add_arguments(parser, name)
     parser.set_defaults(command=name)
     return parser
 
@@ -429,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
             if Path(path).is_dir() or not Path(path).parent.is_dir():
                 code = errno.EISDIR if Path(path).is_dir() else errno.ENOENT
                 raise OSError(code, os.strerror(code), path)
-        return _COMMANDS[args.command][2](args)
+        return _COMMANDS[args.command][1](args)
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -170,25 +170,10 @@ def conditioned_logical_output(
     Returns the success probability and the normalized conditional state
     over the ``QUBIT_LABELS`` rails, or None when the probability vanishes.
     """
-    out = evolve(encode_logical(pair, circuit), circuit, keep=circuit.detection)
-    return _conditioned_qubits(circuit, out, "heralded")
-
-
-def _conditioned_qubits(
-    circuit: Circuit, out: FockStateVector, conditioning: str
-) -> tuple[float, FockStateVector | None]:
-    """``conditioned_logical_output`` of an already evolved state, under
-    either conditioning. Both patterns fix every mode but the
-    ``QUBIT_LABELS`` rails, so those are the modes the state keeps."""
     if circuit.detection is None:
         raise ValueError("circuit has no heralding detection pattern")
-    if conditioning == "heralded":
-        pattern = circuit.detection
-    elif conditioning == "coincidence":
-        pattern = coincidence_pattern(circuit)
-    else:
-        raise ValueError(f"unknown conditioning mode {conditioning!r}")
-    outcome = condition(out, pattern)
+    out = evolve(encode_logical(pair, circuit), circuit, keep=circuit.detection)
+    outcome = condition(out, circuit.detection)
     return outcome.probability, outcome.normalized
 
 
@@ -286,13 +271,20 @@ def truth_table(gate: str, conditioning: str = "heralded") -> dict:
     """
     circuit = gate_by_name(_cnot(gate))
     expected_p, p_tol, _ = CNOTS[gate]
+    if conditioning == "heralded":
+        pattern = circuit.detection
+    elif conditioning == "coincidence":
+        pattern = coincidence_pattern(circuit)
+    else:
+        raise ValueError(f"unknown conditioning mode {conditioning!r}")
     rows, deviations = [], []
     moments: dict[str, dict[str, float]] = {}
     for label in BASIS_INPUTS:
         image = CNOT_IMAGE[label]
         state = encode_logical(logical_pair(label), circuit)
         out = evolve(state, circuit, keep=circuit.detection)
-        probability, state4 = _conditioned_qubits(circuit, out, conditioning)
+        outcome = condition(out, pattern)
+        probability, state4 = outcome.probability, outcome.normalized
         amps, leakage, row_error = _decoded(label, state4)
         decoded = max(BASIS_INPUTS, key=lambda k: abs(amps[BASIS_INPUTS.index(k)]))
         moments[label] = _moments(circuit, out)

@@ -1,15 +1,20 @@
-"""Every name a loqc module imports is used in that module."""
+"""Every name a loqc module imports is used in that module, and the
+package binds its modules under their own names."""
 
 import ast
+import os
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import loqc
+import loqc.cli
+import loqc.evolve as evolve_module
 
-MODULES = sorted(
-    p for p in Path(loqc.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+MODULES = sorted(Path(loqc.__file__).parent.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -24,3 +29,18 @@ def test_every_module_level_import_is_used(path):
                 imported.add(alias.asname or alias.name.split(".")[0])
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_a_module_is_bound_under_its_own_name():
+    # a package-level name equal to a module's would shadow the module
+    assert isinstance(evolve_module, types.ModuleType)
+    assert loqc.evolve is sys.modules["loqc.evolve"]
+
+
+def test_importing_the_package_loads_no_numpy():
+    env = {**os.environ, "PYTHONPATH": str(Path(loqc.__file__).parents[1])}
+    script = "import sys, loqc; print(sorted(m for m in sys.modules if 'numpy' in m))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

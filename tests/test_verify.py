@@ -3,7 +3,6 @@ states, dual-path consistency, and the sensitivity sweep."""
 
 import cmath
 import dataclasses
-import importlib
 import itertools
 import math
 import re
@@ -20,6 +19,7 @@ from conftest import (
     WORST_ERROR_ABS_CORNERS_002,
     WORST_ERROR_REL_CORNERS_002,
 )
+import loqc.evolve as evolve_module
 from loqc import verify
 from loqc.elements import Circuit, compose_transfer_matrix
 from loqc.evolve import AmplitudeQuery, evolve, oracle_amplitude, permanent
@@ -38,7 +38,7 @@ from loqc.gates import (
     gate_by_name,
     logical_pair,
 )
-from loqc.postselect import DetectionPattern
+from loqc.postselect import DetectionPattern, condition
 from loqc.verify import (
     CNOT_SUCCESS,
     SIMPLIFIED_SUCCESS,
@@ -132,7 +132,6 @@ def test_truth_table_evolves_only_kets_the_heralds_can_keep(monkeypatch):
     # the full evolution of the four CNOT inputs sends 1,162 kets through
     # the splitters; dropping each unheralded branch once its detector
     # mode is settled leaves 234
-    evolve_module = importlib.import_module("loqc.evolve")
     kets_in = []
     real_apply = evolve_module.apply_element
 
@@ -190,10 +189,12 @@ def test_conditioning_modes_agree_on_ideal_inputs():
         for label in BASIS_INPUTS:
             state = encode_logical(logical_pair(label), gate)
             out = evolve(state, gate, keep=gate.detection)
-            p_h, s_h = verify._conditioned_qubits(gate, out, "heralded")
-            p_c, s_c = verify._conditioned_qubits(gate, out, "coincidence")
-            assert p_h == pytest.approx(p_c, abs=1e-12)
-            diff = s_h - s_c
+            heralded = condition(out, gate.detection)
+            coincidence = condition(out, coincidence_pattern(gate))
+            assert heralded.probability == pytest.approx(
+                coincidence.probability, abs=1e-12
+            )
+            diff = heralded.normalized - coincidence.normalized
             assert diff.norm_sq < 1e-24
 
 
