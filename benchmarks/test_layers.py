@@ -141,6 +141,16 @@ def test_transfer_matrices_b128(benchmark):
     assert np.max(np.abs(gram - np.eye(CNOT.n_modes))) < 1e-12
 
 
+def test_transfer_matrices_lit_columns_b1024(benchmark):
+    # the composition as the sweep calls it: one chunk of 1,024 vectors,
+    # only the six columns where the basis inputs put photons
+    lit = verify._heralded_amplitudes(CNOT)[2]
+    u = benchmark(transfer_matrices, CNOT, ALL_CORNER_ETAS, lit)
+    assert u.shape == (1024, CNOT.n_modes, len(lit))
+    whole = transfer_matrices(CNOT, ALL_CORNER_ETAS)
+    assert u.tobytes() == np.ascontiguousarray(whole[..., lit]).tobytes()
+
+
 def test_sweep_setup_cnot(benchmark):
     # what a corner sweep builds before its arithmetic: the corner deltas,
     # and the heralded sector with the inputs' Glynn rows, columns and norms
@@ -148,7 +158,7 @@ def test_sweep_setup_cnot(benchmark):
         deltas = verify._corner_deltas(0.02, len(CNOT.elements))
         return deltas, verify._heralded_amplitudes(CNOT)
 
-    deltas, (sector, images, amplitudes) = benchmark(setup)
+    deltas, (sector, images, lit, amplitudes) = benchmark(setup)
     # corner i holds +0.02 on as many splitters as i has set bits
     assert (np.abs(deltas) == 0.02).all()
     assert (deltas > 0).sum(axis=1).tolist() == [i.bit_count() for i in range(1024)]
@@ -156,7 +166,7 @@ def test_sweep_setup_cnot(benchmark):
         occ for occ in enumerate_basis(CNOT.n_modes, 4) if CNOT.detection.matches(occ)
     ]
     # at the nominal point every input lands on its image with weight 1/16
-    amps = amplitudes(compose_transfer_matrix(CNOT)[np.newaxis])
+    amps = amplitudes(compose_transfer_matrix(CNOT)[np.newaxis][..., lit])
     weights = np.abs(amps[0, range(len(BASIS_INPUTS)), images]) ** 2
     assert np.max(np.abs(weights - CNOT_SUCCESS)) < 1e-12
 

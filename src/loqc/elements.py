@@ -18,11 +18,15 @@ sign, and the gate constructions depend on those choices.
 sign; it takes one reflectivity or an array of real ones. ``transfer_matrices``
 is the only composer of single-photon transfer matrices: it applies those
 blocks as row updates for a whole batch of reflectivity vectors, the
-batched sensitivity sweep's path. It composes in a rows-first (n, B, n)
-buffer, so that each row update writes contiguous memory, and returns
-the (B, n, n) view of it. ``compose_transfer_matrix`` is its one-row
-case, the permanent oracle's path. Sparse evolution shares
-neither, which keeps it an independent check on both.
+batched sensitivity sweep's path. It builds one block stack per grey
+port the circuit uses, over that port's elements only, and composes the
+c requested input columns in a rows-first (n, B, c) buffer, so that each
+row update writes contiguous memory; it returns the (B, n, c) view of
+it. A row update mixes two rows entry by entry, so each column evolves
+alone and the sweep composes only the columns its inputs light.
+``compose_transfer_matrix`` is its one-row case over every column, the
+permanent oracle's path. Sparse evolution shares neither, which keeps
+it an independent check on both.
 """
 
 from __future__ import annotations
@@ -195,27 +199,43 @@ class Circuit:
         return self.elements[:upto]
 
 
-def transfer_matrices(circuit: Circuit, reflectivities) -> np.ndarray:
-    """Real single-photon transfer matrices, shape (B, n, n), of
+def transfer_matrices(circuit: Circuit, reflectivities, columns=None) -> np.ndarray:
+    """Real single-photon transfer matrices, shape (B, n, c), of
     ``circuit`` with its reflectivities replaced row by row from the
-    (B, k) array ``reflectivities`` (column j for element j).
+    (B, k) array ``reflectivities`` (column j for element j), restricted
+    to the input columns ``columns`` in the order given (all n for None):
+    column j of the result is column ``columns[j]`` of the full matrix,
+    bit for bit. A column outside 0..n-1 raises ValueError.
 
     Rows index outputs and columns inputs, so for elements applied in
     circuit order c1 then c2 each matrix is U(c2) @ U(c1): every element's
-    block updates the two rows it mixes. The matrices are composed in a
-    rows-first (n, B, n) buffer, where row a of all B matrices is one
-    contiguous (B, n) block, and the result is a (B, n, n) view of it.
+    block updates the two rows it mixes. The blocks come from one
+    ``beamsplitter_matrix`` call per grey port in use, over that port's
+    elements only. The matrices are composed in a rows-first (n, B, c)
+    buffer, where row a of all B matrices is one contiguous (B, c) block,
+    and the result is a (B, n, c) view of it.
     """
     etas = _real_array(reflectivities)
     k = len(circuit.elements)
     if etas.ndim != 2 or etas.shape[1] != k:
         raise ValueError(f"need a (B, {k}) reflectivity array, got shape {etas.shape}")
     n = circuit.n_modes
-    u = np.broadcast_to(np.eye(n)[:, None, :], (n, len(etas), n)).copy()
-    # (B, k, 2, 2) blocks of every element for each grey port, built once
-    blocks = [beamsplitter_matrix(etas, port)[..., None] for port in (0, 1)]
-    for j, el in enumerate(circuit.elements):
-        block = blocks[el.grey_port()][:, j]
+    columns = list(range(n) if columns is None else columns)
+    for c in columns:
+        if isinstance(c, bool) or not hasattr(c, "__index__") or not 0 <= c < n:
+            raise ValueError(f"column {c!r} outside 0..{n - 1}")
+    u = np.broadcast_to(
+        np.eye(n)[:, None, columns], (n, len(etas), len(columns))
+    ).copy()
+    ports = [el.grey_port() for el in circuit.elements]
+    # each port's (k_port, B, 2, 2) stack, taken element by element in
+    # circuit order
+    stacks = {
+        port: iter(beamsplitter_matrix(etas.T[[p == port for p in ports]], port))
+        for port in set(ports)
+    }
+    for el, port in zip(circuit.elements, ports):
+        block = next(stacks[port])[..., None]
         a, b = el.mode_a, el.mode_b
         u[a], u[b] = (
             block[:, 0, 0] * u[a] + block[:, 0, 1] * u[b],

@@ -27,8 +27,9 @@ no vacuum port, so the moment tables and the dual-path check's 16
 coincidence kets are heralded too.
 
 The sensitivity sweep instead evaluates all of its perturbations as one
-batch: ``elements.transfer_matrices`` for 1,024 perturbations at a time,
-so a long sweep's working memory stays that of one chunk, then Glynn
+batch: ``elements.transfer_matrices`` of the lit columns (the modes where
+some basis input puts a photon) for 1,024 perturbations at a time, so a
+long sweep's working memory stays that of one chunk, then Glynn
 permanents over the heralded output sector, the kets that
 ``DetectionPattern.matches`` keeps. Glynn's sign vectors run over the
 four input photon columns, which every sector ket shares, so each block
@@ -515,21 +516,21 @@ def heisenberg_consistency(gate: str) -> float:
 
 
 # Perturbation vectors evaluated together by the batched sweep; bounds the
-# (kets, block, inputs, sign vectors) arrays of Glynn row products. At 128
-# the CNOT's arrays (0.3 MB each) went back to the OS after every block and
-# were faulted in again, ~1,800 minor page faults per 1024-corner batch,
-# which doubled its time; at 64 the allocator keeps them.
-_SWEEP_BLOCK = 64
-# Vectors whose transfer matrices are composed in one call (16 blocks), so
-# a sweep's working memory is one chunk's, whatever its length: a
-# 100,000-sample ``loqc sweep --csv`` peaked at 62 MB of RSS, against 192 MB
+# (kets, block, inputs, sign vectors) arrays of Glynn row products, the
+# kernel's largest temporaries. They must stay below glibc's 128 KiB mmap
+# threshold, or every block maps fresh pages unless a larger free has
+# raised the threshold first: at 64 vectors the CNOT's are 160 KiB, at 48
+# they are 120 KiB and are reused from the heap. At 128 (0.3 MB each)
+# they took ~1,800 minor page faults per 1024-corner batch, which doubled
+# its time.
+_SWEEP_BLOCK = 48
+# Vectors drawn, perturbed and composed together, so a sweep's working
+# memory beyond its records is one chunk's, whatever its length: a
+# 100,000-sample ``loqc sweep --csv`` peaks at 51 MB of RSS, against 192 MB
 # composed whole. Both benchmark sweeps (1000 and 1024 vectors) still
-# compose in one call. Smaller chunks meet glibc's 128 KiB mmap threshold:
-# no large free raises its dynamic threshold first, so the Glynn kernel's
-# 160 KiB per-block temporaries are mapped afresh for every block. In a
-# fresh process the 1024-corner sweep took ~1,340 minor page faults and
-# 13-20 ms at 256 or 128 vectors a chunk, against ~400 and 11-13 ms.
-_COMPOSE_CHUNK = 16 * _SWEEP_BLOCK
+# compose in one call. Chunks of 240 or 144 vectors peaked ~0.55 MB lower
+# but read the 1024-corner sweep's operations per second 5-24% lower.
+_COMPOSE_CHUNK = 1024
 
 
 def _corner_deltas(magnitude: float, k: int) -> np.ndarray:
@@ -578,7 +579,7 @@ def _glynn_permanents(
     u: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
     """Permanents of the p x p submatrices u[b][rows[k]][:, cols[i]] of a
-    (B, n, n) stack, shape (B, I, K), for (K, p) row and (I, p) column
+    (B, n, c) stack, shape (B, I, K), for (K, p) row and (I, p) column
     index arrays, by Glynn's formula over the columns,
     per(M) = 2^(1-p) sum_d (prod_c d_c) prod_r sum_c d_c M_rc over the
     sign vectors d with d_0 = +1 (Glynn, EJC 31, 2010).
@@ -604,11 +605,13 @@ def _glynn_permanents(
 
 def _heralded_amplitudes(base: Circuit):
     """The heralded sector of ``base``'s sweep and the batch's amplitudes
-    on it: (sector, images, amplitudes). ``sector`` lists the occupations
-    the detection pattern keeps, ``images[i]`` is the sector index of
-    basis input i's CNOT image, and ``amplitudes(u)`` maps a (B, n, n)
-    stack of transfer matrices to the (B, 4, K) amplitudes of the
-    ``BASIS_INPUTS`` on the K sector kets.
+    on it: (sector, images, lit, amplitudes). ``sector`` lists the
+    occupations the detection pattern keeps, ``images[i]`` is the sector
+    index of basis input i's CNOT image, ``lit`` lists in ascending order
+    the modes where some basis input puts a photon, and ``amplitudes(u)``
+    maps a (B, n, len(lit)) stack of those columns of the transfer
+    matrices to the (B, 4, K) amplitudes of the ``BASIS_INPUTS`` on the K
+    sector kets: Glynn's columns are positions in ``lit``, not modes.
 
     Every heralded amplitude is per(U_sub)/sqrt(prod n!) of the transfer
     matrix (Scheel, quant-ph/0406127), where U_sub repeats each output
@@ -630,8 +633,9 @@ def _heralded_amplitudes(base: Circuit):
     def photon_modes(occ) -> list[int]:
         return [m for m, k in enumerate(occ) for _ in range(k)]
 
+    lit = [m for m in range(base.n_modes) if any(occ[m] for occ in inputs)]
     rows = np.array([photon_modes(occ) for occ in sector])
-    cols = np.array([photon_modes(occ) for occ in inputs])
+    cols = np.array([[lit.index(m) for m in photon_modes(occ)] for occ in inputs])
     norms = np.sqrt(
         [
             [math.prod(map(math.factorial, inp + out)) for out in sector]
@@ -642,7 +646,7 @@ def _heralded_amplitudes(base: Circuit):
     def amplitudes(u: np.ndarray) -> np.ndarray:
         return _glynn_permanents(u, rows, cols) / norms
 
-    return sector, images, amplitudes
+    return sector, images, lit, amplitudes
 
 
 def _batched_logical_errors(
@@ -656,18 +660,20 @@ def _batched_logical_errors(
     input shares. Amplitudes below ``PRUNE_TOL`` are dropped, as the
     sparse evolution drops them, so a sector that only carries rounding
     dust has probability 0 and error 1.0 on both paths.
-    The transfer matrices are built ``_COMPOSE_CHUNK`` vectors at a time,
-    so the working memory is one chunk's whatever B is: each row depends
-    only on its own reflectivities, so this equals building them all at
-    once, bit for bit. The permanents are then taken in blocks of
-    ``_SWEEP_BLOCK`` vectors, which bounds the size of their intermediate
-    arrays, and written into the two (B, 4) results.
+    Only the lit columns of the transfer matrices are built, and only
+    ``_COMPOSE_CHUNK`` vectors at a time, so the working memory is one
+    chunk's whatever B is: each row depends only on its own
+    reflectivities and each column evolves alone, so this equals building
+    the whole matrices all at once, bit for bit. The permanents are then
+    taken in blocks of ``_SWEEP_BLOCK`` vectors, which keeps their
+    intermediate arrays under the mmap threshold, and written into the two
+    (B, 4) results.
     """
-    _, images, amplitudes = _heralded_amplitudes(base)
+    _, images, lit, amplitudes = _heralded_amplitudes(base)
     errors = np.empty((len(etas), len(BASIS_INPUTS)))
     probabilities = np.empty_like(errors)
     for chunk in range(0, len(etas), _COMPOSE_CHUNK):
-        transfers = transfer_matrices(base, etas[chunk : chunk + _COMPOSE_CHUNK])
+        transfers = transfer_matrices(base, etas[chunk : chunk + _COMPOSE_CHUNK], lit)
         for start in range(0, len(transfers), _SWEEP_BLOCK):
             amps = amplitudes(transfers[start : start + _SWEEP_BLOCK])
             amps[np.abs(amps) <= PRUNE_TOL] = 0.0
@@ -743,15 +749,21 @@ def sensitivity_sweep(
     k = len(base.elements)
     labels = [el.label for el in base.elements]
     if mode == "corners":
-        deltas = _corner_deltas(magnitude, k)
+        etas = _perturbed_etas(base, _corner_deltas(magnitude, k), model)
     elif mode == "random":
-        deltas = default_rng(seed).uniform(-magnitude, magnitude, size=(samples, k))
+        # drawn and perturbed a chunk of rows at a time, so the deltas never
+        # coexist with the records; row-chunked draws give one draw's bytes
+        rng = default_rng(seed)
+        etas = np.empty((samples, k))
+        for start in range(0, samples, _COMPOSE_CHUNK):
+            chunk = etas[start : start + _COMPOSE_CHUNK]
+            chunk[...] = _perturbed_etas(
+                base, rng.uniform(-magnitude, magnitude, size=chunk.shape), model
+            )
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")
-    if len(deltas) == 0:
+    if len(etas) == 0:
         raise ValueError("sweep evaluated no perturbations")
-    etas = _perturbed_etas(base, deltas, model)
-    del deltas  # the records hold etas; a long sweep's peak need not hold both
     errors, probabilities = _batched_logical_errors(base, etas)
     rows, cols = np.nonzero(errors >= errors.max() - 1e-12)
     circuits: dict[tuple[float, ...], Circuit] = {}
@@ -780,8 +792,15 @@ def sensitivity_sweep(
     run_worst = errors.max(axis=1)
     worst = int(run_worst.argmax())
     worst_error = float(run_worst[worst])
-    # a Python sum in sweep order: numpy's pairwise sum rounds differently
-    mean_error = sum(run_worst.tolist()) / len(etas)
+    # one Python sum in sweep order (numpy's pairwise sum rounds
+    # differently), over a chunk of floats at a time rather than a list of
+    # them all
+    mean_error = sum(
+        itertools.chain.from_iterable(
+            run_worst[start : start + _COMPOSE_CHUNK].tolist()
+            for start in range(0, len(run_worst), _COMPOSE_CHUNK)
+        )
+    ) / len(etas)
     # an error of exactly 1.0 is in range, so this verdict is not value < tolerance
     in_range = 0.0 <= mean_error <= worst_error <= 1.0
     checks = [check("errors within [0, 1]", worst_error, 1.0, in_range)]

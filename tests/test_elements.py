@@ -15,7 +15,7 @@ from loqc.elements import (
     compose_transfer_matrix,
     transfer_matrices,
 )
-from loqc.gates import gate_by_name
+from loqc.gates import GATE_NAMES, gate_by_name
 from loqc.postselect import DetectionPattern
 
 RNG = np.random.default_rng(4031)
@@ -296,6 +296,29 @@ def test_transfer_matrices_of_a_slice_are_that_slice_of_the_batch():
     for i, j in ((37, 211), (0, 128), (257, 300)):
         part = transfer_matrices(circuit, etas[i:j])
         assert whole[i:j].tobytes() == part.tobytes()
+
+
+@pytest.mark.parametrize("batch", [1, 1024])
+@pytest.mark.parametrize("gate", GATE_NAMES)
+def test_transfer_matrices_of_some_columns_are_those_columns_bit_for_bit(gate, batch):
+    # a row update mixes two rows entry by entry, so each column evolves
+    # alone, whichever columns are composed beside it and in whatever order
+    circuit = gate_by_name(gate)
+    etas = np.random.default_rng(28).uniform(size=(batch, len(circuit.elements)))
+    etas[0, 0], etas[-1, -1] = 0.0, 1.0
+    whole = transfer_matrices(circuit, etas)
+    last = circuit.n_modes - 1
+    for columns in ([last, 0, 1], [1], list(range(circuit.n_modes))[::-1]):
+        part = transfer_matrices(circuit, etas, columns)
+        assert part.shape == (batch, circuit.n_modes, len(columns))
+        assert part.tobytes() == np.ascontiguousarray(whole[..., columns]).tobytes()
+
+
+def test_transfer_matrices_refuse_a_column_outside_the_modes():
+    c = Circuit(2, ("a", "b"), (Beamsplitter(0, 1, 0.5, grey=1),))
+    for column in (2, -1, 1.0, True):
+        with pytest.raises(ValueError, match=r"column .* outside 0\.\.1"):
+            transfer_matrices(c, [[0.5]], [0, column])
 
 
 def test_prepared_occupation_adds_the_ancilla_preparation():

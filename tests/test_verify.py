@@ -269,9 +269,11 @@ def test_batched_amplitudes_match_the_oracle_over_the_heralded_sector(gate):
     corners = verify._corner_deltas(0.02, len(base.elements))
     etas = verify._perturbed_etas(base, corners[:: len(corners) // 8], "absolute")
     transfers = verify.transfer_matrices(base, etas) * np.exp(0.3j)
-    sector, images, amplitudes = verify._heralded_amplitudes(base)
+    sector, images, lit, amplitudes = verify._heralded_amplitudes(base)
     assert sector == verify._sector(base, base.detection, 4)
-    amps = amplitudes(transfers)
+    # the rails and the NS ancillas carry photons in, the vacuum ports none
+    assert lit == [base.mode_index(l) for l in QUBIT_LABELS + ("a1", "a2")]
+    amps = amplitudes(transfers[..., lit])
     assert amps.shape == (8, len(BASIS_INPUTS), len(sector))
     rails = [base.mode_index(l) for l in QUBIT_LABELS]
     for i, label in enumerate(BASIS_INPUTS):
@@ -730,27 +732,86 @@ def test_batched_errors_ignore_a_global_phase_of_the_transfer_matrices(monkeypat
 
 
 def test_batched_errors_compose_the_transfer_matrices_by_chunk(monkeypatch):
-    # 2,500 vectors compose in chunks of 1,024, 1,024 and 452, and give the
-    # records of a run that composes all 2,500 at once, bit for bit
-    sizes = []
+    # 2,500 vectors are drawn, perturbed and composed in chunks of 1,024,
+    # 1,024 and 452, and give the records of a run that draws and composes
+    # all 2,500 at once, bit for bit
+    sizes, draws = [], []
     real_matrices = verify.transfer_matrices
+    real_perturbed = verify._perturbed_etas
 
-    def spy(base, etas):
+    def spy(base, etas, columns):
         sizes.append(len(etas))
-        return real_matrices(base, etas)
+        return real_matrices(base, etas, columns)
+
+    def drawn(base, deltas, model):
+        draws.append(len(deltas))
+        return real_perturbed(base, deltas, model)
 
     monkeypatch.setattr(verify, "transfer_matrices", spy)
+    monkeypatch.setattr(verify, "_perturbed_etas", drawn)
     chunked = sensitivity_sweep("cnot", "relative", 0.02, "random", 2500, 4)
-    assert sizes == [1024, 1024, 452]
+    assert sizes == draws == [1024, 1024, 452]
     sizes.clear()
+    draws.clear()
     monkeypatch.setattr(verify, "_COMPOSE_CHUNK", 4096)
     whole = sensitivity_sweep("cnot", "relative", 0.02, "random", 2500, 4)
-    assert sizes == [2500]
+    assert sizes == draws == [2500]
     for key, records in chunked["records"].items():
         assert records.tobytes() == whole["records"][key].tobytes()
     assert {k: v for k, v in chunked.items() if k != "records"} == {
         k: v for k, v in whole.items() if k != "records"
     }
+
+
+def _relabelled(circuit: Circuit, labels) -> Circuit:
+    """``circuit`` with its modes reordered to ``labels``: the same gate,
+    with every element, preparation and detection count moved along."""
+    new = {circuit.labels.index(label): m for m, label in enumerate(labels)}
+    return Circuit(
+        circuit.n_modes,
+        tuple(labels),
+        tuple(
+            dataclasses.replace(
+                el, mode_a=new[el.mode_a], mode_b=new[el.mode_b], grey=new[el.grey]
+            )
+            for el in circuit.elements
+        ),
+        ancilla_prep={new[m]: k for m, k in circuit.ancilla_prep.items()},
+        detection=DetectionPattern(
+            exact={new[m]: k for m, k in circuit.detection.exact.items()}
+        ),
+    )
+
+
+def test_batched_errors_read_the_lit_columns_by_position_not_by_mode():
+    # the shipped CNOTs have their lit columns first, where a position and
+    # its mode coincide; here the vacuum ports come first and the NS
+    # ancillas sit between the rails, which keep their order
+    base = _relabelled(
+        build_cnot_circuit(), ("v2", "v1", "c_H", "a2", "c_V", "t_H", "a1", "t_V")
+    )
+    assert verify._heralded_amplitudes(base)[2] == [2, 3, 4, 5, 6, 7]
+    corners = verify._corner_deltas(0.02, len(base.elements))
+    etas = verify._perturbed_etas(base, corners[:: len(corners) // 16], "absolute")
+    errors, probabilities = verify._batched_logical_errors(base, etas)
+    for row, errs, probs in zip(etas, errors, probabilities):
+        circuit = verify._perturbed_circuit(base, row.tolist())
+        for label, error, probability in zip(BASIS_INPUTS, errs, probs):
+            sparse_error, sparse_probability = verify._sparse_logical_error(circuit, label)
+            assert abs(error - sparse_error) < 1e-12
+            assert abs(probability - sparse_probability) < 1e-12
+
+
+def test_glynn_row_products_fit_under_the_mmap_threshold():
+    # the kernel's largest temporary holds one block's row products,
+    # (kets, block, inputs, sign vectors) doubles; above glibc's 128 KiB
+    # mmap threshold each block would map fresh pages
+    for gate in verify.CNOTS:
+        base = gate_by_name(gate)
+        sector = verify._heralded_amplitudes(base)[0]
+        photons = sum(sector[0])
+        row_products = len(sector) * len(BASIS_INPUTS) * 2 ** (photons - 1) * 8
+        assert row_products * verify._SWEEP_BLOCK < 128 * 1024
 
 
 def test_perturbed_etas_leave_the_deltas_unchanged():
@@ -768,13 +829,13 @@ def test_perturbed_etas_leave_the_deltas_unchanged():
 
 
 def test_sweep_memory_is_its_records_plus_a_fixed_allowance():
-    # the working memory is one chunk of vectors, whatever the sample count,
-    # and the drawn deltas are released once the reflectivities exist, so the
-    # peak is the records (18 doubles a vector) plus an allowance that does
-    # not grow with the sample count (~2.1 MB at both sizes)
+    # the working memory is one chunk of vectors, whatever the sample count:
+    # the deltas are drawn and the mean error summed a chunk at a time, so
+    # the peak is the records (18 doubles a vector) plus an allowance that
+    # does not grow with the sample count (~1.4 MB at both sizes)
     sensitivity_sweep("cnot", "relative", 0.02, "random", 10, 0)  # warm caches
     excess = []
-    for samples in (20000, 40000):
+    for samples in (20000, 100000):
         tracemalloc.start()
         try:
             report = sensitivity_sweep("cnot", "relative", 0.02, "random", samples, 0)
