@@ -215,6 +215,8 @@ def oracle_amplitude(query: AmplitudeQuery) -> complex:
     independent of the element-by-element evolution.
     """
     u = np.asarray(query.transfer)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"transfer matrix must be square, got shape {u.shape}")
     n = u.shape[0]
     inp, out = query.input_occ, query.output_occ
     if len(inp) != n or len(out) != n:

@@ -12,9 +12,10 @@ Library operations that derive a state from an already-valid one
 (evolution, conditioning, normalization, addition) build it through the
 trusted ``FockStateVector._trusted``, which only prunes.
 
-This bottom module is also the one home of the two input rules: ``_natural``
-for every count (a numpy integer passes as an ``int``; a bool, float or
-negative number is refused) and ``_real`` for every real number.
+This bottom module is also the one home of the three input rules:
+``_natural`` for every count (a numpy integer passes as an ``int``; a bool,
+float or negative number is refused), ``_real`` for every real number and
+``_amplitude`` for every amplitude given to the public constructor.
 """
 
 from __future__ import annotations
@@ -50,6 +51,20 @@ def _real(value, what: str) -> None:
         return
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
+def _amplitude(value, occ: Occupation) -> complex:
+    """An amplitude as a complex; a bool, a value that is not a number (a
+    string, say) and a NaN or infinite one are refused, not coerced or
+    pruned away."""
+    number = type(value) is complex or (  # the common case skips the ABC check
+        isinstance(value, numbers.Complex) and not isinstance(value, bool)
+    )
+    if not (number and math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(
+            f"amplitude of ket {occ} must be a finite complex number, got {value!r}"
+        )
+    return complex(value)
 
 
 def enumerate_basis(n_modes: int, total_photons: int) -> list[Occupation]:
@@ -112,7 +127,7 @@ class FockStateVector:
                     f"occupation {occ} has {sum(occ)} photons, expected "
                     f"{self.total_photons}"
                 )
-            amp = complex(amp)
+            amp = _amplitude(amp, occ)
             if abs(amp) > PRUNE_TOL:
                 pruned[occ] = amp
         object.__setattr__(self, "amplitudes", pruned)
@@ -194,8 +209,9 @@ def make_state(
     """Build a state from (occupation, amplitude) pairs.
 
     All occupations must agree on mode count and photon total (the
-    sector is taken from the first entry); repeated occupations are an
-    error, and exactly-zero amplitudes are dropped.
+    sector is taken from the first entry); repeated occupations and
+    amplitudes that ``_amplitude`` refuses are an error, and exactly-zero
+    amplitudes are dropped.
     """
     if not entries:
         raise ValueError("need at least one (occupation, amplitude) entry")
@@ -205,7 +221,7 @@ def make_state(
         occ = tuple(occ)
         if occ in amps:
             raise ValueError(f"occupation {occ} listed twice")
-        amps[occ] = complex(amp)
+        amps[occ] = amp
     return FockStateVector(n_modes, total, amps)
 
 

@@ -27,15 +27,16 @@ no vacuum port, so the moment tables and the dual-path check's 16
 coincidence kets are heralded too.
 
 The sensitivity sweep instead evaluates all of its perturbations as one
-batch: ``elements.transfer_matrices`` of the lit columns (the modes where
-some basis input puts a photon) for 1,024 perturbations at a time, so a
-long sweep's working memory stays that of one chunk, then Glynn
-permanents over the heralded output sector, the kets that
-``DetectionPattern.matches`` keeps. Glynn's sign vectors run over the
-four input photon columns, which every sector ket shares, so each block
-of perturbations takes its column sums for every output mode in one
-matrix product and each ket gathers its rows from them
-(``_glynn_permanents``). The sparse evolution re-derives
+batch: its deltas, perturbed in place into the reflectivities, then
+``elements.transfer_matrices`` of the lit columns (the modes where some
+basis input puts a photon) for 1,024 perturbations at a time, the one
+chunked step, so a long sweep's working memory stays that of one chunk
+beyond its records, then Glynn permanents over the heralded output
+sector, the kets that ``DetectionPattern.matches`` keeps. Glynn's sign
+vectors run over the four input photon columns, which every sector ket
+shares, so each block of perturbations takes its column sums for every
+output mode in one matrix product and each ket gathers its rows from
+them (``_glynn_permanents``). The sparse evolution re-derives
 every distinct (perturbation, input) pair within 1e-12 of the batch's
 worst error and must agree with it to 1e-12; its values replace the
 batched ones in those cells, so the sweep's worst case is a sparse one.
@@ -524,8 +525,8 @@ def heisenberg_consistency(gate: str) -> float:
 # they took ~1,800 minor page faults per 1024-corner batch, which doubled
 # its time.
 _SWEEP_BLOCK = 48
-# Vectors drawn, perturbed and composed together, so a sweep's working
-# memory beyond its records is one chunk's, whatever its length: a
+# Vectors whose transfer matrices are composed together, so a sweep's
+# working memory beyond its records is one chunk's, whatever its length: a
 # 100,000-sample ``loqc sweep --csv`` peaks at 51 MB of RSS, against 192 MB
 # composed whole. Both benchmark sweeps (1000 and 1024 vectors) still
 # compose in one call. Chunks of 240 or 144 vectors peaked ~0.55 MB lower
@@ -536,12 +537,14 @@ _COMPOSE_CHUNK = 1024
 def _corner_deltas(magnitude: float, k: int) -> np.ndarray:
     """The (2**k, k) sign corners of +/-``magnitude`` over k splitters, bit
     for bit ``np.array(list(itertools.product((-magnitude, magnitude),
-    repeat=k)))``: row i holds +magnitude where bit k-1-j of i is set and
-    -magnitude (-0.0 at magnitude 0) where it is not. Built column by
-    column, so no (2**k, k) integer array is ever made."""
-    signs = np.array([-magnitude, magnitude])
+    repeat=k)), dtype=float)``: row i holds +magnitude where bit k-1-j of i
+    is set and -magnitude (-0.0 at magnitude 0) where it is not. Built
+    column by column, so no (2**k, k) integer array is ever made, and
+    float64 whatever ``magnitude``'s type, so ``_perturbed_etas`` can
+    perturb them in place."""
+    signs = np.array([-magnitude, magnitude], dtype=float)
     rows = np.arange(2**k)
-    deltas = np.empty((2**k, k), signs.dtype)
+    deltas = np.empty((2**k, k))
     for j in range(k):
         deltas[:, j] = signs[(rows >> (k - 1 - j)) & 1]
     return deltas
@@ -549,18 +552,20 @@ def _corner_deltas(magnitude: float, k: int) -> np.ndarray:
 
 def _perturbed_etas(base: Circuit, deltas: np.ndarray, model: str) -> np.ndarray:
     """(B, k) reflectivities for B perturbation vectors: eta + delta
-    ("absolute") or eta * (1 + delta) ("relative"), clamped to [0, 1]."""
+    ("absolute") or eta * (1 + delta) ("relative"), clamped to [0, 1].
+
+    The float64 ``deltas`` become the reflectivities in place, and the
+    same array is returned, so a sweep holds no second (B, k) array."""
     nominal = np.array([el.reflectivity for el in base.elements])
-    # one new (B, k) array, clamped in place; IEEE addition and
-    # multiplication commute, so delta + eta and (delta + 1) * eta are the
-    # bits of eta + delta and eta * (1 + delta)
+    # IEEE addition and multiplication commute, so delta + eta and
+    # (delta + 1) * eta are the bits of eta + delta and eta * (1 + delta)
     if model == "absolute":
-        etas = deltas + nominal
+        deltas += nominal
     else:
-        etas = deltas + 1.0
-        etas *= nominal
-    np.maximum(etas, 0.0, out=etas)
-    return np.minimum(etas, 1.0, out=etas)
+        deltas += 1.0
+        deltas *= nominal
+    np.maximum(deltas, 0.0, out=deltas)
+    return np.minimum(deltas, 1.0, out=deltas)
 
 
 def _perturbed_circuit(base: Circuit, etas: list[float]) -> Circuit:
@@ -751,15 +756,8 @@ def sensitivity_sweep(
     if mode == "corners":
         etas = _perturbed_etas(base, _corner_deltas(magnitude, k), model)
     elif mode == "random":
-        # drawn and perturbed a chunk of rows at a time, so the deltas never
-        # coexist with the records; row-chunked draws give one draw's bytes
-        rng = default_rng(seed)
-        etas = np.empty((samples, k))
-        for start in range(0, samples, _COMPOSE_CHUNK):
-            chunk = etas[start : start + _COMPOSE_CHUNK]
-            chunk[...] = _perturbed_etas(
-                base, rng.uniform(-magnitude, magnitude, size=chunk.shape), model
-            )
+        deltas = default_rng(seed).uniform(-magnitude, magnitude, size=(samples, k))
+        etas = _perturbed_etas(base, deltas, model)
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")
     if len(etas) == 0:
@@ -792,15 +790,10 @@ def sensitivity_sweep(
     run_worst = errors.max(axis=1)
     worst = int(run_worst.argmax())
     worst_error = float(run_worst[worst])
-    # one Python sum in sweep order (numpy's pairwise sum rounds
-    # differently), over a chunk of floats at a time rather than a list of
-    # them all
-    mean_error = sum(
-        itertools.chain.from_iterable(
-            run_worst[start : start + _COMPOSE_CHUNK].tolist()
-            for start in range(0, len(run_worst), _COMPOSE_CHUNK)
-        )
-    ) / len(etas)
+    # one Python sum of Python floats in sweep order: numpy's pairwise sum
+    # rounds differently, np.float64 items would miss the compensated float
+    # sum of Python 3.12+, and tolist() would hold every float at once
+    mean_error = sum(map(float, run_worst)) / len(etas)
     # an error of exactly 1.0 is in range, so this verdict is not value < tolerance
     in_range = 0.0 <= mean_error <= worst_error <= 1.0
     checks = [check("errors within [0, 1]", worst_error, 1.0, in_range)]

@@ -316,7 +316,7 @@ def test_sweep_without_samples_is_a_usage_error(capsys):
             "cnot-simplified", "absolute", 0.02, "corners", 30,
             id="cnot-simplified-absolute-0.02-corners",
         ),
-        # 130 rows are written in blocks of 64, 64 and 2
+        # 130 rows, streamed one row at a time as any other length is
         ("cnot", "relative", 0.02, "random", 130),
         ("cnot", "absolute", 0.9, "random", 130),
     ],

@@ -13,6 +13,7 @@ from loqc.elements import (
     Circuit,
     beamsplitter_matrix,
     compose_transfer_matrix,
+    transfer_matrices,
 )
 from loqc.evolve import (
     MAX_PHOTONS,
@@ -195,6 +196,22 @@ def test_oracle_rejects_bad_queries(input_occ, output_occ, message):
     with pytest.raises(ValueError) as err:
         oracle_amplitude(query)
     assert str(err.value) == message
+
+
+def test_oracle_refuses_a_transfer_matrix_that_is_not_square():
+    # the CNOT's six lit columns: an 8 x 6 block whose rows and columns no
+    # longer name the same modes, so neither it nor its transpose is a
+    # circuit's transfer matrix, although both gave 0.25 for HH unchecked
+    cnot = build_cnot_circuit()
+    etas = np.array([[el.reflectivity for el in cnot.elements]])
+    lit = transfer_matrices(cnot, etas, range(6))[0]
+    hh = next(iter(encode_logical(logical_pair("HH"), cnot).amplitudes))
+    for u, occ in ((lit, hh), (lit.T, hh[:6]), (lit[0], hh), (lit[None], hh)):
+        with pytest.raises(ValueError) as err:
+            oracle_amplitude(AmplitudeQuery(u, occ, occ))
+        assert str(err.value) == (
+            f"transfer matrix must be square, got shape {u.shape}"
+        )
 
 
 # a negative mode is refused when the element is built (test_elements.py)

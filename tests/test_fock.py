@@ -136,6 +136,33 @@ def test_constructor_prunes_dust_amplitudes():
     assert s.amplitude((0, 1)) == 0j
 
 
+@pytest.mark.parametrize(
+    "amp",
+    [math.nan, math.inf, complex(0.0, -math.inf), "1", True, np.bool_(True), None],
+    ids=["nan", "inf", "imaginary-inf", "string", "bool", "numpy-bool", "none"],
+)
+def test_public_construction_refuses_an_amplitude_it_would_coerce(amp):
+    # a NaN was pruned away, an infinity kept, and "1" and True became 1+0j
+    message = f"amplitude of ket (1, 0) must be a finite complex number, got {amp!r}"
+    for build in (
+        lambda: FockStateVector(2, 1, {(1, 0): amp}),
+        lambda: make_state(2, [((1, 0), amp)]),
+    ):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+    if type(amp) in (float, complex):  # a non-finite scalar makes non-finite kets
+        with pytest.raises(ValueError, match=r"amplitude of ket \(1, 0\)"):
+            amp * basis_state(2, (1, 0))
+
+
+def test_public_construction_takes_any_finite_number_as_a_complex():
+    for amp in (1, 0.5, np.int64(2), np.float32(0.5), np.complex128(0.5j), 1 + 2j):
+        state = make_state(2, [((1, 0), amp)])
+        assert type(state.amplitude((1, 0))) is complex
+        assert state.amplitude((1, 0)) == complex(amp)
+
+
 def test_trusted_construction_prunes_and_keeps_order_like_the_constructor():
     amps = {(0, 2): 0.5j, (2, 0): 1e-15 + 0j, (1, 1): -0.5 + 0j}
     trusted = FockStateVector._trusted(2, 2, amps)

@@ -732,35 +732,30 @@ def test_batched_errors_ignore_a_global_phase_of_the_transfer_matrices(monkeypat
 
 
 def test_batched_errors_compose_the_transfer_matrices_by_chunk(monkeypatch):
-    # 2,500 vectors are drawn, perturbed and composed in chunks of 1,024,
-    # 1,024 and 452, and give the records of a run that draws and composes
-    # all 2,500 at once, bit for bit
-    sizes, draws = [], []
+    # 2,500 vectors are composed in chunks of 1,024, 1,024 and 452, and give
+    # the records of a run that composes all 2,500 at once, bit for bit
+    sizes = []
     real_matrices = verify.transfer_matrices
-    real_perturbed = verify._perturbed_etas
 
     def spy(base, etas, columns):
         sizes.append(len(etas))
         return real_matrices(base, etas, columns)
 
-    def drawn(base, deltas, model):
-        draws.append(len(deltas))
-        return real_perturbed(base, deltas, model)
-
     monkeypatch.setattr(verify, "transfer_matrices", spy)
-    monkeypatch.setattr(verify, "_perturbed_etas", drawn)
     chunked = sensitivity_sweep("cnot", "relative", 0.02, "random", 2500, 4)
-    assert sizes == draws == [1024, 1024, 452]
+    assert sizes == [1024, 1024, 452]
     sizes.clear()
-    draws.clear()
     monkeypatch.setattr(verify, "_COMPOSE_CHUNK", 4096)
     whole = sensitivity_sweep("cnot", "relative", 0.02, "random", 2500, 4)
-    assert sizes == draws == [2500]
+    assert sizes == [2500]
     for key, records in chunked["records"].items():
         assert records.tobytes() == whole["records"][key].tobytes()
     assert {k: v for k, v in chunked.items() if k != "records"} == {
         k: v for k, v in whole.items() if k != "records"
     }
+    # the mean is the Python sum of the vectors' worst errors in sweep order
+    run_worst = chunked["records"]["errors"].max(axis=1)
+    assert chunked["mean_error"] == sum(run_worst.tolist()) / 2500
 
 
 def _relabelled(circuit: Circuit, labels) -> Circuit:
@@ -814,25 +809,42 @@ def test_glynn_row_products_fit_under_the_mmap_threshold():
         assert row_products * verify._SWEEP_BLOCK < 128 * 1024
 
 
-def test_perturbed_etas_leave_the_deltas_unchanged():
+def test_perturbed_etas_perturb_the_deltas_in_place():
     base = build_cnot_circuit()
-    deltas = np.random.default_rng(5).uniform(-0.9, 0.9, (40, len(base.elements)))
-    drawn = deltas.copy()
     nominal = np.array([el.reflectivity for el in base.elements])
-    for model, expected in (
-        ("absolute", nominal + deltas),
-        ("relative", nominal * (1.0 + deltas)),
-    ):
+    for model in ("absolute", "relative"):
+        deltas = np.random.default_rng(5).uniform(-0.9, 0.9, (40, len(base.elements)))
+        expected = nominal + deltas if model == "absolute" else nominal * (1.0 + deltas)
         etas = verify._perturbed_etas(base, deltas, model)
+        assert np.shares_memory(etas, deltas)
         assert etas.tobytes() == np.minimum(np.maximum(expected, 0.0), 1.0).tobytes()
-        assert deltas.tobytes() == drawn.tobytes()
+
+
+def test_corner_sweeps_take_any_real_magnitude_as_float64():
+    # the corner deltas are float64 whatever the magnitude's type, so an
+    # integer magnitude can be perturbed in place, and a float32 one gives
+    # the sweep of its value as a Python float, not float32 reflectivities
+    single = np.float32(0.02)
+    for given, plain in ((0, 0.0), (1, 1.0), (single, float(single))):
+        for model in ("absolute", "relative"):
+            got = sensitivity_sweep("cnot", model, given, "corners")
+            want = sensitivity_sweep("cnot", model, plain, "corners")
+            wanted = want.pop("records")
+            for key, records in got.pop("records").items():
+                assert records.dtype == np.float64
+                assert records.tobytes() == wanted[key].tobytes()
+            assert got == want
+    absolute = sensitivity_sweep("cnot", "absolute", single, "corners")
+    assert absolute["worst_error"] == 0.030368716447040756
 
 
 def test_sweep_memory_is_its_records_plus_a_fixed_allowance():
     # the working memory is one chunk of vectors, whatever the sample count:
-    # the deltas are drawn and the mean error summed a chunk at a time, so
-    # the peak is the records (18 doubles a vector) plus an allowance that
-    # does not grow with the sample count (~1.4 MB at both sizes)
+    # the deltas are drawn into the array that becomes the records' etas,
+    # the transfer matrices are composed a chunk at a time and the mean
+    # error sums one float at a time, so the peak is the records (18
+    # doubles a vector) plus an allowance that does not grow with the
+    # sample count (~1.4 MB at both sizes)
     sensitivity_sweep("cnot", "relative", 0.02, "random", 10, 0)  # warm caches
     excess = []
     for samples in (20000, 100000):
