@@ -85,6 +85,19 @@ def test_sweep_csv_write(benchmark, tmp_path):
     assert csv_path.read_bytes().count(b"\r\n") == 1 + 1000
 
 
+def test_sweep_csv_rows_1000(benchmark, tmp_path):
+    # the CSV writer alone, on the sweep-random line's 1000 records
+    report = verify.sensitivity_sweep(
+        "cnot", model="relative", magnitude=0.02, mode="random", samples=1000, seed=0
+    )
+    csv_path = tmp_path / "sweep.csv"
+    benchmark(cli._write_sweep_csv, report, str(csv_path))
+    lines = csv_path.read_bytes().split(b"\r\n")
+    assert len(lines) == 1 + 1000 + 1 and lines[-1] == b""
+    worst = max(float(line.split(b",")[-3]) for line in lines[1:-1])
+    assert worst == report["worst_error"]
+
+
 def test_evolve_through_cnot(benchmark, cnot_input):
     out = benchmark(evolve, cnot_input, CNOT)
     assert abs(out.norm_sq - 1.0) < 1e-12

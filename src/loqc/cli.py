@@ -42,6 +42,7 @@ _OUTPUTS = ("json", "csv")  # parsed arguments that name output files
 # parsed arguments that are not inputs of the command's computation
 _NOT_INPUTS = ("command",) + _OUTPUTS
 _NOT_RESULTS = ("checks", "passed", "records")  # records: sweep arrays, for --csv
+_CSV_BLOCK = 64  # sweep records turned into Python floats at a time for --csv
 
 
 def _real_imag(value):
@@ -186,6 +187,38 @@ def _cmd_intermediate(args) -> int:
     return _finish(args, report)
 
 
+def _write_sweep_csv(report: dict, path: str) -> None:
+    """One CSV row per sweep record: its reflectivities, its error on each
+    basis input, and its worst error and success-probability range."""
+    records = report["records"]
+    etas, errors, probs = (records[k] for k in ("etas", "errors", "probabilities"))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(
+            report["element_labels"]
+            + [f"error_{k}" for k in gates.BASIS_INPUTS]
+            + ["worst_error", "probability_min", "probability_max"]
+        )
+        # The same bytes as writer.writerow: a float repr holds no comma,
+        # quote or line break, so the default dialect quotes none, and it
+        # ends each line with "\r\n". numpy's row max and min give the bytes
+        # of Python's max and min here: the records hold no NaN and no -0.0,
+        # so no tie can pick a different zero. A block of rows at a time, so
+        # a long sweep never holds all of its rows as lists.
+        for start in range(0, len(etas), _CSV_BLOCK):
+            rows = slice(start, start + _CSV_BLOCK)
+            block = zip(
+                etas[rows].tolist(),
+                errors[rows].tolist(),
+                errors[rows].max(axis=1).tolist(),
+                probs[rows].min(axis=1).tolist(),
+                probs[rows].max(axis=1).tolist(),
+            )
+            fh.write("".join([
+                ",".join(map(repr, e + r + [worst, p_min, p_max])) + "\r\n"
+                for e, r, worst, p_min, p_max in block
+            ]))
+
+
 def _cmd_sweep(args) -> int:
     report = verify.sensitivity_sweep(
         gate=args.gate,
@@ -196,26 +229,7 @@ def _cmd_sweep(args) -> int:
         seed=args.rng_seed,
     )
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                report["element_labels"]
-                + [f"error_{k}" for k in gates.BASIS_INPUTS]
-                + ["worst_error", "probability_min", "probability_max"]
-            )
-            arrays = [report["records"][k] for k in ("etas", "errors", "probabilities")]
-            # The same bytes as writer.writerow: a float repr holds no comma,
-            # quote or line break, so the default dialect quotes none, and it
-            # ends each line with "\r\n". Python's max/min per row: numpy's could
-            # break a tie of signed zeros, or treat a NaN, differently. Each row
-            # becomes Python floats as it is written, so a long sweep never
-            # holds all of its rows as lists.
-            rows = zip(*((row.tolist() for row in a) for a in arrays))
-            fh.writelines(
-                ",".join(map(repr, etas + errors + [max(errors), min(ps), max(ps)]))
-                + "\r\n"
-                for etas, errors, ps in rows
-            )
+        _write_sweep_csv(report, args.csv)
     print(
         f"sweep {args.gate} model={args.model} magnitude={_fmt(args.magnitude)} "
         f"mode={args.mode} evaluations={report['n_evaluations']}"

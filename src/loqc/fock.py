@@ -53,17 +53,16 @@ def _real(value, what: str) -> None:
         raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
-def _amplitude(value, occ: Occupation) -> complex:
-    """An amplitude as a complex; a bool, a value that is not a number (a
-    string, say) and a NaN or infinite one are refused, not coerced or
-    pruned away."""
+def _amplitude(value, occ: Occupation | None) -> complex:
+    """An amplitude (of ket ``occ``, or a scalar factor when ``occ`` is None)
+    as a complex; a bool, a value that is not a number (a string, say) and a
+    NaN or infinite one are refused, not coerced or pruned away."""
     number = type(value) is complex or (  # the common case skips the ABC check
         isinstance(value, numbers.Complex) and not isinstance(value, bool)
     )
     if not (number and math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValueError(
-            f"amplitude of ket {occ} must be a finite complex number, got {value!r}"
-        )
+        what = "scalar" if occ is None else f"amplitude of ket {occ}"
+        raise ValueError(f"{what} must be a finite complex number, got {value!r}")
     return complex(value)
 
 
@@ -194,6 +193,7 @@ class FockStateVector:
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "FockStateVector":
+        _amplitude(scalar, None)  # a bool would pass as 0 or 1 once multiplied
         return FockStateVector(
             self.n_modes,
             self.total_photons,

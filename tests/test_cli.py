@@ -316,9 +316,18 @@ def test_sweep_without_samples_is_a_usage_error(capsys):
             "cnot-simplified", "absolute", 0.02, "corners", 30,
             id="cnot-simplified-absolute-0.02-corners",
         ),
-        # 130 rows, streamed one row at a time as any other length is
+        # 130 rows: two whole blocks of 64 and a part block
         ("cnot", "relative", 0.02, "random", 130),
         ("cnot", "absolute", 0.9, "random", 130),
+        # either side of a block boundary, and a part block after sixteen
+        ("cnot", "relative", 0.02, "random", 1),
+        ("cnot", "relative", 0.02, "random", 63),
+        ("cnot", "relative", 0.02, "random", 64),
+        ("cnot", "relative", 0.02, "random", 65),
+        ("cnot", "relative", 0.02, "random", 1025),
+        ("cnot", "absolute", 0.9, "random", 1025),
+        # every cell ties at error 0.0, so each row's max and min are ties
+        ("cnot", "absolute", 0.0, "corners", 30),
     ],
 )
 def test_sweep_csv_bytes_are_the_csv_writers(
@@ -346,6 +355,8 @@ def test_sweep_csv_bytes_are_the_csv_writers(
     ):
         writer.writerow(etas + errors + [max(errors), min(probs), max(probs)])
     assert csv_path.read_bytes() == expected.getvalue().encode()
+    if magnitude == 0.0:
+        assert (records["errors"] == 0.0).all()
     if magnitude == 0.9:
         assert (records["errors"] == 1.0).any()
         assert (records["probabilities"] == 0.0).any()

@@ -151,9 +151,28 @@ def test_public_construction_refuses_an_amplitude_it_would_coerce(amp):
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == message
-    if type(amp) in (float, complex):  # a non-finite scalar makes non-finite kets
-        with pytest.raises(ValueError, match=r"amplitude of ket \(1, 0\)"):
-            amp * basis_state(2, (1, 0))
+    # the same rule refuses it as a scalar factor, on either side and on an
+    # empty state too, before any product could turn True into 1+0j (numpy's
+    # bool hands the state a Python bool when it is on the left)
+    for product in (
+        lambda: amp * basis_state(2, (1, 0)),
+        lambda: basis_state(2, (1, 0)) * amp,
+        lambda: amp * FockStateVector(2, 1, {}),
+    ):
+        with pytest.raises(ValueError, match="^scalar must be a finite complex number"):
+            product()
+
+
+def test_scalar_multiplication_takes_any_finite_number():
+    state = basis_state(2, (1, 0))
+    for scalar in (2, 0.5j, np.float64(2)):
+        for product in (scalar * state, state * scalar):
+            assert type(product) is FockStateVector
+            assert product.amplitudes == {(1, 0): complex(scalar)}
+            assert type(product.amplitude((1, 0))) is complex
+    # False is refused, not taken for the zero it would multiply out to
+    with pytest.raises(ValueError, match="got False"):
+        False * state
 
 
 def test_public_construction_takes_any_finite_number_as_a_complex():

@@ -604,6 +604,28 @@ def test_sweep_records_match_sparse_evolution(gate, model, magnitude):
         assert res["worst_error"] == 1.0
 
 
+@pytest.mark.parametrize("gate", ["cnot", "cnot-simplified"])
+@pytest.mark.parametrize("model", ["absolute", "relative"])
+@pytest.mark.parametrize("magnitude", [0.0, 0.02, 0.9])
+@pytest.mark.parametrize("mode", ["corners", "random"])
+def test_sweep_records_hold_no_nan_and_no_negative_zero(gate, model, magnitude, mode):
+    # errors are 1 - w or exactly 1.0, probabilities sums of squares from
+    # +0.0; so numpy's row max and min (which --csv writes) pick the same
+    # floats as Python's max and min, which keep the first of a tie
+    records = sensitivity_sweep(
+        gate, model=model, magnitude=magnitude, mode=mode, samples=200, seed=0
+    )["records"]
+    for key in ("errors", "probabilities"):
+        values = records[key]
+        assert not np.isnan(values).any()
+        assert not (np.signbit(values) & (values == 0.0)).any()
+        rows = values.tolist()
+        for reduce, method in ((max, values.max), (min, values.min)):
+            assert list(map(repr, method(axis=1).tolist())) == [
+                repr(reduce(row)) for row in rows
+            ]
+
+
 def test_sweep_absolute_corner_ties_resolve_to_first_in_sweep_order():
     # four corners tie bit for bit at the worst error; the first in sweep
     # order (B4 slowest, B1 fastest, - before +) is reported
