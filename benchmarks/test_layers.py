@@ -21,14 +21,16 @@ from loqc.evolve import apply_element, evolve, permanent
 from loqc.fock import enumerate_basis
 from loqc.gates import (
     BASIS_INPUTS,
+    CNOTS,
     encode_logical,
     gate_by_name,
     logical_pair,
 )
 from loqc.postselect import condition
-from loqc.verify import CNOT_SUCCESS, truth_table
+from loqc.verify import truth_table
 
 CNOT = gate_by_name("cnot")
+CNOT_SUCCESS = CNOTS["cnot"][1]
 # all 1024 sign corners of the CNOT's absolute sweep at magnitude 0.02
 ALL_CORNER_ETAS = verify._perturbed_etas(
     CNOT, verify._corner_deltas(0.02, len(CNOT.elements)), "absolute"

@@ -321,9 +321,9 @@ def _cmd_run_circuit(args) -> int:
 
 
 # The CNOT positional of the commands that read the CNOT truth table. Its
-# choices are ``verify.CNOTS`` itself, which argparse reads as the table's
+# choices are ``gates.CNOTS`` itself, which argparse reads as the table's
 # keys whenever it checks a value or prints a usage line.
-_GATE = {"choices": verify.CNOTS}
+_GATE = {"choices": gates.CNOTS}
 _GATE_OR_CNOT = {**_GATE, "nargs": "?", "default": "cnot"}
 
 # name -> (help line, handler, its arguments as (name, add_argument keywords)

@@ -20,7 +20,8 @@ Both operating points are closed forms, which ``solve_optimal_ns`` and
 ``solve_biased_ns`` return. ``tests/test_exact.py`` proves them exactly
 with sympy: no balanced NS amplitude exceeds 1/2 and only the closed form
 reaches it, and the biased balance equations have exactly one non-zero
-root in [0, 1]**2.
+root in [0, 1]**2. ``NS_GATES`` and ``CNOTS`` hold each gate's builder
+beside the closed forms that its reports check.
 
 Mode and sign conventions
 -------------------------
@@ -372,13 +373,29 @@ def decode_logical(
     return amps, sum(leaked, 0.0)
 
 
-_GATE_BUILDERS = {
-    "ns": build_ns_circuit,
-    "ns-biased": build_biased_ns_circuit,
-    "cnot": build_cnot_circuit,
-    "cnot-simplified": build_simplified_cnot,
+# Each NS gate: (builder, its closed-form conditional map (l0, l1, l2) at
+# its operating point).
+NS_GATES = {
+    "ns": (build_ns_circuit, ns_conditional_map(optimal_ns_parameters())),
+    "ns-biased": (
+        build_biased_ns_circuit, biased_ns_amplitudes(balanced_biased_parameters())
+    ),
 }
 
+# Each CNOT: (builder, expected per-input success probability, its
+# tolerance, {interior cut: the NS map that cut's closed-form state
+# carries, or None before the NS gates}). Its keys are the gates that the
+# CNOT reports and the CLI's CNOT commands accept.
+CNOTS = {
+    "cnot": (build_cnot_circuit, 1.0 / 16.0, 1e-10, {"x": None, "y": NS_GATES["ns"][1]}),
+    "cnot-simplified": (
+        build_simplified_cnot, ETA2_BIASED**2, 1e-7,
+        {"y": NS_GATES["ns-biased"][1], "z": NS_GATES["ns-biased"][1]},
+    ),
+}
+
+# Every gate's builder, in table order; ``gate_by_name`` builds through it.
+_GATE_BUILDERS = {name: entry[0] for name, entry in (NS_GATES | CNOTS).items()}
 GATE_NAMES = tuple(_GATE_BUILDERS)
 
 

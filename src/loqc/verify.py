@@ -11,12 +11,13 @@ magnitude <= 0.02, that its worst error is below 1e-2. That check applies
 to both models, while acceptance criterion 8 holds the target to the
 relative model only, so the absolute 0.02 corner sweep exits 1 by design.
 
-``NS_MAPS`` and ``CNOTS`` hold each gate's checked facts. Each CNOT
-readout rule has one home: ``coincidence_pattern`` (heralding plus one
-photon per rail pair), ``_sector`` (the kets a pattern keeps) and
-``_moment_deviations`` (the signal and cross moment checks). ``_cnot``
-refuses a gate with no CNOT truth table, ``gates.dual_rail_ket`` an input
-label that is not a basis input.
+``gates.NS_GATES`` and ``gates.CNOTS`` hold each gate's checked facts
+beside its builder. Each CNOT readout rule has one home:
+``coincidence_pattern`` (heralding plus one photon per rail pair),
+``_sector`` (the kets a pattern keeps) and ``_moment_deviations`` (the
+signal and cross moment checks). ``_cnot`` refuses a gate with no CNOT
+truth table, ``gates.dual_rail_ket`` an input label that is not a basis
+input.
 
 The qubit rails are ``gates.QUBIT_LABELS`` and the heralds are the
 modes where ``circuit.detection`` expects one photon. Truth tables,
@@ -55,7 +56,6 @@ import numpy as np
 # numpy.random inside its run.
 from numpy.random import default_rng
 
-from . import gates
 from .elements import Circuit, compose_transfer_matrix, transfer_matrices
 from .evolve import AmplitudeQuery, evolve, oracle_amplitude
 from .fock import (
@@ -71,7 +71,8 @@ from .fock import (
 from .gates import (
     BASIS_INPUTS,
     CNOT_IMAGE,
-    ETA2_BIASED,
+    CNOTS,
+    NS_GATES,
     QUBIT_LABELS,
     conditional_map_by_evolution,
     decode_logical,
@@ -81,28 +82,6 @@ from .gates import (
     logical_pair,
 )
 from .postselect import DetectionPattern, coincidence_probability, condition
-
-CNOT_SUCCESS = 1.0 / 16.0
-SIMPLIFIED_SUCCESS = ETA2_BIASED**2
-
-# The closed-form conditional map (l0, l1, l2) of each NS gate at its
-# operating point. The four functions are called through ``gates``: nothing
-# else in this module calls them, and a name bound here but called only at
-# import is a site that perfbench's tracer wraps and never sees fire.
-NS_MAPS = {
-    "ns": gates.ns_conditional_map(gates.optimal_ns_parameters()),
-    "ns-biased": gates.biased_ns_amplitudes(gates.balanced_biased_parameters()),
-}
-
-# Each CNOT, as the CNOT reports and the CLI accept it: (expected per-input
-# success probability, its tolerance, {interior cut: the NS map that cut's
-# closed-form state carries, or None before the NS gates}).
-CNOTS = {
-    "cnot": (CNOT_SUCCESS, 1e-10, {"x": None, "y": NS_MAPS["ns"]}),
-    "cnot-simplified": (
-        SIMPLIFIED_SUCCESS, 1e-7, {"y": NS_MAPS["ns-biased"], "z": NS_MAPS["ns-biased"]}
-    ),
-}
 
 BELL_STATES = {
     "phi+": (1 / math.sqrt(2), 0.0, 0.0, 1 / math.sqrt(2)),
@@ -244,7 +223,7 @@ def moment_report(gate: str, input_label: str | None = None) -> dict:
     """Moment tables of one basis input, or of all four, each checked for
     its signal moment (the expected success probability) and its cross
     moments (zero)."""
-    expected_p, p_tol, _ = CNOTS[_cnot(gate)]
+    _, expected_p, p_tol, _ = CNOTS[_cnot(gate)]
     if input_label is not None:
         dual_rail_ket(input_label)  # refuses a label that is not a basis input
     labels = BASIS_INPUTS if input_label is None else (input_label,)
@@ -272,7 +251,7 @@ def truth_table(gate: str, conditioning: str = "heralded") -> dict:
     image basis state (the sign of its amplitude is not observable).
     """
     circuit = gate_by_name(_cnot(gate))
-    expected_p, p_tol, _ = CNOTS[gate]
+    _, expected_p, p_tol, _ = CNOTS[gate]
     if conditioning == "heralded":
         pattern = circuit.detection
     elif conditioning == "coincidence":
@@ -420,11 +399,11 @@ def reference_interior_state(
 ) -> FockStateVector:
     """Closed-form conditioned interior ket for a basis input at a cut: the
     state after the input splitters, each arm scaled by the NS map that
-    ``CNOTS`` gives the cut."""
+    ``gates.CNOTS`` gives the cut."""
     c_h, _, t_h, _ = dual_rail_ket(input_label)
     if gate not in CNOTS:
         raise ValueError(f"no interior states defined for gate {gate!r}")
-    maps = CNOTS[gate][2]
+    maps = CNOTS[gate][3]
     if cut not in maps:
         raise ValueError(f"no closed-form state at cut {cut!r} for {gate}")
     base = _reference_input_split(bool(c_h), 1.0 if t_h else -1.0)
@@ -487,14 +466,15 @@ def heisenberg_consistency(gate: str) -> float:
     oracle over every amplitude the gate's verification relies on.
 
     For the NS gates both are compared with the closed-form conditional
-    map of ``NS_MAPS``; for the CNOTs the complex amplitudes of each basis input on the
-    16 four-fold coincidence kets are compared, phases included.
+    map of ``gates.NS_GATES``; for the CNOTs the complex amplitudes of each
+    basis input on the 16 four-fold coincidence kets are compared, phases
+    included.
     """
     circuit = gate_by_name(gate)
     transfer = compose_transfer_matrix(circuit)
     dev = 0.0
-    if gate in NS_MAPS:
-        closed = NS_MAPS[gate]
+    if gate in NS_GATES:
+        closed = NS_GATES[gate][1]
         evolved = conditional_map_by_evolution(circuit)
         for n in range(3):
             occ = circuit.prepared_occupation({0: n})

@@ -471,13 +471,14 @@ def test_parser_is_built_once():
 def test_a_cnot_added_to_the_table_is_a_gate_of_every_cnot_command(
     tmp_path, monkeypatch, argv
 ):
-    # verify.CNOTS beside the builder is the whole record of a CNOT
+    # a gates.CNOTS entry is the whole record of a CNOT; _GATE_BUILDERS is
+    # its builder view, derived once at import
     docs = {}
     cli.build_parser.cache_clear()
     cli._command_parser.cache_clear()
     try:
         with monkeypatch.context() as m:
-            m.setitem(verify.CNOTS, "cnot-copy", verify.CNOTS["cnot"])
+            m.setitem(gates.CNOTS, "cnot-copy", gates.CNOTS["cnot"])
             m.setitem(gates._GATE_BUILDERS, "cnot-copy", gates._GATE_BUILDERS["cnot"])
             for gate in ("cnot", "cnot-copy"):
                 out = tmp_path / f"{gate}.json"

@@ -1,4 +1,5 @@
-"""Exact proofs, in sympy, of the two operating points and their floats.
+"""Exact proofs, in sympy, of the two operating points and their floats,
+and the criterion-8 worst corners recomputed at 50 digits in mpmath.
 
 Over the whole cube [0, 1]**3, a balanced NS map (l0 = l1 = -l2) has
 l0 <= 1/2 and only the closed form reaches 1/2; the biased balance equations
@@ -7,12 +8,16 @@ else ``simplify``, reduce their difference to 0; never by structural
 equality of radicals or by root order, which differ between sympy versions.
 """
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
+import pytest
 import sympy as sp
 
-from loqc import gates, verify
+from conftest import WORST_ERROR_ABS_CORNERS_002, WORST_ERROR_REL_CORNERS_002
+from loqc import gates
 
 SQRT2 = sp.sqrt(2)
 EXACT = dict(ETA2_NS=(SQRT2 - 1) ** 2, ETA13_NS=1 / (4 - 2 * SQRT2),
@@ -102,9 +107,71 @@ def test_biased_balance_has_one_nonzero_root():
 def test_floats_are_their_exact_values_to_1e_15():
     for name, exact in EXACT.items():
         assert _error(getattr(gates, name), exact) <= 1e-15 * float(exact), name
-    assert sp.Rational(verify.CNOT_SUCCESS) == sp.Rational(1, 16)
+    assert sp.Rational(gates.CNOTS["cnot"][1]) == sp.Rational(1, 16)
     exact = EXACT["ETA2_BIASED"] ** 2
-    assert _error(verify.SIMPLIFIED_SUCCESS, exact) <= 1e-15 * float(exact)
+    assert _error(gates.CNOTS["cnot-simplified"][1], exact) <= 1e-15 * float(exact)
     lams = gates.ns_conditional_map(gates.optimal_ns_parameters())
     for value, exact in zip(lams, (1, 1, -1)):
         assert _error(value, sp.Rational(exact, 2)) <= 1e-15
+
+
+
+def _exact_reflectivity(label: str):
+    """B1-B4 are 50:50; in each NS gate eta1 = eta3 = ETA13_NS, eta2 = ETA2_NS."""
+    if label.startswith("B"):
+        return sp.Rational(1, 2)
+    return EXACT["ETA2_NS"] if label.endswith("eta2") else EXACT["ETA13_NS"]
+
+
+def _grey_block(eta, grey_port: int):
+    """The beamsplitter's 2x2 amplitude block: both transmissions
+    +sqrt(1 - eta), and the grey port reflecting with -sqrt(eta)."""
+    r, t = mpmath.sqrt(eta), mpmath.sqrt(1 - eta)
+    return ((-r, t), (t, r)) if grey_port == 0 else ((r, t), (t, -r))
+
+
+def _permutation_permanent(rows):
+    return mpmath.fsum(
+        mpmath.fprod(rows[i][j] for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(len(rows)))
+    )
+
+
+def _photon_modes(occ) -> list[int]:
+    return [m for m, count in enumerate(occ) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "model, pinned",
+    [("absolute", WORST_ERROR_ABS_CORNERS_002), ("relative", WORST_ERROR_REL_CORNERS_002)],
+)
+def test_criterion_8_worst_corner_at_50_digits(model, pinned):
+    # corner 86 of the CNOT's 1024 (element j at +0.02 where bit 9 - j of 86
+    # is set, else at -0.02), input VH, whose image is VV. The error is
+    # 1 - (image weight) / (weight of the heralded sector: one photon at a1
+    # and at a2, none at v1 and v2, two on the rails c_H, c_V, t_H, t_V)
+    circuit = gates.build_cnot_circuit()
+    k, n = len(circuit.elements), circuit.n_modes
+    heralds = (1, 1, 0, 0)
+    with mpmath.workdps(50):
+        u = [[mpmath.mpf(int(i == j)) for j in range(n)] for i in range(n)]
+        for j, el in enumerate(circuit.elements):
+            eta = mpmath.mpf(sp.N(_exact_reflectivity(el.label), 60))
+            delta = mpmath.mpf("0.02") * (1 if (86 >> (k - 1 - j)) & 1 else -1)
+            eta = eta + delta if model == "absolute" else eta * (1 + delta)
+            (p, q), (r, s) = _grey_block(eta, 0 if el.grey == el.mode_a else 1)
+            a, b = el.mode_a, el.mode_b
+            u[a], u[b] = (
+                [p * x + q * y for x, y in zip(u[a], u[b])],
+                [r * x + s * y for x, y in zip(u[a], u[b])],
+            )
+        cols = _photon_modes((0, 1, 1, 0) + heralds)
+        weights = {}
+        for rails in itertools.product(range(3), repeat=4):
+            if sum(rails) == 2:
+                rows = _photon_modes(rails + heralds)
+                amplitude = _permutation_permanent([[u[i][j] for j in cols] for i in rows])
+                weights[rails] = amplitude**2 / math.prod(map(math.factorial, rails))
+        error = 1 - weights[(0, 1, 0, 1)] / mpmath.fsum(weights.values())
+        assert len(weights) == 10
+        assert abs(error - mpmath.mpf(pinned)) <= 1e-15

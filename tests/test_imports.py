@@ -37,10 +37,26 @@ def test_a_module_is_bound_under_its_own_name():
     assert loqc.evolve is sys.modules["loqc.evolve"]
 
 
-def test_importing_the_package_loads_no_numpy():
+def _loaded(statement: str, packages: tuple[str, ...]) -> list[str]:
+    """The loaded modules whose names hold one of ``packages``, after
+    ``statement`` runs in a fresh interpreter that imports loqc from this
+    checkout."""
     env = {**os.environ, "PYTHONPATH": str(Path(loqc.__file__).parents[1])}
-    script = "import sys, loqc; print(sorted(m for m in sys.modules if 'numpy' in m))"
+    script = (
+        f"import sys; {statement}; "
+        f"print(sorted(m for m in sys.modules if any(p in m for p in {packages!r})))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return ast.literal_eval(proc.stdout)
+
+
+def test_importing_the_package_loads_no_numpy():
+    assert _loaded("import loqc", ("numpy",)) == []
+
+
+def test_the_cli_loads_neither_sympy_nor_mpmath():
+    # the exact tests use both; a command must start without them
+    assert _loaded("import loqc.cli", ("sympy", "mpmath")) == []

@@ -20,15 +20,17 @@ from conftest import (
     WORST_ERROR_REL_CORNERS_002,
 )
 import loqc.evolve as evolve_module
-from loqc import verify
+from loqc import gates, verify
 from loqc.elements import Circuit, compose_transfer_matrix
 from loqc.evolve import AmplitudeQuery, evolve, oracle_amplitude, permanent
 from loqc.fock import basis_state, enumerate_basis
 from loqc.gates import (
     BASIS_INPUTS,
     CNOT_IMAGE,
+    CNOTS,
     ETA2_BIASED,
     GATE_NAMES,
+    NS_GATES,
     QUBIT_LABELS,
     build_cnot_circuit,
     build_simplified_cnot,
@@ -40,8 +42,6 @@ from loqc.gates import (
 )
 from loqc.postselect import DetectionPattern, condition
 from loqc.verify import (
-    CNOT_SUCCESS,
-    SIMPLIFIED_SUCCESS,
     bell_test,
     coincidence_pattern,
     conditioned_logical_output,
@@ -53,6 +53,10 @@ from loqc.verify import (
     sensitivity_sweep,
     truth_table,
 )
+
+# each CNOT's success probability, stated apart from the gate table
+CNOT_SUCCESS = 1.0 / 16.0
+SIMPLIFIED_SUCCESS = ETA2_BIASED**2
 
 
 def test_truth_table_cnot_passes_all_checks():
@@ -388,9 +392,13 @@ def test_reports_refuse_a_label_that_is_not_a_basis_input(report, label):
 
 
 def test_every_gate_has_its_checked_facts_in_one_table():
-    assert sorted([*verify.NS_MAPS, *verify.CNOTS]) == sorted(GATE_NAMES)
+    assert [*NS_GATES, *CNOTS] == list(GATE_NAMES)
+    for gate, (builder, *_) in (NS_GATES | CNOTS).items():
+        assert gates._GATE_BUILDERS[gate] is builder
+    assert CNOTS["cnot"][1] == CNOT_SUCCESS
+    assert CNOTS["cnot-simplified"][1] == SIMPLIFIED_SUCCESS
     # the builders' cuts and the table are the two statements of the cut names
-    for gate, (_, _, maps) in verify.CNOTS.items():
+    for gate, (_, _, _, maps) in CNOTS.items():
         assert sorted(maps) == sorted(gate_by_name(gate).cuts)
 
 
@@ -724,6 +732,25 @@ def test_every_input_of_every_tied_corner_matches_sparse_evolution(gate, model):
             assert abs(records["probabilities"][i, j] - probability) <= 1e-12
 
 
+@pytest.mark.parametrize("model", ["absolute", "relative"])
+def test_every_cell_within_the_tie_window_holds_its_sparse_value(model):
+    # the simplified CNOT's corners hold cells within 1e-12 of the batched
+    # worst that are not at it exactly; each comes back from the sweep as
+    # its sparse re-derivation, bit for bit, not as its batched value
+    base = build_simplified_cnot()
+    res = sensitivity_sweep("cnot-simplified", model=model, magnitude=0.02, mode="corners")
+    records = res["records"]
+    batched, _ = verify._batched_logical_errors(base, records["etas"])
+    tied = np.argwhere(batched >= batched.max() - 1e-12).tolist()
+    assert len(tied) > np.count_nonzero(batched == batched.max())
+    for i, j in tied:
+        circuit = verify._perturbed_circuit(base, records["etas"][i].tolist())
+        error, probability = verify._sparse_logical_error(circuit, BASIS_INPUTS[j])
+        assert (records["errors"][i, j], records["probabilities"][i, j]) == (
+            error, probability
+        )
+
+
 def test_sweep_raises_when_batched_and_sparse_paths_disagree(monkeypatch):
     batched = verify._batched_logical_errors
 
@@ -734,6 +761,44 @@ def test_sweep_raises_when_batched_and_sparse_paths_disagree(monkeypatch):
     monkeypatch.setattr(verify, "_batched_logical_errors", skewed)
     with pytest.raises(RuntimeError, match=r"vector \d+ at input (HH|HV|VH|VV) differ by"):
         sensitivity_sweep("cnot-simplified", model="absolute", magnitude=0.02, mode="corners")
+
+
+def test_sweep_raises_when_only_the_sparse_probability_disagrees(monkeypatch):
+    # the agreement check covers the probability as well as the error, on
+    # the sparse side of a random sweep
+    sparse = verify._sparse_logical_error
+
+    def skewed(circuit, label):
+        error, probability = sparse(circuit, label)
+        return error, probability + 1e-9
+
+    monkeypatch.setattr(verify, "_sparse_logical_error", skewed)
+    with pytest.raises(RuntimeError, match=r"vector \d+ at input (HH|HV|VH|VV) differ by"):
+        sensitivity_sweep("cnot", model="relative", mode="random", samples=50)
+
+
+@pytest.mark.parametrize(
+    "gate, settings",
+    [
+        ("cnot", {f"NS{i}.eta{j}": float(j != 2) for i in (1, 2) for j in (1, 2, 3)}),
+        ("cnot-simplified", {"B5": 0.0, "B6": 0.0}),
+    ],
+    ids=["cnot", "cnot-simplified"],
+)
+def test_batch_drops_a_sector_of_rounding_dust_as_sparse_evolution_does(gate, settings):
+    # with these NS splitters no input is heralded, yet the permanents
+    # leave amplitudes of ~1e-17; both paths drop them (PRUNE_TOL), so each
+    # input has probability 0 and error 1.0, not a ratio of dust
+    base = gate_by_name(gate)
+    etas = np.array([[settings.get(el.label, el.reflectivity) for el in base.elements]])
+    _, _, lit, amplitudes = verify._heralded_amplitudes(base)
+    dust = np.abs(amplitudes(verify.transfer_matrices(base, etas, lit)))
+    assert 0.0 < dust.max() <= 1e-16
+    errors, probabilities = verify._batched_logical_errors(base, etas)
+    assert errors.tolist() == [[1.0] * 4] and probabilities.tolist() == [[0.0] * 4]
+    circuit = verify._perturbed_circuit(base, etas[0].tolist())
+    for label in BASIS_INPUTS:
+        assert verify._sparse_logical_error(circuit, label) == (1.0, 0.0)
 
 
 def test_batched_errors_ignore_a_global_phase_of_the_transfer_matrices(monkeypatch):
@@ -823,7 +888,7 @@ def test_glynn_row_products_fit_under_the_mmap_threshold():
     # the kernel's largest temporary holds one block's row products,
     # (kets, block, inputs, sign vectors) doubles; above glibc's 128 KiB
     # mmap threshold each block would map fresh pages
-    for gate in verify.CNOTS:
+    for gate in CNOTS:
         base = gate_by_name(gate)
         sector = verify._heralded_amplitudes(base)[0]
         photons = sum(sector[0])
