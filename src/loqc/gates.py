@@ -395,6 +395,7 @@ CNOTS = {
 }
 
 # Every gate's builder, in table order; ``gate_by_name`` builds through it.
+# A snapshot taken at import: a gate added to a table later goes here too.
 _GATE_BUILDERS = {name: entry[0] for name, entry in (NS_GATES | CNOTS).items()}
 GATE_NAMES = tuple(_GATE_BUILDERS)
 

@@ -20,17 +20,16 @@ from conftest import (
     WORST_ERROR_REL_CORNERS_002,
 )
 import loqc.evolve as evolve_module
-from loqc import gates, verify
+from loqc import verify
 from loqc.elements import Circuit, compose_transfer_matrix
 from loqc.evolve import AmplitudeQuery, evolve, oracle_amplitude, permanent
-from loqc.fock import basis_state, enumerate_basis
+from loqc.fock import PRUNE_TOL, basis_state, enumerate_basis
 from loqc.gates import (
     BASIS_INPUTS,
     CNOT_IMAGE,
     CNOTS,
     ETA2_BIASED,
     GATE_NAMES,
-    NS_GATES,
     QUBIT_LABELS,
     build_cnot_circuit,
     build_simplified_cnot,
@@ -392,11 +391,6 @@ def test_reports_refuse_a_label_that_is_not_a_basis_input(report, label):
 
 
 def test_every_gate_has_its_checked_facts_in_one_table():
-    assert [*NS_GATES, *CNOTS] == list(GATE_NAMES)
-    for gate, (builder, *_) in (NS_GATES | CNOTS).items():
-        assert gates._GATE_BUILDERS[gate] is builder
-    assert CNOTS["cnot"][1] == CNOT_SUCCESS
-    assert CNOTS["cnot-simplified"][1] == SIMPLIFIED_SUCCESS
     # the builders' cuts and the table are the two statements of the cut names
     for gate, (_, _, _, maps) in CNOTS.items():
         assert sorted(maps) == sorted(gate_by_name(gate).cuts)
@@ -785,15 +779,22 @@ def test_sweep_raises_when_only_the_sparse_probability_disagrees(monkeypatch):
     ],
     ids=["cnot", "cnot-simplified"],
 )
-def test_batch_drops_a_sector_of_rounding_dust_as_sparse_evolution_does(gate, settings):
-    # with these NS splitters no input is heralded, yet the permanents
-    # leave amplitudes of ~1e-17; both paths drop them (PRUNE_TOL), so each
+def test_batch_drops_a_sector_of_rounding_dust_as_sparse_evolution_does(
+    gate, settings, monkeypatch
+):
+    # with these NS splitters no input is heralded; how much rounding dust
+    # the permanents leave depends on the BLAS build, so 1e-15 is added to
+    # each of them. Both paths drop amplitudes up to PRUNE_TOL, so each
     # input has probability 0 and error 1.0, not a ratio of dust
+    glynn = verify._glynn_permanents
+    monkeypatch.setattr(
+        verify, "_glynn_permanents", lambda *args: glynn(*args) + 1e-15
+    )
     base = gate_by_name(gate)
     etas = np.array([[settings.get(el.label, el.reflectivity) for el in base.elements]])
     _, _, lit, amplitudes = verify._heralded_amplitudes(base)
     dust = np.abs(amplitudes(verify.transfer_matrices(base, etas, lit)))
-    assert 0.0 < dust.max() <= 1e-16
+    assert 0.0 < dust.max() <= PRUNE_TOL
     errors, probabilities = verify._batched_logical_errors(base, etas)
     assert errors.tolist() == [[1.0] * 4] and probabilities.tolist() == [[0.0] * 4]
     circuit = verify._perturbed_circuit(base, etas[0].tolist())

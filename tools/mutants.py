@@ -3,8 +3,7 @@ tier-1 suite must fail on each of them.
 
 Run from anywhere, with the interpreter that runs the tests:
 
-    python tools/mutants.py             # every mutant in MUTANTS
-    python tools/mutants.py NAME ...    # only the named ones
+    python tools/mutants.py
 
 Each mutant replaces one exact piece of text in a fresh temporary copy of
 ``src``, ``tests`` and ``pyproject.toml``, never in the working tree, so
@@ -21,7 +20,6 @@ test cannot break the gate. Only the standard library is used.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -218,18 +216,11 @@ def _run_suite(root: Path) -> tuple[int, list[str]]:
     return proc.returncode, failed
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    unknown = sorted(set(args.names) - {m.name for m in MUTANTS})
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+def main() -> int:
     # a stale table fails before any suite runs
     stale = [
         f"{m.name}: old text occurs {n} times in {m.file}"
-        for m in chosen
+        for m in MUTANTS
         if (n := (ROOT / m.file).read_text().count(m.old)) != 1
     ]
     if stale:
@@ -245,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"the unmutated suite exits {code}; failing: {failed}")
             return 1
         print(f"unmutated suite passes ({time.perf_counter() - start:.1f} s)")
-        for m in chosen:
+        for m in MUTANTS:
             t0 = time.perf_counter()
             work = Path(tmp, m.name)
             _copy(work)
@@ -271,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
                 for test in failed:
                     print(f"{'':9}{test}")
     total = time.perf_counter() - start
-    print(f"{len(chosen) - gaps} of {len(chosen)} mutants killed in {total:.0f} s")
+    print(f"{len(MUTANTS) - gaps} of {len(MUTANTS)} mutants killed in {total:.0f} s")
     return 1 if gaps else 0
 
 
