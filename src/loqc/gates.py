@@ -38,7 +38,9 @@ d1 = (c_V + t')/sqrt(2) and d2 = (c_V - t')/sqrt(2):
 Inside each NS gate the middle splitter's grey port faces the signal arm
 and the outer splitters' grey ports face the vacuum ancilla. These
 choices are load-bearing: they set which interference terms change sign
-and therefore whether the network computes a CNOT at all.
+and therefore whether the network computes a CNOT at all. Each is stated
+once, in ``_ns_splitters``, ``_biased_pair`` or ``_nested_cnot``, and every
+builder heralds through ``_heralded``, the one heralding rule.
 """
 
 from __future__ import annotations
@@ -155,30 +157,66 @@ def solve_biased_ns() -> BiasedNsParameters:
 # ---------------------------------------------------------------------------
 # circuit constructors
 
+# Modes of the nested CNOT after c_H (mode 0): the other qubit rails, then
+# each NS arm's ancilla photon, then each arm's vacuum ancilla.
+_C_V, _T_H, _T_V, _A1, _A2, _V1, _V2 = range(1, 8)
+
+
+def _ns_splitters(p: NsParameters, s: int, a: int, v: int, prefix: str = ""):
+    """The NS gate's three splitters on signal s, ancilla photon a and
+    vacuum v: eta1 and eta3 couple a with v (grey on v), eta2 couples the
+    signal with a (grey on the signal)."""
+    return (
+        Beamsplitter(a, v, p.eta1, grey=v, label=prefix + "eta1"),
+        Beamsplitter(s, a, p.eta2, grey=s, label=prefix + "eta2"),
+        Beamsplitter(a, v, p.eta3, grey=v, label=prefix + "eta3"),
+    )
+
+
+def _biased_pair(p: BiasedNsParameters, s: int, a: int, v: int, labels):
+    """The biased NS gate's attenuator eta7 against vacuum v (grey on v)
+    and signal splitter eta2 with ancilla photon a (grey on the signal s)."""
+    return (
+        Beamsplitter(s, v, p.eta7, grey=v, label=labels[0]),
+        Beamsplitter(s, a, p.eta2, grey=s, label=labels[1]),
+    )
+
+
+def _heralded(labels, elements, ancillas: dict[int, int], **cuts: int) -> Circuit:
+    """A circuit whose heralding detects each ancilla mode with the count
+    it was prepared with: one photon at each "1" output, none elsewhere."""
+    return Circuit(
+        len(labels), labels, elements, ancilla_prep=ancillas,
+        detection=DetectionPattern(exact=ancillas), cuts=cuts,
+    )
+
+
+def _nested_cnot(outer, inner, vacua: tuple[str, str], **cuts: int) -> Circuit:
+    """The CNOT's nested balanced interferometers: B4 mixes the target
+    rails, ``outer`` acts on the c_V and t' beams, B3 forms arms d1 and d2,
+    ``inner`` acts on them (ancilla photons a1, a2, vacua ``vacua``), then
+    B2 and B1 undo the interferometers."""
+    elements = (
+        Beamsplitter(_T_H, _T_V, 0.5, grey=_T_V, label="B4"),
+        *outer,
+        Beamsplitter(_C_V, _T_H, 0.5, grey=_T_H, label="B3"),
+        *inner,
+        Beamsplitter(_C_V, _T_H, 0.5, grey=_T_H, label="B2"),
+        Beamsplitter(_T_H, _T_V, 0.5, grey=_T_V, label="B1"),
+    )
+    ancillas = {_A1: 1, _A2: 1, _V1: 0, _V2: 0}
+    return _heralded(QUBIT_LABELS + ("a1", "a2") + vacua, elements, ancillas, **cuts)
+
 
 def build_ns_circuit(p: NsParameters | None = None) -> Circuit:
     """Three-splitter NS gate on modes (s, a, v).
 
     Mode s is the signal, a carries the single ancilla photon and feeds
     the "1" detector, v is the vacuum ancilla feeding the "0" detector.
-    eta1 and eta3 couple a with v (grey on v); eta2 couples the signal
-    with a (grey on the signal).
     """
     if p is None:
         p = optimal_ns_parameters()
-    s, a, v = 0, 1, 2
-    elements = (
-        Beamsplitter(a, v, p.eta1, grey=v, label="eta1"),
-        Beamsplitter(s, a, p.eta2, grey=s, label="eta2"),
-        Beamsplitter(a, v, p.eta3, grey=v, label="eta3"),
-    )
-    return Circuit(
-        n_modes=3,
-        labels=("s", "a", "v"),
-        elements=elements,
-        ancilla_prep={a: 1, v: 0},
-        detection=DetectionPattern(exact={a: 1, v: 0}),
-    )
+    return _heralded(("s", "a", "v"), _ns_splitters(p, 0, 1, 2), {1: 1, 2: 0})
 
 
 def build_biased_ns_circuit(p: BiasedNsParameters | None = None) -> Circuit:
@@ -186,53 +224,22 @@ def build_biased_ns_circuit(p: BiasedNsParameters | None = None) -> Circuit:
     the ancilla photon, one attenuator eta7 against vacuum."""
     if p is None:
         p = balanced_biased_parameters()
-    s, a, v7 = 0, 1, 2
-    elements = (
-        Beamsplitter(s, v7, p.eta7, grey=v7, label="eta7"),
-        Beamsplitter(s, a, p.eta2, grey=s, label="eta2"),
-    )
-    return Circuit(
-        n_modes=3,
-        labels=("s", "a", "v7"),
-        elements=elements,
-        ancilla_prep={a: 1, v7: 0},
-        detection=DetectionPattern(exact={a: 1, v7: 0}),
-    )
+    pair = _biased_pair(p, 0, 1, 2, ("eta7", "eta2"))
+    return _heralded(("s", "a", "v7"), pair, {1: 1, 2: 0})
 
 
 def build_cnot_circuit() -> Circuit:
     """Dual-rail CNOT from two NS gates inside nested interferometers.
 
-    The target rails are mixed on B4, the control V rail and the t' arm
-    interfere on B3 forming arms d1 and d2, one NS gate acts on each arm,
-    then B2 and B1 undo the interferometers.
-
-    Cut "x" is the state after the input splitters, cut "y" after both
-    NS gates. Heralding detects one photon on each NS "1" output and
-    none on the vacuum outputs.
+    One NS gate acts on each arm, d1 (c_V) and d2 (t_H). Cut "x" is the
+    state after the input splitters, cut "y" after both NS gates.
+    Heralding detects one photon on each NS "1" output and none on the
+    vacuum outputs.
     """
     p = optimal_ns_parameters()
-    c_h, c_v, t_h, t_v, a1, a2, v1, v2 = range(8)
-    elements = (
-        Beamsplitter(t_h, t_v, 0.5, grey=t_v, label="B4"),
-        Beamsplitter(c_v, t_h, 0.5, grey=t_h, label="B3"),
-        Beamsplitter(a1, v1, p.eta1, grey=v1, label="NS1.eta1"),
-        Beamsplitter(c_v, a1, p.eta2, grey=c_v, label="NS1.eta2"),
-        Beamsplitter(a1, v1, p.eta3, grey=v1, label="NS1.eta3"),
-        Beamsplitter(a2, v2, p.eta1, grey=v2, label="NS2.eta1"),
-        Beamsplitter(t_h, a2, p.eta2, grey=t_h, label="NS2.eta2"),
-        Beamsplitter(a2, v2, p.eta3, grey=v2, label="NS2.eta3"),
-        Beamsplitter(c_v, t_h, 0.5, grey=t_h, label="B2"),
-        Beamsplitter(t_h, t_v, 0.5, grey=t_v, label="B1"),
-    )
-    return Circuit(
-        n_modes=8,
-        labels=QUBIT_LABELS + ("a1", "a2", "v1", "v2"),
-        elements=elements,
-        ancilla_prep={a1: 1, a2: 1, v1: 0, v2: 0},
-        detection=DetectionPattern(exact={a1: 1, a2: 1, v1: 0, v2: 0}),
-        cuts={"x": 2, "y": 8},
-    )
+    ns1 = _ns_splitters(p, _C_V, _A1, _V1, "NS1.")
+    ns2 = _ns_splitters(p, _T_H, _A2, _V2, "NS2.")
+    return _nested_cnot((), ns1 + ns2, ("v1", "v2"), x=2, y=8)
 
 
 def build_simplified_cnot() -> Circuit:
@@ -244,25 +251,11 @@ def build_simplified_cnot() -> Circuit:
     detects one photon at each of a1, a2 and none at v7, v8.
     """
     p = balanced_biased_parameters()
-    c_h, c_v, t_h, t_v, a1, a2, v7, v8 = range(8)
-    elements = (
-        Beamsplitter(t_h, t_v, 0.5, grey=t_v, label="B4"),
-        Beamsplitter(c_v, v7, p.eta7, grey=v7, label="B7"),
-        Beamsplitter(t_h, v8, p.eta7, grey=v8, label="B8"),
-        Beamsplitter(c_v, t_h, 0.5, grey=t_h, label="B3"),
-        Beamsplitter(c_v, a1, p.eta2, grey=c_v, label="B5"),
-        Beamsplitter(t_h, a2, p.eta2, grey=t_h, label="B6"),
-        Beamsplitter(c_v, t_h, 0.5, grey=t_h, label="B2"),
-        Beamsplitter(t_h, t_v, 0.5, grey=t_v, label="B1"),
+    attenuators, splitters = zip(
+        _biased_pair(p, _C_V, _A1, _V1, ("B7", "B5")),
+        _biased_pair(p, _T_H, _A2, _V2, ("B8", "B6")),
     )
-    return Circuit(
-        n_modes=8,
-        labels=QUBIT_LABELS + ("a1", "a2", "v7", "v8"),
-        elements=elements,
-        ancilla_prep={a1: 1, a2: 1, v7: 0, v8: 0},
-        detection=DetectionPattern(exact={a1: 1, a2: 1, v7: 0, v8: 0}),
-        cuts={"z": 6, "y": 6},
-    )
+    return _nested_cnot(attenuators, splitters, ("v7", "v8"), z=6, y=6)
 
 
 def conditional_map_by_evolution(circuit: Circuit) -> tuple[complex, ...]:

@@ -24,8 +24,8 @@ modes where ``circuit.detection`` expects one photon. Truth tables,
 moments, Bell states and interior cuts read only heralded kets, so they
 evolve with ``evolve(..., keep=circuit.detection)``, whose keep rule
 ``loqc.evolve`` states. A four-fold coincidence lights both heralds and
-no vacuum port, so the moment tables and the dual-path check's 16
-coincidence kets are heralded too.
+no vacuum port, so the moment tables and the four coincidence kets on
+which the dual-path check reads each basis input are heralded too.
 
 The sensitivity sweep instead evaluates all of its perturbations as one
 batch: its deltas, perturbed in place into the reflectivities, then
@@ -150,9 +150,15 @@ def conditioned_logical_output(
 
     Returns the success probability and the normalized conditional state
     over the ``QUBIT_LABELS`` rails, or None when the probability vanishes.
+    ``decode_logical`` reads that state's modes by position, so the modes
+    the heralding leaves free must be those rails, in that order.
     """
     if circuit.detection is None:
         raise ValueError("circuit has no heralding detection pattern")
+    exact = circuit.detection.exact
+    free = tuple(label for m, label in enumerate(circuit.labels) if m not in exact)
+    if free != QUBIT_LABELS:
+        raise ValueError(f"heralding leaves {free} free, not the rails {QUBIT_LABELS}")
     out = evolve(encode_logical(pair, circuit), circuit, keep=circuit.detection)
     outcome = condition(out, circuit.detection)
     return outcome.probability, outcome.normalized
@@ -467,8 +473,8 @@ def heisenberg_consistency(gate: str) -> float:
 
     For the NS gates both are compared with the closed-form conditional
     map of ``gates.NS_GATES``; for the CNOTs the complex amplitudes of each
-    basis input on the 16 four-fold coincidence kets are compared, phases
-    included.
+    basis input on the four four-fold coincidence kets are compared, 16
+    amplitudes in all, phases included.
     """
     circuit = gate_by_name(gate)
     transfer = compose_transfer_matrix(circuit)

@@ -885,6 +885,21 @@ def test_batched_errors_read_the_lit_columns_by_position_not_by_mode():
             assert abs(probability - sparse_probability) < 1e-12
 
 
+def test_conditioned_output_refuses_rails_out_of_order():
+    # decode_logical reads the conditioned rails by position: with the
+    # target rails first, input HV would decode onto the VH ket, while the
+    # batch, which reads them by label, reports error 0
+    base = _relabelled(
+        build_cnot_circuit(), ("t_H", "t_V", "c_H", "c_V", "a1", "a2", "v1", "v2")
+    )
+    with pytest.raises(ValueError) as err:
+        conditioned_logical_output(base, logical_pair("HV"))
+    assert str(err.value) == (
+        "heralding leaves ('t_H', 't_V', 'c_H', 'c_V') free, "
+        "not the rails ('c_H', 'c_V', 't_H', 't_V')"
+    )
+
+
 def test_glynn_row_products_fit_under_the_mmap_threshold():
     # the kernel's largest temporary holds one block's row products,
     # (kets, block, inputs, sign vectors) doubles; above glibc's 128 KiB

@@ -111,6 +111,24 @@ MUTANTS = (
         "the CNOT's state after its NS gates carries the NS map",
     ),
     Mutant(
+        "ns-eta2-grey-on-ancilla", "src/loqc/gates.py",
+        'Beamsplitter(s, a, p.eta2, grey=s, label=prefix + "eta2")',
+        'Beamsplitter(s, a, p.eta2, grey=a, label=prefix + "eta2")',
+        "the NS gate's middle splitter has its grey port on the signal",
+    ),
+    Mutant(
+        "heralding-drops-vacuum-vetoes", "src/loqc/gates.py",
+        "detection=DetectionPattern(exact=ancillas)",
+        "detection=DetectionPattern(exact={m: k for m, k in ancillas.items() if k})",
+        "heralding detects each ancilla, vacuum ones too, as it was prepared",
+    ),
+    Mutant(
+        "b3-grey-on-control", "src/loqc/gates.py",
+        'Beamsplitter(_C_V, _T_H, 0.5, grey=_T_H, label="B3")',
+        'Beamsplitter(_C_V, _T_H, 0.5, grey=_C_V, label="B3")',
+        "B3 has its grey port on the t' beam",
+    ),
+    Mutant(
         "rails-paired-wrongly", "src/loqc/verify.py",
         "groups=((rails[:2], 1), (rails[2:], 1))",
         "groups=((rails[::2], 1), (rails[1::2], 1))",
