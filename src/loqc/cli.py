@@ -22,7 +22,6 @@ path that is a directory or under a missing one prints and writes nothing.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import errno
 import functools
@@ -128,14 +127,8 @@ def _cmd_ns_verify(args) -> int:
         "checks": checks,
     }
     print(f"{kind} gate at", *(f"{k}={_fmt(v)}" for k, v in parameters.items()))
-    print(
-        "  closed form: "
-        + " ".join(f"l{i}={_fmt(l)}" for i, l in enumerate(closed))
-    )
-    print(
-        "  circuit:     "
-        + " ".join(f"l{i}={_fmt_complex(l)}" for i, l in enumerate(evolved))
-    )
+    print("  closed form:", *(f"l{i}={_fmt(l)}" for i, l in enumerate(closed)))
+    print("  circuit:    ", *(f"l{i}={_fmt_complex(l)}" for i, l in enumerate(evolved)))
     print(f"  deviation {_fmt(deviation)}")
     print(f"  success probability (uniform input) {_fmt(success_uniform)}")
     print(f"  balanced: {'yes' if balance['pass'] else 'no (flagged unbalanced)'}")
@@ -193,17 +186,17 @@ def _write_sweep_csv(report: dict, path: str) -> None:
     records = report["records"]
     etas, errors, probs = (records[k] for k in ("etas", "errors", "probabilities"))
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(
+        # csv.writer's bytes: no float repr, column name or gates.CNOTS element
+        # label (the sweep takes no other gate) holds a comma, quote or line
+        # break, so its default dialect quotes none; it ends lines with "\r\n".
+        # numpy's row max and min give the bytes of Python's max and min: the
+        # records hold no NaN and no -0.0, so no tie can pick a different zero.
+        # A block of rows at a time, so a long sweep never holds its rows as lists.
+        fh.write(",".join(
             report["element_labels"]
             + [f"error_{k}" for k in gates.BASIS_INPUTS]
             + ["worst_error", "probability_min", "probability_max"]
-        )
-        # The same bytes as writer.writerow: a float repr holds no comma,
-        # quote or line break, so the default dialect quotes none, and it
-        # ends each line with "\r\n". numpy's row max and min give the bytes
-        # of Python's max and min here: the records hold no NaN and no -0.0,
-        # so no tie can pick a different zero. A block of rows at a time, so
-        # a long sweep never holds all of its rows as lists.
+        ) + "\r\n")
         for start in range(0, len(etas), _CSV_BLOCK):
             rows = slice(start, start + _CSV_BLOCK)
             block = zip(
@@ -295,11 +288,7 @@ def _cmd_run_circuit(args) -> int:
     occ = circuit.prepared_occupation(dict(zip(user_modes, counts)))
     out = evolve(basis_state(circuit.n_modes, occ), circuit)
     amplitudes = {_ket_label(o): amp for o, amp in out.sorted_items()}
-    report = {
-        "prepared_occupation": list(occ),
-        "amplitudes": amplitudes,
-        "checks": [],
-    }
+    report = {"prepared_occupation": list(occ), "amplitudes": amplitudes, "checks": []}
     print(f"evolved {args.file} on input {occ}")
     for key, amp in amplitudes.items():
         print(f"  |{key}>  {_fmt_complex(amp)}")

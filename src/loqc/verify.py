@@ -43,6 +43,11 @@ worst error and must agree with it to 1e-12; its values replace the
 batched ones in those cells, so the sweep's worst case is a sparse one.
 ``heisenberg_consistency`` compares the complex amplitudes of sparse
 evolution with the permanent oracle on ``compose_transfer_matrix``.
+
+Only the sweep's functions name numpy, which this module imports with
+``numpy.random`` for them; the reports reach it through the
+``elements.beamsplitter_matrix`` blocks of ``evolve``'s pair transitions,
+and ``heisenberg_consistency`` through the oracle's transfer matrix.
 """
 
 from __future__ import annotations
@@ -267,31 +272,27 @@ def truth_table(gate: str, conditioning: str = "heralded") -> dict:
     rows, deviations = [], []
     moments: dict[str, dict[str, float]] = {}
     for label in BASIS_INPUTS:
-        image = CNOT_IMAGE[label]
         state = encode_logical(logical_pair(label), circuit)
         out = evolve(state, circuit, keep=circuit.detection)
         outcome = condition(out, pattern)
-        probability, state4 = outcome.probability, outcome.normalized
-        amps, leakage, row_error = _decoded(label, state4)
+        amps, leakage, row_error = _decoded(label, outcome.normalized)
         decoded = max(BASIS_INPUTS, key=lambda k: abs(amps[BASIS_INPUTS.index(k)]))
         moments[label] = _moments(circuit, out)
         deviations.append(
-            (row_error, abs(probability - expected_p))
+            (row_error, abs(outcome.probability - expected_p))
             + _moment_deviations(label, moments[label], expected_p)
         )
         rows.append(
             {
                 "input": label,
-                "expected": image,
+                "expected": CNOT_IMAGE[label],
                 "decoded": decoded,
                 "conditioning": conditioning,
-                "probability": probability,
+                "probability": outcome.probability,
                 "expected_probability": expected_p,
                 "leakage": leakage,
                 "row_error": row_error,
-                "amplitudes": {
-                    k: amps[i] for i, k in enumerate(BASIS_INPUTS)
-                },
+                "amplitudes": dict(zip(BASIS_INPUTS, amps)),
             }
         )
     map_dev, prob_dev, moment_dev, cross_max = (
@@ -316,6 +317,14 @@ def truth_table(gate: str, conditioning: str = "heralded") -> dict:
 # Bell-state generation
 
 
+def _reduced_purity(a: complex, b: complex, c: complex, d: complex) -> float:
+    """Tr(rho^2) of either qubit of a|HH> + b|HV> + c|VH> + d|VV>, normalized or
+    not: (sum |.|^2)^2 - 2|ad - bc|^2, as [[a, b], [c, d]] has singular values
+    whose squares sum to sum |.|^2 and multiply to |ad - bc|^2."""
+    norm2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+    return norm2**2 - 2 * abs(a * d - b * c) ** 2
+
+
 def bell_test(gate: str = "cnot") -> dict:
     """Run the four superposition inputs and identify the Bell state each
     produces, together with the reduced single-qubit purity.
@@ -334,15 +343,12 @@ def bell_test(gate: str = "cnot") -> dict:
             for name, bell in BELL_STATES.items()
         }
         best = max(fidelities, key=fidelities.get)
-        psi = np.array([[amps[0], amps[1]], [amps[2], amps[3]]])
-        rho = psi @ psi.conj().T
-        purity = float(np.real(np.trace(rho @ rho)))
         entries.append(
             {
                 "input": label,
                 "bell_state": best,
                 "fidelity": fidelities[best],
-                "purity": purity,
+                "purity": _reduced_purity(*amps),
                 "probability": probability,
                 "leakage": leakage,
             }

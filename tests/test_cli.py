@@ -275,13 +275,15 @@ def test_cli_import_loads_no_scipy_and_preloads_numpy_random():
             "import sys, loqc.cli\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] in ('scipy', 'sympy', 'mpmath')))\n"
-            "print('numpy.random' in sys.modules)",
+            "print('numpy.random' in sys.modules)\n"
+            "print('csv' in sys.modules)",
         ],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+    # the sweep's --csv writer needs no csv module
+    assert proc.stdout.split("\n")[:3] == ["[]", "True", "False"]
 
 
 @pytest.mark.parametrize("mode", ["corners", "random"])

@@ -1,11 +1,14 @@
-"""Exact proofs, in sympy, of the two operating points and their floats,
-and the criterion-8 worst corners recomputed at 50 digits in mpmath.
+"""Exact proofs, in sympy, of the two operating points and their floats and
+of both CNOTs' nominal heralded maps, and the criterion-8 worst corners
+recomputed at 50 digits in mpmath.
 
 Over the whole cube [0, 1]**3, a balanced NS map (l0 = l1 = -l2) has
 l0 <= 1/2 and only the closed form reaches 1/2; the biased balance equations
 have one non-zero root in [0, 1]**2. Two expressions are equal when ``radsimp`` and ``expand``, or
-else ``simplify``, reduce their difference to 0; never by structural
-equality of radicals or by root order, which differ between sympy versions.
+else ``simplify``, reduce their difference to 0 (for the heralded maps,
+``_reduced``: each term's square roots merged into one and denested first);
+never by structural equality of radicals or by root order, which differ
+between sympy versions.
 """
 
 import itertools
@@ -17,7 +20,7 @@ import pytest
 import sympy as sp
 
 from conftest import WORST_ERROR_ABS_CORNERS_002, WORST_ERROR_REL_CORNERS_002
-from loqc import gates
+from loqc import gates, verify
 
 SQRT2 = sp.sqrt(2)
 EXACT = dict(ETA2_NS=(SQRT2 - 1) ** 2, ETA13_NS=1 / (4 - 2 * SQRT2),
@@ -116,23 +119,37 @@ def test_floats_are_their_exact_values_to_1e_15():
 
 
 
-def _exact_reflectivity(label: str):
-    """B1-B4 are 50:50; in each NS gate eta1 = eta3 = ETA13_NS, eta2 = ETA2_NS."""
-    if label.startswith("B"):
-        return sp.Rational(1, 2)
-    return EXACT["ETA2_NS"] if label.endswith("eta2") else EXACT["ETA13_NS"]
+def _exact_reflectivity(value: float):
+    """The exact reflectivity whose float is ``value``: 1/2 or an operating point."""
+    (exact,) = [e for e in (sp.Rational(1, 2), *EXACT.values()) if _error(value, e) <= 1e-15]
+    return exact
 
 
-def _grey_block(eta, grey_port: int):
+def _grey_block(eta, grey_port: int, sqrt=mpmath.sqrt):
     """The beamsplitter's 2x2 amplitude block: both transmissions
     +sqrt(1 - eta), and the grey port reflecting with -sqrt(eta)."""
-    r, t = mpmath.sqrt(eta), mpmath.sqrt(1 - eta)
+    r, t = sqrt(eta), sqrt(1 - eta)
     return ((-r, t), (t, r)) if grey_port == 0 else ((r, t), (t, -r))
 
 
+def _transfer(circuit, etas, sqrt=mpmath.sqrt) -> list[list]:
+    """The circuit's transfer matrix, as rows, at reflectivities ``etas``: each
+    element's block applied in turn to its two rows."""
+    n = circuit.n_modes
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for el, eta in zip(circuit.elements, etas, strict=True):
+        (p, q), (r, s) = _grey_block(eta, 0 if el.grey == el.mode_a else 1, sqrt)
+        a, b = el.mode_a, el.mode_b
+        u[a], u[b] = (
+            [p * x + q * y for x, y in zip(u[a], u[b])],
+            [r * x + s * y for x, y in zip(u[a], u[b])],
+        )
+    return u
+
+
 def _permutation_permanent(rows):
-    return mpmath.fsum(
-        mpmath.fprod(rows[i][j] for i, j in enumerate(perm))
+    return sum(
+        math.prod(rows[i][j] for i, j in enumerate(perm))
         for perm in itertools.permutations(range(len(rows)))
     )
 
@@ -151,20 +168,15 @@ def test_criterion_8_worst_corner_at_50_digits(model, pinned):
     # 1 - (image weight) / (weight of the heralded sector: one photon at a1
     # and at a2, none at v1 and v2, two on the rails c_H, c_V, t_H, t_V)
     circuit = gates.build_cnot_circuit()
-    k, n = len(circuit.elements), circuit.n_modes
+    k = len(circuit.elements)
     heralds = (1, 1, 0, 0)
     with mpmath.workdps(50):
-        u = [[mpmath.mpf(int(i == j)) for j in range(n)] for i in range(n)]
+        etas = []
         for j, el in enumerate(circuit.elements):
-            eta = mpmath.mpf(sp.N(_exact_reflectivity(el.label), 60))
+            eta = mpmath.mpf(sp.N(_exact_reflectivity(el.reflectivity), 60))
             delta = mpmath.mpf("0.02") * (1 if (86 >> (k - 1 - j)) & 1 else -1)
-            eta = eta + delta if model == "absolute" else eta * (1 + delta)
-            (p, q), (r, s) = _grey_block(eta, 0 if el.grey == el.mode_a else 1)
-            a, b = el.mode_a, el.mode_b
-            u[a], u[b] = (
-                [p * x + q * y for x, y in zip(u[a], u[b])],
-                [r * x + s * y for x, y in zip(u[a], u[b])],
-            )
+            etas.append(eta + delta if model == "absolute" else eta * (1 + delta))
+        u = _transfer(circuit, etas)
         cols = _photon_modes((0, 1, 1, 0) + heralds)
         weights = {}
         for rails in itertools.product(range(3), repeat=4):
@@ -175,3 +187,45 @@ def test_criterion_8_worst_corner_at_50_digits(model, pinned):
         error = 1 - weights[(0, 1, 0, 1)] / mpmath.fsum(weights.values())
         assert len(weights) == 10
         assert abs(error - mpmath.mpf(pinned)) <= 1e-15
+
+
+def _one_root(term):
+    """``term`` with its square-root factors taken as one root of their
+    expanded product, denested: sqrt(a)*sqrt(b) = sqrt(ab), as every
+    radicand here is positive."""
+    roots = [f for f in sp.Mul.make_args(term) if f.is_Pow and f.exp == sp.S.Half]
+    radicand = sp.expand(math.prod(f.base for f in roots))
+    return term / math.prod(roots) * sp.sqrtdenest(sp.sqrt(radicand))
+
+
+def _reduced(expr):
+    """``expr`` rewritten by identities only, so it is 0 only if ``expr`` is."""
+    terms = sp.Add.make_args(sp.expand(expr))
+    return sp.expand(sp.radsimp(sum(map(_one_root, terms))))
+
+
+@pytest.mark.parametrize(
+    "gate, scale", [("cnot", sp.Rational(1, 4)), ("cnot-simplified", (3 - SQRT2) / 7)]
+)
+def test_nominal_heralded_map_is_exactly_a_cnot(gate, scale):
+    # Each amplitude is per(U_sub)/sqrt(prod n!) of the exact transfer matrix
+    # over the ten heralded kets. On the four logical kets, rows and columns
+    # in BASIS_INPUTS order, the map is scale * (Z x I) CNOT; the other six
+    # kets get exactly nothing.
+    circuit = gates.gate_by_name(gate)
+    etas = [_exact_reflectivity(el.reflectivity) for el in circuit.elements]
+    u = _transfer(circuit, etas, sp.sqrt)
+    logical = [
+        next(iter(gates.encode_logical(gates.logical_pair(label), circuit).amplitudes))
+        for label in gates.BASIS_INPUTS
+    ]
+    image = scale * sp.Matrix([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]])
+    sector = verify._sector(circuit, circuit.detection, 4)
+    assert len(sector) == 10 and set(logical) <= set(sector)
+    for ket in sector:
+        norm = sp.sqrt(math.prod(map(math.factorial, ket)))
+        for j, occ in enumerate(logical):
+            cols = _photon_modes(occ)
+            sub = [[u[i][c] for c in cols] for i in _photon_modes(ket)]
+            expected = image[logical.index(ket), j] if ket in logical else 0
+            assert _reduced(_permutation_permanent(sub) / norm - expected) == 0, (ket, j)

@@ -337,6 +337,34 @@ def test_bell_outputs_and_assignment():
     assert len(set(seen.values())) == 4
 
 
+_AMPLITUDE = st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False)
+
+
+@given(st.tuples(_AMPLITUDE, _AMPLITUDE, _AMPLITUDE, _AMPLITUDE), st.booleans())
+def test_reduced_purity_is_the_trace_of_rho_squared(amps, normalized):
+    # each amplitude within 1/2, so the pair's norm is at most 1
+    psi = np.array(amps).reshape(2, 2)
+    if normalized and np.linalg.norm(psi) > 0:
+        psi = psi / np.linalg.norm(psi)
+    rho = psi @ psi.conj().T
+    reference = np.real(np.trace(rho @ rho))
+    assert abs(verify._reduced_purity(*psi.ravel().tolist()) - reference) < 1e-12
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cnot-simplified"])
+def test_fixed_point_reports_use_no_numpy_in_verify(gate, monkeypatch):
+    # numpy in verify serves the sweep alone
+    monkeypatch.setattr(verify, "np", None)
+    assert verify.truth_table(gate)["passed"]
+    assert verify.moment_report(gate)["passed"]
+    assert verify.bell_test(gate)["passed"]
+    for cut in CNOTS[gate][3]:
+        for label in BASIS_INPUTS:
+            assert verify.intermediate_state_check(gate, label, cut)["passed"]
+    with pytest.raises(AttributeError):
+        verify.sensitivity_sweep(gate)
+
+
 def test_interior_states_match_closed_forms():
     for label in BASIS_INPUTS:
         for cut in ("x", "y"):

@@ -135,6 +135,18 @@ MUTANTS = (
         "a coincidence puts one photon on each qubit's own rail pair",
     ),
     Mutant(
+        "purity-factor-one", "src/loqc/verify.py",
+        "norm2**2 - 2 * abs(a * d - b * c) ** 2",
+        "norm2**2 - 1 * abs(a * d - b * c) ** 2",
+        "the reduced purity is (sum |.|^2)^2 - 2|ad - bc|^2",
+    ),
+    Mutant(
+        "bell-phi-minus-sign-flipped", "src/loqc/verify.py",
+        '"phi-": (1 / math.sqrt(2), 0.0, 0.0, -1 / math.sqrt(2))',
+        '"phi-": (1 / math.sqrt(2), 0.0, 0.0, 1 / math.sqrt(2))',
+        "phi- is (|HH> - |VV>)/sqrt(2)",
+    ),
+    Mutant(
         "sector-ignores-groups", "src/loqc/verify.py",
         "if pattern.matches(occ):\n            sector.append(occ)",
         "if pattern.matches(occ) or True:\n            sector.append(occ)",
