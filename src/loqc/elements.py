@@ -244,13 +244,9 @@ def transfer_matrices(circuit: Circuit, reflectivities, columns=None) -> np.ndar
     return u.transpose(1, 0, 2)
 
 
-def compose_transfer_matrix(circuit: Circuit, upto: int | None = None) -> np.ndarray:
-    """Single-photon transfer matrix of the first ``upto`` elements.
-
-    The one-row case of ``transfer_matrices`` at the circuit's own
-    reflectivities. Returned complex even though every in-scope element
-    is real.
-    """
-    prefix = Circuit(circuit.n_modes, circuit.labels, circuit.first_elements(upto))
-    etas = [[el.reflectivity for el in prefix.elements]]
-    return transfer_matrices(prefix, etas)[0].astype(complex)
+def compose_transfer_matrix(circuit: Circuit) -> np.ndarray:
+    """Single-photon transfer matrix of ``circuit``: the one-row case of
+    ``transfer_matrices`` at its own reflectivities, returned complex even
+    though every in-scope element is real."""
+    etas = [[el.reflectivity for el in circuit.elements]]
+    return transfer_matrices(circuit, etas)[0].astype(complex)

@@ -25,7 +25,8 @@ beside the closed forms that its reports check.
 
 Mode and sign conventions
 -------------------------
-Dual rail: a photon in the H rail is logical 0, in the V rail logical 1.
+Dual rail: a photon in the H rail is logical 0, in the V rail logical 1, as
+``_SINGLE_QUBIT`` states for ``encode_logical`` and the derived ``_BASIS_KETS``.
 CNOT modes are ordered (c_H, c_V, t_H, t_V, a1, a2, v1, v2). The 50:50
 splitters have their grey ports chosen so that, with + internal arms
 d1 = (c_V + t')/sqrt(2) and d2 = (c_V - t')/sqrt(2):
@@ -333,19 +334,17 @@ def encode_logical(pair: LogicalQubitPair, circuit: Circuit) -> FockStateVector:
     return make_state(circuit.n_modes, entries)
 
 
-_RAIL_KETS = {
-    "HH": (1, 0, 1, 0),
-    "HV": (1, 0, 0, 1),
-    "VH": (0, 1, 1, 0),
-    "VV": (0, 1, 0, 1),
+# Each basis input over the QUBIT_LABELS rails: its control's, then its target's (H, V).
+_BASIS_KETS = {
+    c + t: tuple(map(int, _SINGLE_QUBIT[c] + _SINGLE_QUBIT[t])) for c, t in BASIS_INPUTS
 }
 
 
 def dual_rail_ket(label: str) -> Occupation:
     """Occupation of a basis ket over the ``QUBIT_LABELS`` rails."""
-    if label not in _RAIL_KETS:
+    if label not in _BASIS_KETS:
         raise ValueError(f"unknown basis label {label!r}")
-    return _RAIL_KETS[label]
+    return _BASIS_KETS[label]
 
 
 def decode_logical(
@@ -360,8 +359,8 @@ def decode_logical(
     """
     if state.n_modes != 4:
         raise ValueError(f"decode expects a 4-mode state, got {state.n_modes}")
-    amps = tuple(state.amplitude(_RAIL_KETS[k]) for k in BASIS_INPUTS)
-    code = _RAIL_KETS.values()
+    amps = tuple(state.amplitude(_BASIS_KETS[k]) for k in BASIS_INPUTS)
+    code = _BASIS_KETS.values()
     leaked = (abs(a) ** 2 for occ, a in state.amplitudes.items() if occ not in code)
     return amps, sum(leaked, 0.0)
 

@@ -15,9 +15,9 @@ relative model only, so the absolute 0.02 corner sweep exits 1 by design.
 beside its builder. Each CNOT readout rule has one home:
 ``coincidence_pattern`` (heralding plus one photon per rail pair),
 ``_sector`` (the kets a pattern keeps) and ``_moment_deviations`` (the
-signal and cross moment checks). ``_cnot`` refuses a gate with no CNOT
-truth table, ``gates.dual_rail_ket`` an input label that is not a basis
-input.
+signal and cross moment checks). ``_cnot`` is the one refusal of every CNOT
+report (a gate outside ``gates.CNOTS``, or rails ``_railed`` refuses) and
+``_decoded`` its one decode; ``gates.dual_rail_ket`` refuses a non-basis label.
 
 The qubit rails are ``gates.QUBIT_LABELS`` and the heralds are the
 modes where ``circuit.detection`` expects one photon. Truth tables,
@@ -148,50 +148,53 @@ def _sector(
     return sector
 
 
-def conditioned_logical_output(
-    circuit: Circuit, pair
-) -> tuple[float, FockStateVector | None]:
-    """Evolve an encoded qubit pair and condition on the heralding pattern.
-
-    Returns the success probability and the normalized conditional state
-    over the ``QUBIT_LABELS`` rails, or None when the probability vanishes.
-    ``decode_logical`` reads that state's modes by position, so the modes
-    the heralding leaves free must be those rails, in that order.
-    """
+def _railed(circuit: Circuit) -> Circuit:
+    """``circuit``, if its heralding leaves free exactly the ``QUBIT_LABELS``
+    rails in that order, as ``decode_logical`` reads them by position."""
     if circuit.detection is None:
         raise ValueError("circuit has no heralding detection pattern")
     exact = circuit.detection.exact
     free = tuple(label for m, label in enumerate(circuit.labels) if m not in exact)
     if free != QUBIT_LABELS:
         raise ValueError(f"heralding leaves {free} free, not the rails {QUBIT_LABELS}")
-    out = evolve(encode_logical(pair, circuit), circuit, keep=circuit.detection)
-    outcome = condition(out, circuit.detection)
-    return outcome.probability, outcome.normalized
+    return circuit
 
 
-def _decoded(label: str, state4: FockStateVector | None):
-    """Logical amplitudes, leakage and logical error 1 - |<image|out>|^2
-    of the conditioned output for basis input ``label``; the error is 1.0
-    when there is no output."""
-    if state4 is None:
-        return (0j, 0j, 0j, 0j), 0.0, 1.0
-    amps, leakage = decode_logical(state4)
-    return amps, leakage, 1.0 - abs(amps[BASIS_INPUTS.index(CNOT_IMAGE[label])]) ** 2
-
-
-# ---------------------------------------------------------------------------
-# truth table and moments
-
-
-def _cnot(gate: str) -> str:
-    """``gate``, if it is a CNOT: the one refusal of the reports that read
-    the CNOT truth table off the qubit rails of the gate's circuit."""
+def _cnot(gate: str) -> Circuit:
+    """The circuit of ``gate``, if it is a CNOT whose rails ``_railed``
+    takes: the one refusal in front of every CNOT report."""
     if gate not in CNOTS:
         raise ValueError(
             f"no truth table defined for gate {gate!r}; "
             f"CNOT gates: {', '.join(CNOTS)}"
         )
-    return gate
+    return _railed(gate_by_name(gate))
+
+
+def conditioned_logical_output(
+    circuit: Circuit, pair
+) -> tuple[float, FockStateVector | None]:
+    """Evolve an encoded qubit pair and condition on the heralding pattern:
+    the success probability and the normalized conditional state over the
+    ``_railed`` rails, or None when the probability vanishes."""
+    out = evolve(encode_logical(pair, _railed(circuit)), circuit, keep=circuit.detection)
+    outcome = condition(out, circuit.detection)
+    return outcome.probability, outcome.normalized
+
+
+def _decoded(state4: FockStateVector | None):
+    """``decode_logical`` of a conditioned output; a vanished one (None)
+    decodes to zero amplitudes and no leakage."""
+    return ((0j, 0j, 0j, 0j), 0.0) if state4 is None else decode_logical(state4)
+
+
+def _logical_error(label: str, amps) -> float:
+    """1 - |<image|out>|^2 of basis input ``label``'s decoded amplitudes."""
+    return 1.0 - abs(amps[BASIS_INPUTS.index(CNOT_IMAGE[label])]) ** 2
+
+
+# ---------------------------------------------------------------------------
+# truth table and moments
 
 
 def moment_table(gate: str, input_label: str) -> dict[str, float]:
@@ -202,7 +205,7 @@ def moment_table(gate: str, input_label: str) -> dict[str, float]:
     evolved output with no conditioning; the evolution keeps only the
     heralded kets, which hold every four-fold coincidence.
     """
-    circuit = gate_by_name(_cnot(gate))
+    circuit = _cnot(gate)
     state = encode_logical(logical_pair(input_label), circuit)
     return _moments(circuit, evolve(state, circuit, keep=circuit.detection))
 
@@ -234,14 +237,15 @@ def moment_report(gate: str, input_label: str | None = None) -> dict:
     """Moment tables of one basis input, or of all four, each checked for
     its signal moment (the expected success probability) and its cross
     moments (zero)."""
-    _, expected_p, p_tol, _ = CNOTS[_cnot(gate)]
     if input_label is not None:
         dual_rail_ket(input_label)  # refuses a label that is not a basis input
     labels = BASIS_INPUTS if input_label is None else (input_label,)
-    tables, checks = {}, []
-    for label in labels:
-        tables[label] = moment_table(gate, label)
-        signal_dev, cross = _moment_deviations(label, tables[label], expected_p)
+    # moment_table's _cnot refuses the gate before CNOTS is read
+    tables = {label: moment_table(gate, label) for label in labels}
+    _, expected_p, p_tol, _ = CNOTS[gate]
+    checks = []
+    for label, table in tables.items():
+        signal_dev, cross = _moment_deviations(label, table, expected_p)
         checks.append(check(f"{label} signal moment", signal_dev, p_tol))
         checks.append(check(f"{label} cross moments", cross, 1e-12))
     return {
@@ -261,7 +265,7 @@ def truth_table(gate: str, conditioning: str = "heralded") -> dict:
     The row is correct when the normalized output sits entirely on the
     image basis state (the sign of its amplitude is not observable).
     """
-    circuit = gate_by_name(_cnot(gate))
+    circuit = _cnot(gate)
     _, expected_p, p_tol, _ = CNOTS[gate]
     if conditioning == "heralded":
         pattern = circuit.detection
@@ -275,7 +279,8 @@ def truth_table(gate: str, conditioning: str = "heralded") -> dict:
         state = encode_logical(logical_pair(label), circuit)
         out = evolve(state, circuit, keep=circuit.detection)
         outcome = condition(out, pattern)
-        amps, leakage, row_error = _decoded(label, outcome.normalized)
+        amps, leakage = _decoded(outcome.normalized)
+        row_error = _logical_error(label, amps)
         decoded = max(BASIS_INPUTS, key=lambda k: abs(amps[BASIS_INPUTS.index(k)]))
         moments[label] = _moments(circuit, out)
         deviations.append(
@@ -333,11 +338,11 @@ def bell_test(gate: str = "cnot") -> dict:
     the evolution itself and reported; it is stable because the circuit
     is fixed.
     """
-    circuit = gate_by_name(_cnot(gate))
+    circuit = _cnot(gate)
     entries = []
     for label in ("+H", "-H", "+V", "-V"):
         probability, state4 = conditioned_logical_output(circuit, logical_pair(label))
-        amps, leakage = decode_logical(state4)
+        amps, leakage = _decoded(state4)
         fidelities = {
             name: abs(sum(b.conjugate() * a for b, a in zip(bell, amps))) ** 2
             for name, bell in BELL_STATES.items()
@@ -438,7 +443,7 @@ def intermediate_state_check(gate: str, input_label: str, cut: str) -> dict:
     closed-form kets are written phase-free, so the comparison aligns
     the global phase first and reports it; it is always +1 or -1 here.
     """
-    circuit = gate_by_name(gate)
+    circuit = _cnot(gate)
     if cut not in circuit.cuts:
         raise ValueError(
             f"gate {gate!r} has no cut {cut!r}; available: "
@@ -692,7 +697,7 @@ def _sparse_logical_error(circuit: Circuit, label: str) -> tuple[float, float]:
     """Logical error and heralding probability of basis input ``label`` by
     sparse evolution, the check on one batched (vector, input) pair."""
     probability, state4 = conditioned_logical_output(circuit, logical_pair(label))
-    return _decoded(label, state4)[2], probability
+    return _logical_error(label, _decoded(state4)[0]), probability
 
 
 def sensitivity_sweep(
@@ -734,7 +739,7 @@ def sensitivity_sweep(
     samples = _natural(samples, "samples")
     seed = _natural(seed, "seed")
     _real(magnitude, "magnitude")
-    base = gate_by_name(_cnot(gate))
+    base = _cnot(gate)
     # the random draw spans [-magnitude, magnitude], whose width must be finite
     if not math.isfinite(2.0 * magnitude) or magnitude < 0.0:
         raise ValueError(

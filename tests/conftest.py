@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from loqc import gates
 from loqc.elements import Beamsplitter, Circuit
 from loqc.fock import FockStateVector, enumerate_basis
+from loqc.postselect import DetectionPattern
 
 # pytest puts src/ on sys.path (pyproject.toml); commands the tests start
 # in a subprocess import loqc from the same checkout.
@@ -73,3 +77,57 @@ def random_occupation(
     for _ in range(total):
         occ[int(rng.integers(n_modes))] += 1
     return tuple(occ)
+
+
+def relabelled(circuit: Circuit, labels) -> Circuit:
+    """``circuit`` with its modes reordered to ``labels``: the same gate,
+    with every element, preparation, detection count and cut moved along."""
+    new = {circuit.labels.index(label): m for m, label in enumerate(labels)}
+    return Circuit(
+        circuit.n_modes,
+        tuple(labels),
+        tuple(
+            dataclasses.replace(
+                el, mode_a=new[el.mode_a], mode_b=new[el.mode_b], grey=new[el.grey]
+            )
+            for el in circuit.elements
+        ),
+        ancilla_prep={new[m]: k for m, k in circuit.ancilla_prep.items()},
+        detection=DetectionPattern(
+            exact={new[m]: k for m, k in circuit.detection.exact.items()}
+        ),
+        cuts=circuit.cuts,
+    )
+
+
+# The CNOT with its target rails listed before its control rails, and the
+# one refusal every CNOT report gives it.
+SWAPPED_RAILS = ("t_H", "t_V", "c_H", "c_V", "a1", "a2", "v1", "v2")
+SWAPPED_RAILS_REFUSAL = (
+    "heralding leaves ('t_H', 't_V', 'c_H', 'c_V') free, "
+    "not the rails ('c_H', 'c_V', 't_H', 't_V')"
+)
+
+
+def _swapped_cnot() -> Circuit:
+    return relabelled(gates.build_cnot_circuit(), SWAPPED_RAILS)
+
+
+def _dark_cnot() -> Circuit:
+    circuit = gates.build_cnot_circuit()
+    return dataclasses.replace(
+        circuit,
+        elements=tuple(
+            dataclasses.replace(el, reflectivity=0.0) for el in circuit.elements
+        ),
+    )
+
+
+@pytest.fixture
+def odd_cnots(monkeypatch):
+    """Two CNOTs registered for one test beside ``cnot``'s closed forms:
+    "cnot-swapped", the same physics with ``SWAPPED_RAILS``, and
+    "cnot-dark", every reflectivity 0, whose +V and -V herald nothing."""
+    for name, builder in (("cnot-swapped", _swapped_cnot), ("cnot-dark", _dark_cnot)):
+        monkeypatch.setitem(gates.CNOTS, name, (builder,) + gates.CNOTS["cnot"][1:])
+        monkeypatch.setitem(gates._GATE_BUILDERS, name, builder)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SWAPPED_RAILS_REFUSAL
 import loqc
 from loqc import cli, gates, verify
 from loqc.cli import _write_report, build_parser, main
@@ -459,17 +460,22 @@ def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["truth-table", "{gate}"],
-        ["moments", "{gate}", "--input", "VH"],
-        ["bell-test", "{gate}"],
-        ["intermediate", "{gate}", "--input", "VH", "--cut", "y"],
-        ["sweep", "{gate}", "--model", "relative"],
-    ],
-    ids=lambda argv: argv[0],
-)
+# Every CNOT command, on the gate "{gate}"
+_CNOT_COMMANDS = [
+    ["truth-table", "{gate}"],
+    ["truth-table", "{gate}", "--conditioning", "coincidence"],
+    ["moments", "{gate}", "--input", "VH"],
+    ["bell-test", "{gate}"],
+    ["intermediate", "{gate}", "--input", "VH", "--cut", "y"],
+    ["sweep", "{gate}", "--model", "relative"],
+]
+_CNOT_COMMAND_IDS = [
+    "truth-table", "truth-table-coincidence", "moments", "bell-test",
+    "intermediate", "sweep",
+]
+
+
+@pytest.mark.parametrize("argv", _CNOT_COMMANDS, ids=_CNOT_COMMAND_IDS)
 def test_a_cnot_added_to_the_table_is_a_gate_of_every_cnot_command(
     tmp_path, monkeypatch, argv
 ):
@@ -493,6 +499,31 @@ def test_a_cnot_added_to_the_table_is_a_gate_of_every_cnot_command(
         cli._command_parser.cache_clear()
     copy = json.loads(json.dumps(docs["cnot-copy"]).replace("cnot-copy", "cnot"))
     assert copy == docs["cnot"]
+
+
+@pytest.mark.parametrize("argv", _CNOT_COMMANDS, ids=_CNOT_COMMAND_IDS)
+def test_cnot_commands_refuse_rails_out_of_order(tmp_path, capsys, odd_cnots, argv):
+    command = [a.format(gate="cnot-swapped") for a in argv]
+    out = tmp_path / "r.json"
+    assert run(command + ["--json", str(out)]) == 2
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err == f"{argv[0]}: {SWAPPED_RAILS_REFUSAL}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", _CNOT_COMMANDS, ids=_CNOT_COMMAND_IDS)
+def test_cnot_commands_fail_the_checks_of_a_cnot_that_heralds_nothing(
+    tmp_path, capsys, odd_cnots, argv
+):
+    # every reflectivity 0: the report is written and fails, no traceback
+    out = tmp_path / "r.json"
+    command = [a.format(gate="cnot-dark") for a in argv]
+    assert run(command + ["--json", str(out)]) == 1
+    assert capsys.readouterr().out.endswith("FAIL\n")
+    doc = read_doc(out)
+    assert not doc["pass"]
+    assert not all(c["pass"] for c in doc["checks"])
 
 
 def test_successive_calls_do_not_share_parsed_values(tmp_path):

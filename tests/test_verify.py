@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     BELL_ASSIGNMENT,
+    SWAPPED_RAILS,
+    SWAPPED_RAILS_REFUSAL,
     WORST_ERROR_ABS_CORNERS_002,
     WORST_ERROR_REL_CORNERS_002,
+    relabelled,
 )
 import loqc.evolve as evolve_module
 from loqc import verify
@@ -103,9 +106,13 @@ def test_truth_table_rejects_unknown_conditioning_and_gate():
         moment_report,
         lambda gate: moment_table(gate, "HH"),
         bell_test,
+        lambda gate: intermediate_state_check(gate, "HH", "x"),
         sensitivity_sweep,
     ],
-    ids=["truth_table", "moment_report", "moment_table", "bell_test", "sweep"],
+    ids=[
+        "truth_table", "moment_report", "moment_table", "bell_test",
+        "intermediate_state_check", "sweep",
+    ],
 )
 def test_cnot_reports_refuse_a_gate_that_is_not_a_cnot(report, gate):
     message = (
@@ -490,7 +497,8 @@ def test_evolution_matches_the_oracle_over_the_whole_sector_at_every_cut(gate):
     else:
         inputs = [encode_logical(logical_pair(l), circuit) for l in BASIS_INPUTS]
     for upto in {None, *circuit.cuts.values()}:
-        transfer = compose_transfer_matrix(circuit, upto)
+        prefix = Circuit(circuit.n_modes, circuit.labels, circuit.elements[:upto])
+        transfer = compose_transfer_matrix(prefix)
         for state in inputs:
             (input_occ,) = state.amplitudes
             out = evolve(state, circuit, upto=upto)
@@ -874,31 +882,11 @@ def test_batched_errors_compose_the_transfer_matrices_by_chunk(monkeypatch):
     assert chunked["mean_error"] == sum(run_worst.tolist()) / 2500
 
 
-def _relabelled(circuit: Circuit, labels) -> Circuit:
-    """``circuit`` with its modes reordered to ``labels``: the same gate,
-    with every element, preparation and detection count moved along."""
-    new = {circuit.labels.index(label): m for m, label in enumerate(labels)}
-    return Circuit(
-        circuit.n_modes,
-        tuple(labels),
-        tuple(
-            dataclasses.replace(
-                el, mode_a=new[el.mode_a], mode_b=new[el.mode_b], grey=new[el.grey]
-            )
-            for el in circuit.elements
-        ),
-        ancilla_prep={new[m]: k for m, k in circuit.ancilla_prep.items()},
-        detection=DetectionPattern(
-            exact={new[m]: k for m, k in circuit.detection.exact.items()}
-        ),
-    )
-
-
 def test_batched_errors_read_the_lit_columns_by_position_not_by_mode():
     # the shipped CNOTs have their lit columns first, where a position and
     # its mode coincide; here the vacuum ports come first and the NS
     # ancillas sit between the rails, which keep their order
-    base = _relabelled(
+    base = relabelled(
         build_cnot_circuit(), ("v2", "v1", "c_H", "a2", "c_V", "t_H", "a1", "t_V")
     )
     assert verify._heralded_amplitudes(base)[2] == [2, 3, 4, 5, 6, 7]
@@ -917,15 +905,52 @@ def test_conditioned_output_refuses_rails_out_of_order():
     # decode_logical reads the conditioned rails by position: with the
     # target rails first, input HV would decode onto the VH ket, while the
     # batch, which reads them by label, reports error 0
-    base = _relabelled(
-        build_cnot_circuit(), ("t_H", "t_V", "c_H", "c_V", "a1", "a2", "v1", "v2")
-    )
+    base = relabelled(build_cnot_circuit(), SWAPPED_RAILS)
     with pytest.raises(ValueError) as err:
         conditioned_logical_output(base, logical_pair("HV"))
-    assert str(err.value) == (
-        "heralding leaves ('t_H', 't_V', 'c_H', 'c_V') free, "
-        "not the rails ('c_H', 'c_V', 't_H', 't_V')"
-    )
+    assert str(err.value) == SWAPPED_RAILS_REFUSAL
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        truth_table,
+        lambda gate: truth_table(gate, "coincidence"),
+        moment_report,
+        lambda gate: moment_table(gate, "HV"),
+        bell_test,
+        lambda gate: intermediate_state_check(gate, "HV", "y"),
+        sensitivity_sweep,
+    ],
+    ids=[
+        "truth_table", "truth_table-coincidence", "moment_report", "moment_table",
+        "bell_test", "intermediate_state_check", "sweep",
+    ],
+)
+def test_cnot_reports_refuse_rails_out_of_order(odd_cnots, report):
+    # _cnot is the one refusal: unchecked, the truth table would decode HV
+    # as VH and the moment tables, which read the rails by label, would pass
+    with pytest.raises(ValueError) as err:
+        report("cnot-swapped")
+    assert str(err.value) == SWAPPED_RAILS_REFUSAL
+
+
+def test_reports_on_a_cnot_that_heralds_nothing_fail_their_checks(odd_cnots):
+    # every reflectivity 0: +V and -V herald with probability 0, and their
+    # vanished outputs decode to zero amplitudes, as in the truth table
+    bell = bell_test("cnot-dark")
+    dark = [e for e in bell["entries"] if e["probability"] == 0.0]
+    assert [e["input"] for e in dark] == ["+V", "-V"]
+    for entry in dark:
+        assert (entry["fidelity"], entry["purity"], entry["leakage"]) == (0.0, 0.0, 0.0)
+    assert not bell["passed"]
+    table = truth_table("cnot-dark")
+    assert not table["passed"]
+    dark = [row for row in table["rows"] if row["probability"] == 0.0]
+    assert [row["input"] for row in dark] == ["HV", "VH", "VV"]
+    for row in dark:
+        assert row["row_error"] == 1.0
+        assert set(row["amplitudes"].values()) == {0j}
 
 
 def test_glynn_row_products_fit_under_the_mmap_threshold():

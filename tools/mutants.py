@@ -66,8 +66,8 @@ MUTANTS = (
     ),
     Mutant(
         "oracle-matrix-transposed", "src/loqc/elements.py",
-        "return transfer_matrices(prefix, etas)[0].astype(complex)",
-        "return transfer_matrices(prefix, etas)[0].T.astype(complex)",
+        "return transfer_matrices(circuit, etas)[0].astype(complex)",
+        "return transfer_matrices(circuit, etas)[0].T.astype(complex)",
         "a transfer matrix's rows index outputs and its columns inputs",
     ),
     Mutant(
@@ -117,6 +117,12 @@ MUTANTS = (
         "the NS gate's middle splitter has its grey port on the signal",
     ),
     Mutant(
+        "dual-rail-target-swapped", "src/loqc/gates.py",
+        "_SINGLE_QUBIT[c] + _SINGLE_QUBIT[t]))",
+        "_SINGLE_QUBIT[c] + _SINGLE_QUBIT[t][::-1]))",
+        "a basis ket puts the target's H photon on t_H and its V photon on t_V",
+    ),
+    Mutant(
         "heralding-drops-vacuum-vetoes", "src/loqc/gates.py",
         "detection=DetectionPattern(exact=ancillas)",
         "detection=DetectionPattern(exact={m: k for m, k in ancillas.items() if k})",
@@ -127,6 +133,12 @@ MUTANTS = (
         'Beamsplitter(_C_V, _T_H, 0.5, grey=_T_H, label="B3")',
         'Beamsplitter(_C_V, _T_H, 0.5, grey=_C_V, label="B3")',
         "B3 has its grey port on the t' beam",
+    ),
+    Mutant(
+        "cnot-rail-order-unchecked", "src/loqc/verify.py",
+        "return _railed(gate_by_name(gate))",
+        "return gate_by_name(gate)",
+        "every CNOT report refuses rails left free out of QUBIT_LABELS order",
     ),
     Mutant(
         "rails-paired-wrongly", "src/loqc/verify.py",
