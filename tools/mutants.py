@@ -9,13 +9,16 @@ Each mutant replaces one exact piece of text in a fresh temporary copy of
 ``src``, ``tests`` and ``pyproject.toml``, never in the working tree, so
 that pyproject's ``pythonpath = ["src"]`` and ``tests/conftest.py``'s
 subprocess ``PYTHONPATH`` both point at the copy. The suite first runs on
-an unmutated copy, which must pass. The script exits 1 when a mutant's old
-text does not occur exactly once, when a mutant survives, or when
-``tests/test_imports.py`` is the only test file that fails on it: that
-check shows only that a name went unused, not that the rule is guarded, so
-a mutant keeps every imported name in use (``<= 0 * PRUNE_TOL``, not a
-deleted line). Which tests fail is printed, never pinned, so renaming a
-test cannot break the gate. Only the standard library is used.
+an unmutated copy, which must pass. The mutants' suites then run
+concurrently, as many at once as the process may use CPUs, each with its
+own ``--basetemp`` inside its copy, and are reported in table order. The
+script exits 1 when a mutant's old text does not occur exactly once, when
+a mutant survives, or when ``tests/test_imports.py`` is the only test file
+that fails on it: that check shows only that a name went unused, not that
+the rule is guarded, so a mutant keeps every imported name in use
+(``<= 0 * PRUNE_TOL``, not a deleted line). Which tests fail is printed,
+never pinned, so renaming a test cannot break the gate. Only the standard
+library is used.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -141,6 +145,19 @@ MUTANTS = (
         "every CNOT report refuses rails left free out of QUBIT_LABELS order",
     ),
     Mutant(
+        "moment-table-takes-superpositions", "src/loqc/verify.py",
+        "    dual_rail_ket(input_label)  # refuses a label that is not a basis input\n"
+        "    return _moments(",
+        "    return _moments(",
+        "moment_table refuses a label that is not a basis input",
+    ),
+    Mutant(
+        "interior-cut-one-late", "src/loqc/verify.py",
+        "circuit.elements[: circuit.cuts[cut]]",
+        "circuit.elements[: circuit.cuts[cut] + 1]",
+        "an interior cut is the state after the elements before it",
+    ),
+    Mutant(
         "rails-paired-wrongly", "src/loqc/verify.py",
         "groups=((rails[:2], 1), (rails[2:], 1))",
         "groups=((rails[::2], 1), (rails[1::2], 1))",
@@ -248,7 +265,8 @@ def _run_suite(root: Path) -> tuple[int, list[str]]:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     proc = subprocess.run(
-        [sys.executable, *TIER1], cwd=root, env=env, capture_output=True, text=True
+        [sys.executable, *TIER1, f"--basetemp={root / 'pytest-tmp'}"],
+        cwd=root, env=env, capture_output=True, text=True,
     )
     failed = [
         line.split(" ", 1)[1].split(" - ", 1)[0]
@@ -278,7 +296,8 @@ def main() -> int:
             print(f"the unmutated suite exits {code}; failing: {failed}")
             return 1
         print(f"unmutated suite passes ({time.perf_counter() - start:.1f} s)")
-        for m in MUTANTS:
+
+        def run(m: Mutant) -> tuple[int, list[str], float]:
             t0 = time.perf_counter()
             work = Path(tmp, m.name)
             _copy(work)
@@ -286,23 +305,29 @@ def main() -> int:
             path.write_text(path.read_text().replace(m.old, m.new))
             code, failed = _run_suite(work)
             shutil.rmtree(work)
-            others = [f for f in failed if not f.startswith(IMPORT_CHECK)]
-            if code == 0:
-                verdict = "SURVIVED"
-            elif code != 1:
-                verdict = f"EXIT {code}"
-            elif not others:
-                verdict = "IMPORTS"  # only the unused-import check failed
-            else:
-                verdict = "killed"
-            gaps += verdict != "killed"
-            print(
-                f"{verdict:8} {m.name:30} {len(others):3} failing"
-                f" {time.perf_counter() - t0:6.1f} s  {m.rule}"
-            )
-            if len(others) <= 3:
-                for test in failed:
-                    print(f"{'':9}{test}")
+            return code, failed, time.perf_counter() - t0
+
+        # map yields in table order, each result as soon as it and every
+        # earlier one are done
+        with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+            for m, (code, failed, seconds) in zip(MUTANTS, pool.map(run, MUTANTS)):
+                others = [f for f in failed if not f.startswith(IMPORT_CHECK)]
+                if code == 0:
+                    verdict = "SURVIVED"
+                elif code != 1:
+                    verdict = f"EXIT {code}"
+                elif not others:
+                    verdict = "IMPORTS"  # only the unused-import check failed
+                else:
+                    verdict = "killed"
+                gaps += verdict != "killed"
+                print(
+                    f"{verdict:8} {m.name:34} {len(others):3} failing"
+                    f" {seconds:6.1f} s  {m.rule}"
+                )
+                if len(others) <= 3:
+                    for test in failed:
+                        print(f"{'':9}{test}")
     total = time.perf_counter() - start
     print(f"{len(MUTANTS) - gaps} of {len(MUTANTS)} mutants killed in {total:.0f} s")
     return 1 if gaps else 0
