@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from loqc import cli, verify
-from loqc.elements import Circuit, compose_transfer_matrix, transfer_matrices
+from loqc.elements import compose_transfer_matrix, transfer_matrices
 from loqc.evolve import apply_element, evolve, permanent
 from loqc.fock import enumerate_basis
 from loqc.gates import (
@@ -53,7 +53,7 @@ def cnot_input():
 def test_apply_element_on_cnot_state(benchmark, cnot_input):
     # the last splitter, where the state is widest (130 kets in, 169 out)
     last = len(CNOT.elements) - 1
-    state = evolve(cnot_input, Circuit(CNOT.n_modes, CNOT.labels, CNOT.elements[:last]))
+    state = evolve(cnot_input, CNOT.prefix(last))
     out = benchmark(apply_element, state, CNOT.elements[last])
     assert out.total_photons == 4
     assert abs(out.norm_sq - 1.0) < 1e-12

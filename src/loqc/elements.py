@@ -14,6 +14,12 @@ single-photon amplitude map (outputs indexed by rows, inputs by columns).
 Which port is grey matters: it decides which interference terms pick up a
 sign, and the gate constructions depend on those choices.
 
+Two methods derive a circuit from another:
+``Circuit.with_reflectivities`` is the same network at new reflectivities
+(a perturbed device), and ``Circuit.prefix`` its first k elements (an
+interior cut). Both pass the new circuit through ``Circuit``'s
+construction check.
+
 ``beamsplitter_matrix`` is the only place that applies the grey-port
 sign; it takes one reflectivity or an array of real ones. ``transfer_matrices``
 is the only composer of single-photon transfer matrices: it applies those
@@ -32,7 +38,7 @@ it an independent check on both.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -119,7 +125,9 @@ class Circuit:
     circuit of those elements. Construction raises one ValueError
     that lists every way the parts do not fit together, joined by "; ",
     after refusing alone a count, mode or cut that is not an integer.
-    ``n_modes`` and the ancilla and cut numbers are stored as ``int``.
+    ``n_modes`` and the ancilla and cut numbers are stored as ``int``, and
+    ``labels`` and ``elements`` as tuples, so a circuit built from lists
+    equals the one built from tuples.
     """
 
     n_modes: int
@@ -141,6 +149,8 @@ class Circuit:
         }
         cuts = {name: count(k, f"cut {name!r}") for name, k in self.cuts.items()}
         object.__setattr__(self, "n_modes", n)
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "ancilla_prep", prep)
         object.__setattr__(self, "cuts", cuts)
         issues: list[str] = []
@@ -148,9 +158,16 @@ class Circuit:
             issues.append(f"n_modes must be >= 1, got {n}")
         if len(self.labels) != n:
             issues.append(f"{len(self.labels)} labels for {n} modes")
-        if len(set(self.labels)) != len(self.labels):
+        for i, label in enumerate(self.labels):
+            if not isinstance(label, str):
+                issues.append(f"label {i} ({label!r}) is not a string")
+        names = [label for label in self.labels if isinstance(label, str)]
+        if len(set(names)) != len(names):
             issues.append("mode labels are not unique")
         for i, el in enumerate(self.elements):
+            if not isinstance(el, Beamsplitter):
+                issues.append(f"element {i} is not a Beamsplitter")
+                continue
             for m in (el.mode_a, el.mode_b):
                 if m >= n:
                     where = f"element {i}" + (f" ({el.label})" if el.label else "")
@@ -170,6 +187,25 @@ class Circuit:
                 issues.append(f"cut {name!r} at {k} outside 0..{len(self.elements)}")
         if issues:
             raise ValueError("; ".join(issues))
+
+    def with_reflectivities(self, reflectivities) -> Circuit:
+        """This circuit with element j's reflectivity set to
+        ``reflectivities[j]``; ``Beamsplitter`` checks each one, and a
+        vector of another length raises ValueError."""
+        return replace(
+            self,
+            elements=tuple(
+                replace(el, reflectivity=eta)
+                for el, eta in zip(self.elements, reflectivities, strict=True)
+            ),
+        )
+
+    def prefix(self, k: int) -> Circuit:
+        """This circuit cut after its first ``k`` elements, with the same
+        preparation and detection and no cuts."""
+        if not 0 <= _natural(k, "prefix length") <= len(self.elements):
+            raise ValueError(f"prefix length {k} outside 0..{len(self.elements)}")
+        return replace(self, elements=self.elements[:k], cuts={})
 
     def mode_index(self, label: str) -> int:
         try:

@@ -25,9 +25,10 @@ moments, Bell states and interior cuts read only heralded kets, so
 ``_heralded`` is their one evolution: it encodes a qubit pair and evolves
 it with ``evolve(..., keep=circuit.detection)``, whose keep rule
 ``loqc.evolve`` states. An interior cut is evolved as its prefix circuit,
-the elements before it. A four-fold coincidence lights both heralds and
-no vacuum port, so the moment tables and the four coincidence kets on
-which the dual-path check reads each basis input are heralded too.
+``Circuit.prefix`` of the elements before it. A four-fold coincidence
+lights both heralds and no vacuum port, so the moment tables and the four
+coincidence kets on which the dual-path check reads each basis input are
+heralded too.
 
 The sensitivity sweep instead evaluates all of its perturbations as one
 batch: its deltas, perturbed in place into the reflectivities, then
@@ -54,7 +55,6 @@ and ``heisenberg_consistency`` through the oracle's transfer matrix.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 
@@ -455,9 +455,7 @@ def intermediate_state_check(gate: str, input_label: str, cut: str) -> dict:
         )
     # refuses an input that is not a basis ket before anything is evolved
     reference = reference_interior_state(gate, cut, input_label)
-    prefix = dataclasses.replace(
-        circuit, elements=circuit.elements[: circuit.cuts[cut]], cuts={}
-    )
+    prefix = circuit.prefix(circuit.cuts[cut])
     outcome = condition(_heralded(prefix, logical_pair(input_label)), circuit.detection)
     overlap = inner_product(reference, outcome.reduced)
     phase = overlap.conjugate() / abs(overlap) if abs(overlap) > 1e-12 else 1.0
@@ -572,14 +570,9 @@ def _perturbed_etas(base: Circuit, deltas: np.ndarray, model: str) -> np.ndarray
 
 def _perturbed_circuit(base: Circuit, etas: list[float]) -> Circuit:
     """``base`` with its reflectivities replaced by one row of
-    ``_perturbed_etas``."""
-    return dataclasses.replace(
-        base,
-        elements=tuple(
-            dataclasses.replace(el, reflectivity=eta)
-            for el, eta in zip(base.elements, etas, strict=True)
-        ),
-    )
+    ``_perturbed_etas``: the sweep's own, traced call of
+    ``Circuit.with_reflectivities``."""
+    return base.with_reflectivities(etas)
 
 
 def _glynn_permanents(

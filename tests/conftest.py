@@ -115,12 +115,7 @@ def _swapped_cnot() -> Circuit:
 
 def _dark_cnot() -> Circuit:
     circuit = gates.build_cnot_circuit()
-    return dataclasses.replace(
-        circuit,
-        elements=tuple(
-            dataclasses.replace(el, reflectivity=0.0) for el in circuit.elements
-        ),
-    )
+    return circuit.with_reflectivities([0.0] * len(circuit.elements))
 
 
 @pytest.fixture

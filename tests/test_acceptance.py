@@ -9,7 +9,6 @@ by recomputing the worst corner through the permanent oracle, and pins
 both models' worst errors to 1e-12.
 """
 
-import dataclasses
 import json
 import math
 
@@ -213,12 +212,8 @@ def test_criterion_7_oracle_equivalence():
 def _oracle_logical_error(base, result) -> float:
     """Logical error of the sweep's worst corner, recomputed from the
     transfer matrix and the permanent oracle over the heralded kets."""
-    circuit = dataclasses.replace(
-        base,
-        elements=tuple(
-            dataclasses.replace(el, reflectivity=result["worst_assignment"][el.label])
-            for el in base.elements
-        ),
+    circuit = base.with_reflectivities(
+        [result["worst_assignment"][el.label] for el in base.elements]
     )
     transfer = compose_transfer_matrix(circuit)
     (input_occ,) = encode_logical(logical_pair(result["worst_input"]), circuit).amplitudes

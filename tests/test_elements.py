@@ -1,7 +1,5 @@
 """Beamsplitter elements, circuit containers, and transfer matrices."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,12 +144,50 @@ _SPLITTER = (Beamsplitter(0, 1, 0.5, grey=1),)
     ],
 )
 def test_construction_refuses_booleans_and_floats(n_modes, labels, extra, message):
-    # none is coerced: a cut of True would slice its prefix circuit as
-    # elements[:1], and a float one would fail the slice with a TypeError
+    # none is coerced: a cut of True would be read as a cut after one
+    # element, and a float one would fail its prefix circuit
     elements = _SPLITTER if n_modes == 2 else ()
     with pytest.raises(ValueError) as err:
         Circuit(n_modes, labels, elements, **extra)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "labels, elements, message",
+    [
+        pytest.param(
+            (0, "a"), _SPLITTER, "label 0 (0) is not a string", id="int-label"
+        ),
+        pytest.param(
+            (["s"], ["s"]), _SPLITTER,
+            "label 0 (['s']) is not a string; label 1 (['s']) is not a string",
+            id="unhashable-labels",
+        ),
+        pytest.param(
+            ("s", "a"), ((0, 1, 0.5, 1),), "element 0 is not a Beamsplitter",
+            id="tuple-element",
+        ),
+        pytest.param(
+            ("s", "s"), (*_SPLITTER, None),
+            "mode labels are not unique; element 1 is not a Beamsplitter",
+            id="none-element",
+        ),
+    ],
+)
+def test_construction_refuses_labels_and_elements_of_the_wrong_type(
+    labels, elements, message
+):
+    # an int label would build a circuit that no circuit file can write,
+    # and an element that is not a Beamsplitter has no modes to check
+    with pytest.raises(ValueError) as err:
+        Circuit(2, labels, elements)
+    assert str(err.value) == message
+
+
+def test_construction_stores_labels_and_elements_as_tuples():
+    listed = Circuit(2, ["s", "a"], list(_SPLITTER))
+    assert type(listed.labels) is tuple and type(listed.elements) is tuple
+    assert listed == Circuit(2, ("s", "a"), _SPLITTER)
 
 
 def test_beamsplitter_accepts_python_and_numpy_reals():
@@ -169,15 +205,65 @@ def test_compose_transfer_matrix_is_unitary():
 def test_compose_transfer_matrix_order_and_prefix():
     e1 = Beamsplitter(0, 1, 0.3, grey=1)
     e2 = Beamsplitter(1, 2, 0.8, grey=1)
-    c = Circuit(3, ("a", "b", "c"), (e1, e2))
+    heralds = {2: 0, 1: 1}
+    c = Circuit(
+        3, ("a", "b", "c"), (e1, e2), ancilla_prep=heralds,
+        detection=DetectionPattern(exact=heralds), cuts={"m": 1},
+    )
     u1 = np.eye(3, dtype=complex)
     u1[:2, :2] = beamsplitter_matrix(e1.reflectivity, e1.grey_port())
     u2 = np.eye(3, dtype=complex)
     u2[1:, 1:] = beamsplitter_matrix(e2.reflectivity, e2.grey_port())
-    # a prefix of the elements is a circuit of its own
+    # a prefix of the elements is a circuit of its own, prepared and
+    # heralded as the whole one, with no cuts
     for k, u in enumerate((np.eye(3), u1, u2 @ u1)):
-        prefix = Circuit(c.n_modes, c.labels, c.elements[:k])
+        prefix = c.prefix(k)
         assert np.allclose(compose_transfer_matrix(prefix), u, atol=1e-15)
+        assert (prefix.labels, prefix.elements, prefix.cuts) == (c.labels, (e1, e2)[:k], {})
+        assert prefix.detection == c.detection
+        assert list(prefix.ancilla_prep.items()) == [(2, 0), (1, 1)]
+    for k, message in (
+        (3, "prefix length 3 outside 0..2"),
+        (-1, "prefix length must be a non-negative integer, got -1"),
+        (1.0, "prefix length must be a non-negative integer, got 1.0"),
+    ):
+        with pytest.raises(ValueError) as err:
+            c.prefix(k)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("gate", GATE_NAMES)
+def test_with_reflectivities_sets_each_element_and_keeps_the_rest(gate):
+    circuit = gate_by_name(gate)
+    nominal = [el.reflectivity for el in circuit.elements]
+    etas = np.random.default_rng(36).uniform(size=len(nominal))
+    perturbed = circuit.with_reflectivities(etas)
+    assert [el.reflectivity for el in perturbed.elements] == etas.tolist()
+    # labels, modes, grey ports, element labels, preparation, detection
+    # and cuts come back unchanged, in their order
+    restored = perturbed.with_reflectivities(nominal)
+    assert restored == circuit
+    assert list(restored.ancilla_prep) == list(circuit.ancilla_prep)
+    assert list(restored.detection.exact) == list(circuit.detection.exact)
+    assert list(restored.cuts) == list(circuit.cuts)
+
+
+@pytest.mark.parametrize(
+    "last, message",
+    [
+        pytest.param((), "zip() argument 2 is shorter than argument 1", id="short"),
+        pytest.param((0.5, 0.5), "zip() argument 2 is longer than argument 1", id="long"),
+        pytest.param((True,), "reflectivity must be a real number, got True", id="bool"),
+        pytest.param((1.5,), "reflectivity 1.5 outside [0, 1]", id="above-one"),
+        pytest.param((-1e-300,), "reflectivity -1e-300 outside [0, 1]", id="below-zero"),
+    ],
+)
+def test_with_reflectivities_refuses_a_vector_that_does_not_fit(last, message):
+    circuit = gate_by_name("cnot")
+    etas = [0.5] * (len(circuit.elements) - 1) + list(last)
+    with pytest.raises(ValueError) as err:
+        circuit.with_reflectivities(etas)
+    assert str(err.value) == message
 
 
 def test_transfer_matrix_embeds_element_on_its_modes():
@@ -247,16 +333,6 @@ def test_transfer_matrices_reject_reflectivities_that_are_not_real_numbers(etas)
         transfer_matrices(c, etas)
 
 
-def _with_reflectivities(circuit: Circuit, etas) -> Circuit:
-    return dataclasses.replace(
-        circuit,
-        elements=tuple(
-            dataclasses.replace(el, reflectivity=float(eta))
-            for el, eta in zip(circuit.elements, etas, strict=True)
-        ),
-    )
-
-
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_transfer_matrices_rows_match_the_composer_and_the_block_product(seed, batch):
@@ -270,7 +346,7 @@ def test_transfer_matrices_rows_match_the_composer_and_the_block_product(seed, b
     u = transfer_matrices(circuit, etas)
     assert u.shape == (batch, n, n) and u.dtype == np.float64
     for row, matrix in zip(etas, u):
-        perturbed = _with_reflectivities(circuit, row)
+        perturbed = circuit.with_reflectivities(row)
         assert np.array_equal(compose_transfer_matrix(perturbed), matrix)
         assert np.max(np.abs(matrix @ matrix.T - np.eye(n))) < 1e-12
         product = np.eye(n)

@@ -91,7 +91,7 @@ def test_grey_side_beamsplitter_is_involutory_on_states():
 def test_upto_prefix_matches_stepwise_application():
     c = random_circuit(RNG)
     state = random_state(RNG, c.n_modes, 2)
-    partial = evolve(state, Circuit(c.n_modes, c.labels, c.elements[:1]))
+    partial = evolve(state, c.prefix(1))
     manual = apply_element(state, c.elements[0])
     assert (partial - manual).norm_sq < 1e-24
 
@@ -334,8 +334,7 @@ def _keep_case(draw):
         state = basis_state(n, random_occupation(rng, n, total))
     else:
         state = random_state(rng, n, total)
-    upto = draw(st.one_of(st.none(), st.integers(0, len(circuit.elements))))
-    circuit = Circuit(circuit.n_modes, circuit.labels, circuit.elements[:upto])
+    circuit = circuit.prefix(draw(st.integers(0, len(circuit.elements))))
     modes = draw(st.permutations(range(n)))
     n_exact = draw(st.integers(0, n))
     exact = {m: draw(st.integers(0, 2)) for m in modes[:n_exact]}

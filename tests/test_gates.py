@@ -1,10 +1,12 @@
 """Gate parameter closed forms, solvers, builders, and encodings."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from loqc.circuit_io import circuit_to_dict
 from loqc.elements import compose_transfer_matrix
 from loqc.fock import basis_state, make_state
 from loqc.gates import (
@@ -117,7 +119,84 @@ def test_cnot_circuit_layout():
     assert c.cuts["x"] == 2
     assert c.cuts["y"] == 8
     assert c.labels[:4] == ("c_H", "c_V", "t_H", "t_V")
-    assert set(c.ancilla_prep.values()) == {0, 1}
+
+
+def _document(labels, elements, heralds, cuts):
+    """The ``circuit_to_dict`` document of a builder's circuit, with each
+    element given as (a, b, eta, grey, label) and every herald detected
+    with the count it is prepared with."""
+    return {
+        "n_modes": len(labels),
+        "labels": list(labels),
+        "elements": [dict(zip(("a", "b", "eta", "grey", "label"), el)) for el in elements],
+        "ancilla_prep": heralds,
+        "cuts": cuts,
+        "detection": {"exact": heralds, "groups": []},
+    }
+
+
+_CNOT_RAILS = ["c_H", "c_V", "t_H", "t_V", "a1", "a2"]
+_B4 = ("t_H", "t_V", 0.5, "t_V", "B4")
+_B3 = ("c_V", "t_H", 0.5, "t_H", "B3")
+_B2 = ("c_V", "t_H", 0.5, "t_H", "B2")
+_B1 = ("t_H", "t_V", 0.5, "t_V", "B1")
+BUILT = {
+    build_ns_circuit: _document(
+        ["s", "a", "v"],
+        [
+            ("a", "v", ETA13_NS, "v", "eta1"),
+            ("s", "a", ETA2_NS, "s", "eta2"),
+            ("a", "v", ETA13_NS, "v", "eta3"),
+        ],
+        {"a": 1, "v": 0},
+        {},
+    ),
+    build_biased_ns_circuit: _document(
+        ["s", "a", "v7"],
+        [("s", "v7", ETA7_BIASED, "v7", "eta7"), ("s", "a", ETA2_BIASED, "s", "eta2")],
+        {"a": 1, "v7": 0},
+        {},
+    ),
+    build_cnot_circuit: _document(
+        _CNOT_RAILS + ["v1", "v2"],
+        [
+            _B4,
+            _B3,
+            ("a1", "v1", ETA13_NS, "v1", "NS1.eta1"),
+            ("c_V", "a1", ETA2_NS, "c_V", "NS1.eta2"),
+            ("a1", "v1", ETA13_NS, "v1", "NS1.eta3"),
+            ("a2", "v2", ETA13_NS, "v2", "NS2.eta1"),
+            ("t_H", "a2", ETA2_NS, "t_H", "NS2.eta2"),
+            ("a2", "v2", ETA13_NS, "v2", "NS2.eta3"),
+            _B2,
+            _B1,
+        ],
+        {"a1": 1, "a2": 1, "v1": 0, "v2": 0},
+        {"x": 2, "y": 8},
+    ),
+    build_simplified_cnot: _document(
+        _CNOT_RAILS + ["v7", "v8"],
+        [
+            _B4,
+            ("c_V", "v7", ETA7_BIASED, "v7", "B7"),
+            ("t_H", "v8", ETA7_BIASED, "v8", "B8"),
+            _B3,
+            ("c_V", "a1", ETA2_BIASED, "c_V", "B5"),
+            ("t_H", "a2", ETA2_BIASED, "t_H", "B6"),
+            _B2,
+            _B1,
+        ],
+        {"a1": 1, "a2": 1, "v7": 0, "v8": 0},
+        {"z": 6, "y": 6},
+    ),
+}
+
+
+@pytest.mark.parametrize("build", BUILT, ids=lambda build: build.__name__)
+def test_builders_return_their_circuits_field_for_field(build):
+    # the JSON text sees order too: the moment tables read the heralds in
+    # the detection's order, and circuit files write both dicts in theirs
+    assert json.dumps(circuit_to_dict(build())) == json.dumps(BUILT[build])
 
 
 def test_simplified_cnot_layout():

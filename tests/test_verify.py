@@ -502,8 +502,8 @@ def test_evolution_matches_the_oracle_over_the_whole_sector_at_every_cut(gate):
         ]
     else:
         inputs = [encode_logical(logical_pair(l), circuit) for l in BASIS_INPUTS]
-    for upto in {None, *circuit.cuts.values()}:
-        prefix = Circuit(circuit.n_modes, circuit.labels, circuit.elements[:upto])
+    for upto in {len(circuit.elements), *circuit.cuts.values()}:
+        prefix = circuit.prefix(upto)
         transfer = compose_transfer_matrix(prefix)
         for state in inputs:
             (input_occ,) = state.amplitudes
@@ -621,13 +621,7 @@ def test_sweep_records_match_sparse_evolution(gate, model, magnitude):
         records["errors"].tolist(),
         records["probabilities"].tolist(),
     ):
-        circuit = dataclasses.replace(
-            base,
-            elements=tuple(
-                dataclasses.replace(el, reflectivity=eta)
-                for el, eta in zip(base.elements, etas, strict=True)
-            ),
-        )
+        circuit = base.with_reflectivities(etas)
         probabilities = []
         for label in BASIS_INPUTS:
             probability, state4 = conditioned_logical_output(circuit, logical_pair(label))

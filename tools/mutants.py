@@ -75,6 +75,39 @@ MUTANTS = (
         "a transfer matrix's rows index outputs and its columns inputs",
     ),
     Mutant(
+        "reflectivities-rotated", "src/loqc/elements.py",
+        "zip(self.elements, reflectivities, strict=True)",
+        "zip(self.elements, [*reflectivities[1:], *reflectivities[:1]], strict=True)",
+        "with_reflectivities gives element j the j-th reflectivity",
+    ),
+    Mutant(
+        "prefix-length-unchecked", "src/loqc/elements.py",
+        '        if not 0 <= _natural(k, "prefix length") <= len(self.elements):\n'
+        '            raise ValueError(f"prefix length {k} outside 0..{len(self.elements)}")\n',
+        "",
+        "a prefix length outside 0..len(elements) is refused, not sliced",
+    ),
+    Mutant(
+        "circuit-label-unchecked", "src/loqc/elements.py",
+        'issues.append(f"label {i} ({label!r}) is not a string")',
+        "pass",
+        "a circuit refuses a mode label that is not a string",
+    ),
+    Mutant(
+        "circuit-element-unchecked", "src/loqc/elements.py",
+        "            if not isinstance(el, Beamsplitter):\n"
+        '                issues.append(f"element {i} is not a Beamsplitter")\n'
+        "                continue\n",
+        "",
+        "a circuit refuses an element that is not a Beamsplitter",
+    ),
+    Mutant(
+        "circuit-labels-kept-as-given", "src/loqc/elements.py",
+        'object.__setattr__(self, "labels", tuple(self.labels))',
+        'object.__setattr__(self, "labels", self.labels)',
+        "a circuit stores its labels as a tuple, whatever sequence it is given",
+    ),
+    Mutant(
         "settled-one-step-early", "src/loqc/evolve.py",
         "for step, el in enumerate(elements, 1):\n        last_step",
         "for step, el in enumerate(elements, 0):\n        last_step",
@@ -153,8 +186,8 @@ MUTANTS = (
     ),
     Mutant(
         "interior-cut-one-late", "src/loqc/verify.py",
-        "circuit.elements[: circuit.cuts[cut]]",
-        "circuit.elements[: circuit.cuts[cut] + 1]",
+        "circuit.prefix(circuit.cuts[cut])",
+        "circuit.prefix(circuit.cuts[cut] + 1)",
         "an interior cut is the state after the elements before it",
     ),
     Mutant(
