@@ -10,19 +10,19 @@ A circuit is a JSON object:
         {"a": "s", "b": "a", "eta": 0.25, "grey": "s"}
       ],
       "ancilla_prep": {"a": 1, "v": 0},
-      "detection": {"exact": {"a": 1, "v": 0}, "groups": [[["s"], 1]]},
-      "cuts": {"mid": 1}
+      "detection": {"exact": {"a": 1, "v": 0}, "groups": [[["s"], 1]]}
     }
 
 Modes may be referenced by label or by integer index. Reflectivities are
 numbers or one of the symbolic tokens below, which resolve to the
 closed-form operating points so that files never carry rounded decimals.
-Photon counts and cut positions are non-negative integers (not booleans);
-a cut names the state after that many elements. ``ancilla_prep``,
-``detection`` and ``cuts`` are optional. Lists, objects and labels must
-be JSON lists, objects and strings: another type is rejected, not converted.
+Photon counts are non-negative integers (not booleans). ``ancilla_prep``
+and ``detection`` are optional. Lists, objects and labels must be JSON
+lists, objects and strings: another type is rejected, not converted.
 An unknown key is rejected too, so a misspelt optional field is not
-dropped. ``Beamsplitter`` and ``Circuit`` check their own rules.
+dropped. ``cuts`` is one such key: a gate's interior cuts belong to its
+report (``gates.CNOTS``), not to the network that a file describes.
+``Beamsplitter`` and ``Circuit`` check their own rules.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ def resolve_reflectivity(value) -> float:
     raise CircuitFileError(f"reflectivity must be a number or token, got {value!r}")
 
 
-_TOP_LEVEL_KEYS = ("n_modes", "labels", "elements", "ancilla_prep", "detection", "cuts")
+_TOP_LEVEL_KEYS = ("n_modes", "labels", "elements", "ancilla_prep", "detection")
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
 
 
@@ -167,14 +167,12 @@ def _circuit(doc: dict) -> Circuit:
             detection = DetectionPattern(exact=exact, groups=tuple(groups))
         except ValueError as exc:
             raise CircuitFileError(f"detection: {exc}") from None
-    cuts = _typed(doc.get("cuts", {}), dict, "cuts")
     return Circuit(
         n_modes=n_modes,
         labels=labels,
         elements=tuple(elements),
         ancilla_prep=prep,
         detection=detection,
-        cuts={name: _natural(k, f"cuts[{name!r}]:") for name, k in cuts.items()},
     )
 
 
@@ -212,7 +210,6 @@ def circuit_to_dict(circuit: Circuit) -> dict:
         "ancilla_prep": {
             circuit.labels[m]: k for m, k in circuit.ancilla_prep.items()
         },
-        "cuts": dict(circuit.cuts),
     }
     if circuit.detection is not None:
         doc["detection"] = {

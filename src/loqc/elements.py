@@ -17,8 +17,8 @@ sign, and the gate constructions depend on those choices.
 Two methods derive a circuit from another:
 ``Circuit.with_reflectivities`` is the same network at new reflectivities
 (a perturbed device), and ``Circuit.prefix`` its first k elements (an
-interior cut). Both pass the new circuit through ``Circuit``'s
-construction check.
+interior cut, whose k ``gates.CNOTS`` gives). Both pass the new circuit
+through ``Circuit``'s construction check.
 
 ``beamsplitter_matrix`` is the only place that applies the grey-port
 sign; it takes one reflectivity or an array of real ones. ``transfer_matrices``
@@ -120,14 +120,13 @@ class Circuit:
     ``ancilla_prep`` maps ancilla mode index -> photons fed in (zero
     entries mark vacuum ancillas that are still ancillas, not user
     inputs). ``detection`` is the heralding pattern for postselected
-    gates. ``cuts`` names inspection points: ``cuts[name] = k`` means the
-    state after the first k elements, which is evolved through the prefix
-    circuit of those elements. Construction raises one ValueError
-    that lists every way the parts do not fit together, joined by "; ",
-    after refusing alone a count, mode or cut that is not an integer.
-    ``n_modes`` and the ancilla and cut numbers are stored as ``int``, and
-    ``labels`` and ``elements`` as tuples, so a circuit built from lists
-    equals the one built from tuples.
+    gates. Construction raises one ValueError that lists every way the
+    parts do not fit together, joined by "; ", after refusing alone a
+    count or mode that is not an integer. One string given as the labels
+    is refused, not split into one label per character. ``n_modes`` and
+    the ancilla numbers are stored as ``int``, and ``labels`` and
+    ``elements`` as tuples, so a circuit built from lists equals the one
+    built from tuples.
     """
 
     n_modes: int
@@ -135,7 +134,6 @@ class Circuit:
     elements: tuple[Beamsplitter, ...]
     ancilla_prep: dict[int, int] = field(default_factory=dict)
     detection: DetectionPattern | None = None
-    cuts: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         # a plain int skips the call: a negative one is reported with the rest
@@ -147,13 +145,13 @@ class Circuit:
             count(m, "ancilla prep mode"): count(k, f"ancilla prep count on mode {m!r}")
             for m, k in self.ancilla_prep.items()
         }
-        cuts = {name: count(k, f"cut {name!r}") for name, k in self.cuts.items()}
+        issues: list[str] = []
+        if isinstance(self.labels, str):
+            issues.append(f"labels {self.labels!r} is one string, not one per mode")
         object.__setattr__(self, "n_modes", n)
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "elements", tuple(self.elements))
         object.__setattr__(self, "ancilla_prep", prep)
-        object.__setattr__(self, "cuts", cuts)
-        issues: list[str] = []
         if n < 1:
             issues.append(f"n_modes must be >= 1, got {n}")
         if len(self.labels) != n:
@@ -182,9 +180,6 @@ class Circuit:
                 self.detection.validate_for(n)
             except ValueError as exc:
                 issues.append(str(exc))
-        for name, k in self.cuts.items():
-            if k < 0 or k > len(self.elements):
-                issues.append(f"cut {name!r} at {k} outside 0..{len(self.elements)}")
         if issues:
             raise ValueError("; ".join(issues))
 
@@ -202,10 +197,10 @@ class Circuit:
 
     def prefix(self, k: int) -> Circuit:
         """This circuit cut after its first ``k`` elements, with the same
-        preparation and detection and no cuts."""
+        preparation and detection."""
         if not 0 <= _natural(k, "prefix length") <= len(self.elements):
             raise ValueError(f"prefix length {k} outside 0..{len(self.elements)}")
-        return replace(self, elements=self.elements[:k], cuts={})
+        return replace(self, elements=self.elements[:k])
 
     def mode_index(self, label: str) -> int:
         try:

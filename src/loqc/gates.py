@@ -183,16 +183,16 @@ def _biased_pair(p: BiasedNsParameters, s: int, a: int, v: int, labels):
     )
 
 
-def _heralded(labels, elements, ancillas: dict[int, int], **cuts: int) -> Circuit:
+def _heralded(labels, elements, ancillas: dict[int, int]) -> Circuit:
     """A circuit whose heralding detects each ancilla mode with the count
     it was prepared with: one photon at each "1" output, none elsewhere."""
     return Circuit(
         len(labels), labels, elements, ancilla_prep=ancillas,
-        detection=DetectionPattern(exact=ancillas), cuts=cuts,
+        detection=DetectionPattern(exact=ancillas),
     )
 
 
-def _nested_cnot(outer, inner, vacua: tuple[str, str], **cuts: int) -> Circuit:
+def _nested_cnot(outer, inner, vacua: tuple[str, str]) -> Circuit:
     """The CNOT's nested balanced interferometers: B4 mixes the target
     rails, ``outer`` acts on the c_V and t' beams, B3 forms arms d1 and d2,
     ``inner`` acts on them (ancilla photons a1, a2, vacua ``vacua``), then
@@ -206,7 +206,7 @@ def _nested_cnot(outer, inner, vacua: tuple[str, str], **cuts: int) -> Circuit:
         Beamsplitter(_T_H, _T_V, 0.5, grey=_T_V, label="B1"),
     )
     ancillas = {_A1: 1, _A2: 1, _V1: 0, _V2: 0}
-    return _heralded(QUBIT_LABELS + ("a1", "a2") + vacua, elements, ancillas, **cuts)
+    return _heralded(QUBIT_LABELS + ("a1", "a2") + vacua, elements, ancillas)
 
 
 def build_ns_circuit(p: NsParameters | None = None) -> Circuit:
@@ -232,31 +232,27 @@ def build_biased_ns_circuit(p: BiasedNsParameters | None = None) -> Circuit:
 def build_cnot_circuit() -> Circuit:
     """Dual-rail CNOT from two NS gates inside nested interferometers.
 
-    One NS gate acts on each arm, d1 (c_V) and d2 (t_H). Cut "x" is the
-    state after the input splitters, cut "y" after both NS gates.
-    Heralding detects one photon on each NS "1" output and none on the
-    vacuum outputs.
+    One NS gate acts on each arm, d1 (c_V) and d2 (t_H). Heralding
+    detects one photon on each NS "1" output and none on the vacuum
+    outputs.
     """
     p = optimal_ns_parameters()
     ns1 = _ns_splitters(p, _C_V, _A1, _V1, "NS1.")
     ns2 = _ns_splitters(p, _T_H, _A2, _V2, "NS2.")
-    return _nested_cnot((), ns1 + ns2, ("v1", "v2"), x=2, y=8)
+    return _nested_cnot((), ns1 + ns2, ("v1", "v2"))
 
 
 def build_simplified_cnot() -> Circuit:
     """CNOT with biased NS gates: splitters B5/B6 at eta2 replace the NS
     gates, attenuators B7/B8 at eta7 on the c_V and t' beams rebalance.
-
-    Cut "z" (equivalently "y": both name the state after B5/B6, before
-    recombination) is where the interior state is inspected. Heralding
-    detects one photon at each of a1, a2 and none at v7, v8.
+    Heralding detects one photon at each of a1, a2 and none at v7, v8.
     """
     p = balanced_biased_parameters()
     attenuators, splitters = zip(
         _biased_pair(p, _C_V, _A1, _V1, ("B7", "B5")),
         _biased_pair(p, _T_H, _A2, _V2, ("B8", "B6")),
     )
-    return _nested_cnot(attenuators, splitters, ("v7", "v8"), z=6, y=6)
+    return _nested_cnot(attenuators, splitters, ("v7", "v8"))
 
 
 def conditional_map_by_evolution(circuit: Circuit) -> tuple[complex, ...]:
@@ -375,14 +371,19 @@ NS_GATES = {
 }
 
 # Each CNOT: (builder, expected per-input success probability, its
-# tolerance, {interior cut: the NS map that cut's closed-form state
-# carries, or None before the NS gates}). Its keys are the gates that the
-# CNOT reports and the CLI's CNOT commands accept.
+# tolerance, {interior cut: (number of elements before it, the NS map its
+# closed-form state carries, or None before the NS gates)}). Its keys are
+# the gates that the CNOT reports and the CLI's CNOT commands accept. The
+# CNOT's cut "x" follows the input splitters B4 and B3, "y" both NS gates;
+# the simplified CNOT's "y" and "z" both follow B5/B6, before recombination.
 CNOTS = {
-    "cnot": (build_cnot_circuit, 1.0 / 16.0, 1e-10, {"x": None, "y": NS_GATES["ns"][1]}),
+    "cnot": (
+        build_cnot_circuit, 1.0 / 16.0, 1e-10,
+        {"x": (2, None), "y": (8, NS_GATES["ns"][1])},
+    ),
     "cnot-simplified": (
         build_simplified_cnot, ETA2_BIASED**2, 1e-7,
-        {"y": NS_GATES["ns-biased"][1], "z": NS_GATES["ns-biased"][1]},
+        {"y": (6, NS_GATES["ns-biased"][1]), "z": (6, NS_GATES["ns-biased"][1])},
     ),
 }
 

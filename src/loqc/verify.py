@@ -25,10 +25,10 @@ moments, Bell states and interior cuts read only heralded kets, so
 ``_heralded`` is their one evolution: it encodes a qubit pair and evolves
 it with ``evolve(..., keep=circuit.detection)``, whose keep rule
 ``loqc.evolve`` states. An interior cut is evolved as its prefix circuit,
-``Circuit.prefix`` of the elements before it. A four-fold coincidence
-lights both heralds and no vacuum port, so the moment tables and the four
-coincidence kets on which the dual-path check reads each basis input are
-heralded too.
+``Circuit.prefix`` of the elements that ``gates.CNOTS`` puts before it. A
+four-fold coincidence lights both heralds and no vacuum port, so the
+moment tables and the four coincidence kets on which the dual-path check
+reads each basis input are heralded too.
 
 The sensitivity sweep instead evaluates all of its perturbations as one
 batch: its deltas, perturbed in place into the reflectivities, then
@@ -420,15 +420,18 @@ def reference_interior_state(
 ) -> FockStateVector:
     """Closed-form conditioned interior ket for a basis input at a cut: the
     state after the input splitters, each arm scaled by the NS map that
-    ``gates.CNOTS`` gives the cut."""
-    c_h, _, t_h, _ = dual_rail_ket(input_label)
+    ``gates.CNOTS`` gives the cut. The one refusal of an unknown cut, after
+    that of a gate outside ``gates.CNOTS`` and before that of the label."""
     if gate not in CNOTS:
         raise ValueError(f"no interior states defined for gate {gate!r}")
-    maps = CNOTS[gate][3]
-    if cut not in maps:
-        raise ValueError(f"no closed-form state at cut {cut!r} for {gate}")
+    cuts = CNOTS[gate][3]
+    if cut not in cuts:
+        raise ValueError(
+            f"gate {gate!r} has no cut {cut!r}; available: {sorted(cuts)}"
+        )
+    c_h, _, t_h, _ = dual_rail_ket(input_label)
     base = _reference_input_split(bool(c_h), 1.0 if t_h else -1.0)
-    lams = maps[cut]
+    lams = cuts[cut][1]
     if lams is None:
         return base
     amps = {
@@ -448,14 +451,9 @@ def intermediate_state_check(gate: str, input_label: str, cut: str) -> dict:
     the global phase first and reports it; it is always +1 or -1 here.
     """
     circuit = _cnot(gate)
-    if cut not in circuit.cuts:
-        raise ValueError(
-            f"gate {gate!r} has no cut {cut!r}; available: "
-            f"{sorted(circuit.cuts)}"
-        )
-    # refuses an input that is not a basis ket before anything is evolved
+    # refuses an unknown cut or a non-basis input before anything is evolved
     reference = reference_interior_state(gate, cut, input_label)
-    prefix = circuit.prefix(circuit.cuts[cut])
+    prefix = circuit.prefix(CNOTS[gate][3][cut][0])
     outcome = condition(_heralded(prefix, logical_pair(input_label)), circuit.detection)
     overlap = inner_product(reference, outcome.reduced)
     phase = overlap.conjugate() / abs(overlap) if abs(overlap) > 1e-12 else 1.0

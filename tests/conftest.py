@@ -81,7 +81,7 @@ def random_occupation(
 
 def relabelled(circuit: Circuit, labels) -> Circuit:
     """``circuit`` with its modes reordered to ``labels``: the same gate,
-    with every element, preparation, detection count and cut moved along."""
+    with every element, preparation and detection count moved along."""
     new = {circuit.labels.index(label): m for m, label in enumerate(labels)}
     return Circuit(
         circuit.n_modes,
@@ -96,7 +96,6 @@ def relabelled(circuit: Circuit, labels) -> Circuit:
         detection=DetectionPattern(
             exact={new[m]: k for m, k in circuit.detection.exact.items()}
         ),
-        cuts=circuit.cuts,
     )
 
 

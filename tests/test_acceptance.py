@@ -29,6 +29,7 @@ from loqc.fock import basis_state, enumerate_basis
 from loqc.gates import (
     BASIS_INPUTS,
     CNOT_IMAGE,
+    CNOTS,
     QUBIT_LABELS,
     biased_ns_amplitudes,
     build_cnot_circuit,
@@ -169,7 +170,7 @@ def test_criterion_5_bell_state_generation():
 def test_criterion_6_interior_states():
     worst = 0.0
     for label in BASIS_INPUTS:
-        for gate, cuts in (("cnot", ("x", "y")), ("cnot-simplified", ("z",))):
+        for gate, (_, _, _, cuts) in CNOTS.items():
             for cut in cuts:
                 res = intermediate_state_check(gate, label, cut)
                 worst = max(worst, res["deviation"])
@@ -177,7 +178,7 @@ def test_criterion_6_interior_states():
     assert _line(
         6,
         ok,
-        f"interior states at x, y (full) and z (simplified), all four basis "
+        f"interior states at every cut in gates.CNOTS, all four basis "
         f"inputs: max amplitude deviation {worst:.2e} (tol 1e-10)",
     )
 

@@ -16,10 +16,9 @@ from loqc.cli import main
 from loqc.evolve import evolve
 from loqc.fock import basis_state
 from loqc.gates import (
+    CNOTS,
     ETA2_NS,
-    build_cnot_circuit,
     build_ns_circuit,
-    build_simplified_cnot,
     conditional_map_by_evolution,
 )
 
@@ -128,10 +127,14 @@ def test_load_circuit_rejects_unparseable_json(tmp_path):
 
 
 def test_round_trip_keeps_the_cnot_circuits_and_their_cuts():
-    for circuit in (build_cnot_circuit(), build_simplified_cnot()):
+    # a file holds no cuts, but its circuit keeps the element order that
+    # the positions in gates.CNOTS count
+    for build, _, _, cuts in CNOTS.values():
+        circuit = build()
         again = circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit))))
         assert again == circuit
-        assert again.cuts == circuit.cuts != {}
+        for k, _ in cuts.values():
+            assert again.prefix(k).elements == circuit.elements[:k]
 
 
 def _with(path: str, value, doc=GOOD) -> dict:
@@ -153,9 +156,6 @@ def _with(path: str, value, doc=GOOD) -> dict:
         _with("detection.groups", [[["s"], 0.5]]),
         _with("detection.groups", [[["s"], True]]),
         _with("ancilla_prep.a", True),
-        _with("cuts", {"mid": 1.5}),
-        _with("cuts", {"mid": 4}),
-        _with("cuts", [1]),
         {"n_modes": True, "labels": ["s"], "elements": []},
         _with("labels", "sav"),
     ],
@@ -165,9 +165,6 @@ def _with(path: str, value, doc=GOOD) -> dict:
         "group-float",
         "group-bool",
         "prep-bool",
-        "cut-float",
-        "cut-out-of-range",
-        "cuts-not-object",
         "n_modes-bool",
         "labels-string",
     ],
@@ -267,7 +264,8 @@ def test_counts_must_be_integers_not_coerced(doc, tmp_path):
             _with("elements", [{"a": "s", "b": "a", "eta": float("nan"), "grey": "s"}]),
             "elements[0]: reflectivity nan outside [0, 1]",
         ),
-        (_with("cuts", {"mid": 4}), "cut 'mid' at 4 outside 0..3"),
+        # a gate's cuts are not part of the network a file describes
+        (_with("cuts", {"mid": 1}), "top level: unknown field 'cuts'"),
     ],
     ids=[
         "eta-type",
@@ -300,7 +298,7 @@ def test_counts_must_be_integers_not_coerced(doc, tmp_path):
         "element-grey",
         "element-reflectivity",
         "element-reflectivity-nan",
-        "cut-out-of-range",
+        "cuts-refused",
     ],
 )
 def test_file_shape_errors_say_what_and_where(doc, message):

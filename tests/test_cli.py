@@ -594,6 +594,10 @@ def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys, argv):
             "run-circuit: 6 photons exceeds the supported maximum of 4",
         ),
         (
+            ["run-circuit", "{cuts}", "--input", "1"],
+            "run-circuit: {cuts}: top level: unknown field 'cuts'",
+        ),
+        (
             ["sweep", "--magnitude", "nan"],
             "sweep: magnitude must be a number >= 0 with 2 * magnitude finite, got nan",
         ),
@@ -615,6 +619,7 @@ def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys, argv):
         "input-float",
         "wrong-input-count",
         "photon-cap",
+        "file-with-cuts",
         "nan-magnitude",
         "no-samples",
     ],
@@ -622,7 +627,9 @@ def test_unwritable_report_path_is_a_usage_error(tmp_path, capsys, argv):
 def test_errors_exit_2_with_one_stderr_line(tmp_path, capsys, argv, message):
     ns = tmp_path / "ns.json"
     ns.write_text(json.dumps(NS_FILE))
-    paths = {"ns": ns, "missing": tmp_path / "missing.json"}
+    cuts = tmp_path / "cuts.json"
+    cuts.write_text(json.dumps(NS_FILE | {"cuts": {"mid": 1}}))
+    paths = {"ns": ns, "cuts": cuts, "missing": tmp_path / "missing.json"}
     assert run([a.format(**paths) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -96,15 +96,12 @@ def test_construction_reports_every_issue():
             elements=(Beamsplitter(0, 3, 0.5, grey=3, label="bad"),),
             ancilla_prep={5: -1},
             detection=DetectionPattern(exact={9: 1}),
-            cuts={"q": 7, "r": -1},
         )
     text = str(err.value)
     assert "labels are not unique" in text
     assert "mode 3 outside" in text
     assert "ancilla prep mode 5" in text
     assert "outside 0..1" in text
-    assert "cut 'q'" in text
-    assert "cut 'r' at -1 outside 0..1" in text
     with pytest.raises(ValueError) as err:
         Circuit(0, ("a",), ())
     assert str(err.value) == "n_modes must be >= 1, got 0; 1 labels for 0 modes"
@@ -114,41 +111,41 @@ _SPLITTER = (Beamsplitter(0, 1, 0.5, grey=1),)
 
 
 @pytest.mark.parametrize(
-    "n_modes, labels, extra, message",
+    "build, message",
     [
         pytest.param(
-            2, ("s", "a"), {"ancilla_prep": {1: 1.5}},
+            lambda: Circuit(2, ("s", "a"), _SPLITTER, ancilla_prep={1: 1.5}),
             "ancilla prep count on mode 1 must be a non-negative integer, got 1.5",
             id="float-ancilla-count",
         ),
         pytest.param(
-            2, ("s", "a"), {"ancilla_prep": {True: 1}},
+            lambda: Circuit(2, ("s", "a"), _SPLITTER, ancilla_prep={True: 1}),
             "ancilla prep mode must be a non-negative integer, got True",
             id="bool-ancilla-mode",
         ),
         pytest.param(
-            2, ("s", "a"), {"cuts": {"m": 1.0}},
-            "cut 'm' must be a non-negative integer, got 1.0",
-            id="float-cut",
-        ),
-        pytest.param(
-            2, ("s", "a"), {"cuts": {"m": True}},
-            "cut 'm' must be a non-negative integer, got True",
-            id="bool-cut",
-        ),
-        pytest.param(
-            True, ("s",), {},
+            lambda: Circuit(True, ("s",), ()),
             "n_modes must be a non-negative integer, got True",
             id="bool-n-modes",
         ),
+        pytest.param(
+            lambda: Circuit(2, ("s", "a"), _SPLITTER).prefix(1.0),
+            "prefix length must be a non-negative integer, got 1.0",
+            id="float-prefix-length",
+        ),
+        pytest.param(
+            lambda: Circuit(2, ("s", "a"), _SPLITTER).prefix(True),
+            "prefix length must be a non-negative integer, got True",
+            id="bool-prefix-length",
+        ),
     ],
 )
-def test_construction_refuses_booleans_and_floats(n_modes, labels, extra, message):
-    # none is coerced: a cut of True would be read as a cut after one
-    # element, and a float one would fail its prefix circuit
-    elements = _SPLITTER if n_modes == 2 else ()
+def test_construction_refuses_booleans_and_floats(build, message):
+    # none is coerced: an ancilla count or a prefix length of True would
+    # be read as one, and a float one would fail the state it prepares or
+    # the slice of the elements
     with pytest.raises(ValueError) as err:
-        Circuit(n_modes, labels, elements, **extra)
+        build()
     assert str(err.value) == message
 
 
@@ -172,13 +169,23 @@ def test_construction_refuses_booleans_and_floats(n_modes, labels, extra, messag
             "mode labels are not unique; element 1 is not a Beamsplitter",
             id="none-element",
         ),
+        pytest.param(
+            "sa", _SPLITTER, "labels 'sa' is one string, not one per mode",
+            id="string-labels",
+        ),
+        pytest.param(
+            iter((0, "a")), _SPLITTER, "label 0 (0) is not a string",
+            id="iterator-labels",
+        ),
     ],
 )
 def test_construction_refuses_labels_and_elements_of_the_wrong_type(
     labels, elements, message
 ):
     # an int label would build a circuit that no circuit file can write,
-    # and an element that is not a Beamsplitter has no modes to check
+    # and an element that is not a Beamsplitter has no modes to check; a
+    # string is not read as one label per character, and any other
+    # iterable is read once, into a tuple, before it is checked
     with pytest.raises(ValueError) as err:
         Circuit(2, labels, elements)
     assert str(err.value) == message
@@ -208,18 +215,18 @@ def test_compose_transfer_matrix_order_and_prefix():
     heralds = {2: 0, 1: 1}
     c = Circuit(
         3, ("a", "b", "c"), (e1, e2), ancilla_prep=heralds,
-        detection=DetectionPattern(exact=heralds), cuts={"m": 1},
+        detection=DetectionPattern(exact=heralds),
     )
     u1 = np.eye(3, dtype=complex)
     u1[:2, :2] = beamsplitter_matrix(e1.reflectivity, e1.grey_port())
     u2 = np.eye(3, dtype=complex)
     u2[1:, 1:] = beamsplitter_matrix(e2.reflectivity, e2.grey_port())
     # a prefix of the elements is a circuit of its own, prepared and
-    # heralded as the whole one, with no cuts
+    # heralded as the whole one
     for k, u in enumerate((np.eye(3), u1, u2 @ u1)):
         prefix = c.prefix(k)
         assert np.allclose(compose_transfer_matrix(prefix), u, atol=1e-15)
-        assert (prefix.labels, prefix.elements, prefix.cuts) == (c.labels, (e1, e2)[:k], {})
+        assert (prefix.labels, prefix.elements) == (c.labels, (e1, e2)[:k])
         assert prefix.detection == c.detection
         assert list(prefix.ancilla_prep.items()) == [(2, 0), (1, 1)]
     for k, message in (
@@ -239,13 +246,12 @@ def test_with_reflectivities_sets_each_element_and_keeps_the_rest(gate):
     etas = np.random.default_rng(36).uniform(size=len(nominal))
     perturbed = circuit.with_reflectivities(etas)
     assert [el.reflectivity for el in perturbed.elements] == etas.tolist()
-    # labels, modes, grey ports, element labels, preparation, detection
-    # and cuts come back unchanged, in their order
+    # labels, modes, grey ports, element labels, preparation and
+    # detection come back unchanged, in their order
     restored = perturbed.with_reflectivities(nominal)
     assert restored == circuit
     assert list(restored.ancilla_prep) == list(circuit.ancilla_prep)
     assert list(restored.detection.exact) == list(circuit.detection.exact)
-    assert list(restored.cuts) == list(circuit.cuts)
 
 
 @pytest.mark.parametrize(

@@ -116,9 +116,8 @@ def test_numpy_integers_pass_every_count_rule_and_are_stored_as_ints():
         (splitter,),
         ancilla_prep={one: np.uint8(0)},
         detection=DetectionPattern({one: np.int8(0)}),
-        cuts={"all": np.int16(1)},
     )
-    assert type(circuit.n_modes) is int and type(circuit.cuts["all"]) is int
+    assert type(circuit.n_modes) is int and circuit.prefix(np.int16(1)) == circuit
     assert all(type(k) is int for item in circuit.ancilla_prep.items() for k in item)
     assert circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit)))) == circuit
     numpy_sweep = sensitivity_sweep("cnot", mode="random", samples=np.int64(2), seed=np.uint8(3))

@@ -12,6 +12,7 @@ from loqc.fock import basis_state, make_state
 from loqc.gates import (
     BASIS_INPUTS,
     CNOT_IMAGE,
+    CNOTS,
     ETA2_BIASED,
     ETA2_NS,
     ETA7_BIASED,
@@ -116,12 +117,12 @@ def test_cnot_circuit_layout():
         "B2",
         "B1",
     ]
-    assert c.cuts["x"] == 2
-    assert c.cuts["y"] == 8
+    # cut "x" follows the input splitters, cut "y" both NS gates
+    assert {cut: k for cut, (k, _) in CNOTS["cnot"][3].items()} == {"x": 2, "y": 8}
     assert c.labels[:4] == ("c_H", "c_V", "t_H", "t_V")
 
 
-def _document(labels, elements, heralds, cuts):
+def _document(labels, elements, heralds):
     """The ``circuit_to_dict`` document of a builder's circuit, with each
     element given as (a, b, eta, grey, label) and every herald detected
     with the count it is prepared with."""
@@ -130,7 +131,6 @@ def _document(labels, elements, heralds, cuts):
         "labels": list(labels),
         "elements": [dict(zip(("a", "b", "eta", "grey", "label"), el)) for el in elements],
         "ancilla_prep": heralds,
-        "cuts": cuts,
         "detection": {"exact": heralds, "groups": []},
     }
 
@@ -149,13 +149,11 @@ BUILT = {
             ("a", "v", ETA13_NS, "v", "eta3"),
         ],
         {"a": 1, "v": 0},
-        {},
     ),
     build_biased_ns_circuit: _document(
         ["s", "a", "v7"],
         [("s", "v7", ETA7_BIASED, "v7", "eta7"), ("s", "a", ETA2_BIASED, "s", "eta2")],
         {"a": 1, "v7": 0},
-        {},
     ),
     build_cnot_circuit: _document(
         _CNOT_RAILS + ["v1", "v2"],
@@ -172,7 +170,6 @@ BUILT = {
             _B1,
         ],
         {"a1": 1, "a2": 1, "v1": 0, "v2": 0},
-        {"x": 2, "y": 8},
     ),
     build_simplified_cnot: _document(
         _CNOT_RAILS + ["v7", "v8"],
@@ -187,7 +184,6 @@ BUILT = {
             _B1,
         ],
         {"a1": 1, "a2": 1, "v7": 0, "v8": 0},
-        {"z": 6, "y": 6},
     ),
 }
 
@@ -203,7 +199,8 @@ def test_simplified_cnot_layout():
     c = build_simplified_cnot()
     labels = [el.label for el in c.elements]
     assert labels == ["B4", "B7", "B8", "B3", "B5", "B6", "B2", "B1"]
-    assert c.cuts["z"] == 6 and c.cuts["y"] == 6
+    # both cuts follow B5 and B6, before recombination
+    assert {cut: k for cut, (k, _) in CNOTS["cnot-simplified"][3].items()} == {"y": 6, "z": 6}
     etas = {el.label: el.reflectivity for el in c.elements}
     assert etas["B5"] == pytest.approx(ETA2_BIASED)
     assert etas["B7"] == pytest.approx(ETA7_BIASED)

@@ -400,12 +400,19 @@ def test_interior_state_check_rejects_unknown_cut_and_input():
         intermediate_state_check("cnot", "HH", "z")
     with pytest.raises(ValueError):
         intermediate_state_check("cnot", "+H", "x")
-    with pytest.raises(ValueError, match="no closed-form state at cut 'z' for cnot"):
-        reference_interior_state("cnot", "z", "HH")
-    with pytest.raises(ValueError, match="at cut 'x' for cnot-simplified"):
-        reference_interior_state("cnot-simplified", "x", "HH")
+    # one refusal of a cut, the one that the CLI prints, after the gate's
+    # and before the label's
+    for gate, cuts in (("cnot", "['x', 'y']"), ("cnot-simplified", "['y', 'z']")):
+        message = f"gate {gate!r} has no cut 'q'; available: {cuts}"
+        for label in ("HH", "+H"):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                reference_interior_state(gate, "q", label)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                intermediate_state_check(gate, label, "q")
     with pytest.raises(ValueError, match="no interior states defined for gate 'ns'"):
-        reference_interior_state("ns", "x", "HH")
+        reference_interior_state("ns", "q", "+H")
+    with pytest.raises(ValueError, match="no truth table defined for gate 'ns'"):
+        intermediate_state_check("ns", "+H", "q")
 
 
 @pytest.mark.parametrize("label", ["+H", "XY", "H", "HHH"])
@@ -429,12 +436,6 @@ def test_reports_refuse_a_label_that_is_not_a_basis_input(report, label):
     # or the control-V closed form
     with pytest.raises(ValueError, match=re.escape(f"unknown basis label {label!r}")):
         report(label)
-
-
-def test_every_gate_has_its_checked_facts_in_one_table():
-    # the builders' cuts and the table are the two statements of the cut names
-    for gate, (_, _, _, maps) in CNOTS.items():
-        assert sorted(maps) == sorted(gate_by_name(gate).cuts)
 
 
 def _filtered_sector(circuit, pattern, photons):
@@ -502,7 +503,8 @@ def test_evolution_matches_the_oracle_over_the_whole_sector_at_every_cut(gate):
         ]
     else:
         inputs = [encode_logical(logical_pair(l), circuit) for l in BASIS_INPUTS]
-    for upto in {len(circuit.elements), *circuit.cuts.values()}:
+    cuts = CNOTS[gate][3].values() if gate in CNOTS else ()
+    for upto in {len(circuit.elements), *(k for k, _ in cuts)}:
         prefix = circuit.prefix(upto)
         transfer = compose_transfer_matrix(prefix)
         for state in inputs:

@@ -102,6 +102,12 @@ MUTANTS = (
         "a circuit refuses an element that is not a Beamsplitter",
     ),
     Mutant(
+        "circuit-labels-string-split", "src/loqc/elements.py",
+        "if isinstance(self.labels, str):",
+        "if isinstance(self.labels, bytes):",
+        "a circuit refuses one string as its labels, not one label per character",
+    ),
+    Mutant(
         "circuit-labels-kept-as-given", "src/loqc/elements.py",
         'object.__setattr__(self, "labels", tuple(self.labels))',
         'object.__setattr__(self, "labels", self.labels)',
@@ -133,19 +139,29 @@ MUTANTS = (
     ),
     Mutant(
         "cnot-successes-swapped", "src/loqc/gates.py",
-        '(build_cnot_circuit, 1.0 / 16.0, 1e-10, {"x": None, "y": NS_GATES["ns"][1]}),\n'
+        "build_cnot_circuit, 1.0 / 16.0, 1e-10,\n"
+        '        {"x": (2, None), "y": (8, NS_GATES["ns"][1])},\n'
+        "    ),\n"
         '    "cnot-simplified": (\n'
-        '        build_simplified_cnot, ETA2_BIASED**2, 1e-7,',
-        '(build_cnot_circuit, ETA2_BIASED**2, 1e-10, {"x": None, "y": NS_GATES["ns"][1]}),\n'
+        "        build_simplified_cnot, ETA2_BIASED**2, 1e-7,",
+        "build_cnot_circuit, ETA2_BIASED**2, 1e-10,\n"
+        '        {"x": (2, None), "y": (8, NS_GATES["ns"][1])},\n'
+        "    ),\n"
         '    "cnot-simplified": (\n'
-        '        build_simplified_cnot, 1.0 / 16.0, 1e-7,',
+        "        build_simplified_cnot, 1.0 / 16.0, 1e-7,",
         "each CNOT is checked against its own success probability",
     ),
     Mutant(
         "cnot-y-cut-unscaled", "src/loqc/gates.py",
-        '{"x": None, "y": NS_GATES["ns"][1]}',
-        '{"x": None, "y": None}',
+        '"y": (8, NS_GATES["ns"][1])',
+        '"y": (8, None)',
         "the CNOT's state after its NS gates carries the NS map",
+    ),
+    Mutant(
+        "simplified-z-cut-early", "src/loqc/gates.py",
+        '"z": (6, NS_GATES["ns-biased"][1])',
+        '"z": (5, NS_GATES["ns-biased"][1])',
+        "the simplified CNOT's cut z follows both biased splitters B5 and B6",
     ),
     Mutant(
         "ns-eta2-grey-on-ancilla", "src/loqc/gates.py",
@@ -186,8 +202,8 @@ MUTANTS = (
     ),
     Mutant(
         "interior-cut-one-late", "src/loqc/verify.py",
-        "circuit.prefix(circuit.cuts[cut])",
-        "circuit.prefix(circuit.cuts[cut] + 1)",
+        "circuit.prefix(CNOTS[gate][3][cut][0])",
+        "circuit.prefix(CNOTS[gate][3][cut][0] + 1)",
         "an interior cut is the state after the elements before it",
     ),
     Mutant(
